@@ -12,27 +12,26 @@ shifts of the whole trace).  Every checker reports:
   equality, sorted by (m, n),
 * how many pairs the verdict quantified over.
 
-All comparisons are exact.  Integer tick gaps are compared against
-precomputed integer thresholds (the ceiling of the exact rational bound),
-which is equivalent to the rational comparison and lets the O(N^2) pair
-scans run as int64 vector operations.  Inputs whose magnitudes could
-overflow int64 fall back to arbitrary-precision Python integers.
+All comparisons are exact and use Python integers only.  Each rate/burst
+and bit-domain question reduces to integer keys per packet (or breakpoint):
+a pair is judged by the gain ``ends[n] - starts[m]`` against an integer
+limit.  One pass with a running minimum of the start keys then gives the
+verdict, the earliest witness, the largest gain (a fitted burst) and its
+binding pair; tight pairs come from grouping equal keys.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from itertools import repeat
+from operator import itemgetter
 
 from .errors import InfeasibleFitError, MissingLengthsError, UnboundedFitError
 from .models import LambdaNuModel, SigmaRhoModel, TSpecModel, WindowMode
-from .rational import RationalLike, ceil_div, rational_to_json
+from .rational import RationalLike, rational_to_json
 from .trace import Trace
-
-# Stay well inside int64 for vectorized scans; beyond this use Python ints.
-_INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True)
@@ -97,125 +96,106 @@ def fit_result_to_json(result: FitResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# One-pass gain scans
+#
+# ``starts`` and ``ends`` hold one integer key per index (1-based); the pair
+# (m, n) with n - m >= lag has gain ``ends[n] - starts[m]``.
+
+
+def _gains(starts: list[int], ends: list[int], lag: int):
+    """For each end n, yield (m, n, gain) for the largest gain ending at n;
+    m is the first index m <= n - lag holding the smallest start key, so
+    ``max`` over the yield picks the first pair in (n, m) order."""
+    low = 1
+    for n in range(lag + 1, len(ends) + 1):
+        if starts[n - lag - 1] < starts[low - 1]:
+            low = n - lag
+        yield low, n, ends[n - 1] - starts[low - 1]
+
+
+def _first_over(starts: list[int], ends: list[int], lag: int, limit: int) -> tuple[int, int] | None:
+    """Earliest pair whose gain exceeds ``limit`` (smallest n, then smallest
+    m), or None."""
+    for _, n, gain in _gains(starts, ends, lag):
+        if gain > limit:
+            bar = ends[n - 1] - limit
+            return next(m for m in range(1, n - lag + 1) if starts[m - 1] < bar), n
+    return None
+
+
+def _gain_exactly(starts: list[int], ends: list[int], lag: int, limit: int):
+    """For each m in order, yield m and the ascending ends n >= m + lag whose
+    gain is exactly ``limit``."""
+    by_key: dict[int, list[int]] = {}
+    for n, key in enumerate(ends, 1):
+        by_key.setdefault(key, []).append(n)
+    for m, key in enumerate(starts, 1):
+        later = by_key.get(key + limit, ())
+        yield m, later[bisect_left(later, m + lag):]
+
+
+# ---------------------------------------------------------------------------
 # Rate/burst (packet-domain) checking
 
 
-def _gap_tables(model: LambdaNuModel, max_d: int) -> tuple[list[int], list[int | None]]:
-    """Integer thresholds per packet-count gap d = 0..max_d.
+def _excess_keys(
+    arrivals: tuple[int, ...], lam: Fraction, nu: Fraction
+) -> tuple[list[int], int, int]:
+    """Keys, lag and limit of the rate/burst bound for lam = p/q, nu = r/s.
 
-    ``min_gap[d]`` is the smallest integer tick gap satisfying the bound;
-    ``exact_gap[d]`` is the tick gap meeting it with equality, or None when
-    the exact bound is not an integer (then no integer gap can be tight).
+    Key ``s*q*k - s*p*arrival(k)`` is how far packet k runs ahead of the
+    rate line, so the gain of m < n is ``s*q*(n - m) - s*p*gap``.  The pair
+    violates the bound iff its gain exceeds the limit r*q, which needs
+    n - m >= lag = floor(nu) + 1.
     """
-    p, q = model.lam.numerator, model.lam.denominator
-    r, s = model.nu.numerator, model.nu.denominator
-    min_gap: list[int] = []
-    exact_gap: list[int | None] = []
-    for d in range(max_d + 1):
-        excess = d * s - r  # sign of (d - nu)
-        if excess <= 0:
-            min_gap.append(0)
-            exact_gap.append(0)  # bound is 0; tight means simultaneous
-            continue
-        num, den = excess * q, s * p
-        min_gap.append(ceil_div(num, den))
-        exact_gap.append(num // den if num % den == 0 else None)
-    return min_gap, exact_gap
-
-
-def _scan_gaps_python(
-    arrivals: tuple[int, ...],
-    min_gap: list[int],
-    exact_gap: list[int | None],
-) -> tuple[tuple[int, int] | None, list[tuple[int, int]]]:
-    n_pk = len(arrivals)
-    witness: tuple[int, int] | None = None
-    tight: list[tuple[int, int]] = []
-    for n in range(2, n_pk + 1):
-        a_n = arrivals[n - 1]
-        for m in range(1, n):
-            gap = a_n - arrivals[m - 1]
-            d = n - m
-            if witness is None and gap < min_gap[d]:
-                witness = (m, n)
-            e = exact_gap[d]
-            if e is not None and gap == e:
-                tight.append((m, n))
-    return witness, tight
-
-
-def _scan_gaps_numpy(
-    arrivals: tuple[int, ...],
-    min_gap: list[int],
-    exact_gap: list[int | None],
-) -> tuple[tuple[int, int] | None, list[tuple[int, int]]]:
-    a = np.asarray(arrivals, dtype=np.int64)
-    n_pk = a.size
-    best: tuple[int, int] | None = None  # (n, m), minimized lexicographically
-    tight: list[tuple[int, int]] = []
-    for d in range(1, n_pk):
-        gaps = a[d:] - a[:-d]
-        mg = min_gap[d]
-        if mg > 0:
-            bad = np.nonzero(gaps < mg)[0]
-            if bad.size:
-                i = int(bad[0])
-                cand = (i + d + 1, i + 1)
-                if best is None or cand < best:
-                    best = cand
-        e = exact_gap[d]
-        if e is not None:
-            eq = np.nonzero(gaps == e)[0]
-            for i in eq.tolist():
-                tight.append((i + 1, i + d + 1))
-    witness = (best[1], best[0]) if best is not None else None
-    return witness, tight
+    p, q = lam.numerator, lam.denominator
+    r, s = nu.numerator, nu.denominator
+    return [s * q * k - s * p * a for k, a in enumerate(arrivals, 1)], r // s + 1, r * q
 
 
 def check_lambda_nu(trace: Trace, model: LambdaNuModel) -> ConformanceReport:
-    """Exhaustive pairwise check of the rate/burst arrival-time bound.
+    """Check the rate/burst arrival-time bound over every packet pair.
 
     Conforms iff every packet pair m < n has
-    ``interarrival(m, n) >= (n - m - nu)+ / lam``.
+    ``interarrival(m, n) >= (n - m - nu)+ / lam``; one pass over the keys of
+    :func:`_excess_keys` decides all pairs.
     """
     arrivals = trace.arrivals
     n_pk = len(arrivals)
-    checked = n_pk * (n_pk - 1) // 2
-    if n_pk < 2:
-        return ConformanceReport(True, None, (), checked)
-    min_gap, exact_gap = _gap_tables(model, n_pk - 1)
-    use_numpy = (
-        arrivals[-1] < _INT64_SAFE
-        and max(min_gap) < _INT64_SAFE
-        and all(e is None or e < _INT64_SAFE for e in exact_gap)
-    )
-    scan = _scan_gaps_numpy if use_numpy else _scan_gaps_python
-    witness_pair, tight = scan(arrivals, min_gap, exact_gap)
+    keys, lag, limit = _excess_keys(arrivals, model.lam, model.nu)
     witness = None
-    if witness_pair is not None:
-        m, n = witness_pair
+    pair = _first_over(keys, keys, lag, limit)
+    if pair is not None:
+        m, n = pair
         witness = Witness(
             m=m,
             n=n,
             required=model.min_spacing(n - m),
             actual=Fraction(arrivals[n - 1] - arrivals[m - 1]),
         )
+    tight: list[tuple[int, int]] = []
+    for m, later in _gain_exactly(keys, keys, lag, limit):
+        # within the allowance the bound is 0, met by simultaneous packets
+        n = m + 1
+        while n < m + lag and n <= n_pk and arrivals[n - 1] == arrivals[m - 1]:
+            tight.append((m, n))
+            n += 1
+        tight.extend(zip(repeat(m), later))
     return ConformanceReport(
         conforms=witness is None,
         witness=witness,
-        tight_pairs=tuple(sorted(tight)),
-        checked_pairs=checked,
+        tight_pairs=tuple(tight),
+        checked_pairs=n_pk * (n_pk - 1) // 2,
     )
 
 
 def check_lambda_nu_via_convolution(trace: Trace, model: LambdaNuModel) -> ConformanceReport:
-    """Same verdict as :func:`check_lambda_nu`, via the max-plus route.
+    """Same report as :func:`check_lambda_nu`, via the max-plus route.
 
-    For each n it forms the running bound
-    ``sup over m < n of (arrival(m) + min_spacing(n - m))`` and compares the
-    actual arrival time against it, instead of testing pairs one by one.
-    The two formulations are equivalent, which makes this an independent
-    cross-check of the pairwise scan.
+    The O(N^2) twin of the linear pass: for each n it forms the running bound
+    ``sup over m < n of (arrival(m) + min_spacing(n - m))`` term by term and
+    compares the actual arrival time against it.  Kept as an independent
+    reference for the production checker.
     """
     arrivals = trace.arrivals
     n_pk = len(arrivals)
@@ -389,82 +369,36 @@ def check_sigma_rho(trace: Trace, model: SigmaRhoModel) -> ConformanceReport:
         raise MissingLengthsError("bit-domain check needs per-packet lengths")
     points, at, cum = _breakpoints(trace)
     b = len(points)
-    checked = b * (b + 1) // 2
     rho_n, rho_d = model.rho.numerator, model.rho.denominator
     sig_n, sig_d = model.sigma.numerator, model.sigma.denominator
     scale = rho_d * sig_d  # bits * scale  vs  rho_n*sig_d*dt + sig_n*rho_d
     rate_c = rho_n * sig_d
     burst_c = sig_n * rho_d
-    use_numpy = (
-        cum[-1] * scale < _INT64_SAFE
-        and rate_c * (points[-1] + 1) + burst_c < _INT64_SAFE
-    )
-    if use_numpy:
-        witness_idx, tight_idx = _scan_windows_numpy(points, at, cum, scale, rate_c, burst_c)
-    else:
-        witness_idx, tight_idx = _scan_windows_python(points, at, cum, scale, rate_c, burst_c)
+    # window [points[i], points[j]] (1-based i <= j) violates iff
+    # ends[j] - starts[i] = scale*bits - rate_c*width exceeds burst_c
+    ends = [scale * c - rate_c * t for t, c in zip(points, cum)]
+    starts = [e - scale * a for e, a in zip(ends, at)]
     witness = None
-    if witness_idx is not None:
-        i, j = witness_idx
-        width = points[j] - points[i]
-        bits = cum[j] - cum[i] + at[i]
+    pair = _first_over(starts, ends, 0, burst_c)
+    if pair is not None:
+        i, j = pair
         witness = Witness(
-            m=points[i],
-            n=points[j],
-            required=model.rho * width + model.sigma,
-            actual=Fraction(bits),
+            m=points[i - 1],
+            n=points[j - 1],
+            required=model.rho * (points[j - 1] - points[i - 1]) + model.sigma,
+            actual=Fraction(cum[j - 1] - cum[i - 1] + at[i - 1]),
         )
-    tight = tuple(sorted((points[i], points[j]) for i, j in tight_idx))
+    tight = tuple(
+        (points[i - 1], points[j - 1])
+        for i, later in _gain_exactly(starts, ends, 0, burst_c)
+        for j in later
+    )
     return ConformanceReport(
         conforms=witness is None,
         witness=witness,
         tight_pairs=tight,
-        checked_pairs=checked,
+        checked_pairs=b * (b + 1) // 2,
     )
-
-
-def _scan_windows_python(points, at, cum, scale, rate_c, burst_c):
-    b = len(points)
-    witness = None
-    tight = []
-    for j in range(b):
-        for i in range(j + 1):
-            bits = cum[j] - cum[i] + at[i]
-            lhs = bits * scale
-            rhs = rate_c * (points[j] - points[i]) + burst_c
-            if witness is None and lhs > rhs:
-                witness = (i, j)
-            if lhs == rhs:
-                tight.append((i, j))
-    return witness, tight
-
-
-def _scan_windows_numpy(points, at, cum, scale, rate_c, burst_c):
-    pts = np.asarray(points, dtype=np.int64)
-    at_a = np.asarray(at, dtype=np.int64)
-    cum_a = np.asarray(cum, dtype=np.int64)
-    b = pts.size
-    best = None  # (j, i) lexicographic
-    tight = []
-    for k in range(b):
-        if k == 0:
-            bits = at_a
-            widths = np.zeros(b, dtype=np.int64)
-        else:
-            bits = cum_a[k:] - cum_a[:-k] + at_a[:-k]
-            widths = pts[k:] - pts[:-k]
-        lhs = bits * scale
-        rhs = rate_c * widths + burst_c
-        bad = np.nonzero(lhs > rhs)[0]
-        if bad.size:
-            i = int(bad[0])
-            cand = (i + k, i)
-            if best is None or cand < best:
-                best = cand
-        for i in np.nonzero(lhs == rhs)[0].tolist():
-            tight.append((i, i + k))
-    witness = (best[1], best[0]) if best is not None else None
-    return witness, tight
 
 
 # ---------------------------------------------------------------------------
@@ -494,52 +428,41 @@ def fit_lambda_nu(
         lam = Fraction(lam)
         if lam <= 0:
             raise ValueError(f"rate must be positive, got {lam}")
-        p, q = lam.numerator, lam.denominator
-        # nu >= d - lam*gap for every pair; maximize X = d*q - p*gap
-        best_x: int | None = None
-        binding: tuple[int, int] | None = None
-        for n in range(2, n_pk + 1):
-            a_n = arrivals[n - 1]
-            for m in range(1, n):
-                x = (n - m) * q - p * (a_n - arrivals[m - 1])
-                if best_x is None or x > best_x:
-                    best_x = x
-                    binding = (m, n)
-        if best_x is None or best_x < 0:
+        # nu >= (n - m) - lam*gap for every pair; the largest gain is q*nu
+        keys, _, _ = _excess_keys(arrivals, lam, Fraction(0))
+        top = max(_gains(keys, keys, 1), key=itemgetter(2), default=None)
+        if top is None or top[2] < 0:
             return FitResult(LambdaNuModel(lam=lam, nu=Fraction(0)), None)
-        return FitResult(LambdaNuModel(lam=lam, nu=Fraction(best_x, q)), binding)
+        m, n, gain = top
+        return FitResult(LambdaNuModel(lam=lam, nu=Fraction(gain, lam.denominator)), (m, n))
 
     nu = Fraction(nu)
     if nu < 0:
         raise ValueError(f"burst allowance must be nonnegative, got {nu}")
     r, s = nu.numerator, nu.denominator
-    best_num = best_den = None  # lam >= (d - nu)/gap; track the max as a fraction
-    binding = None
-    for n in range(2, n_pk + 1):
-        a_n = arrivals[n - 1]
-        for m in range(1, n):
-            d = n - m
-            excess = d * s - r
-            if excess <= 0:
-                continue
-            gap = a_n - arrivals[m - 1]
-            if gap == 0:
-                raise InfeasibleFitError(
-                    f"packets {m} and {n} arrive together but are {d} apart "
-                    f"in count, more than the allowance {nu}",
-                    pair=(m, n),
-                )
-            # candidate excess/(s*gap) vs best_num/best_den
-            if best_num is None or excess * best_den > best_num * s * gap:
-                best_num, best_den = excess, s * gap
-                binding = (m, n)
-    if best_num is None:
+    lag = r // s + 1  # only pairs more than nu apart constrain the rate
+    if lag >= n_pk:
         raise UnboundedFitError(
             f"no packet pair exceeds the allowance {nu}; any positive rate conforms"
         )
-    return FitResult(
-        LambdaNuModel(lam=Fraction(best_num, best_den), nu=nu), binding
-    )
+    for n in range(lag + 1, n_pk + 1):
+        if arrivals[n - 1] == arrivals[n - 1 - lag]:
+            m = arrivals.index(arrivals[n - 1]) + 1
+            raise InfeasibleFitError(
+                f"packets {m} and {n} arrive together but are {n - m} apart "
+                f"in count, more than the allowance {nu}",
+                pair=(m, n),
+            )
+    # lam >= (n - m - nu)/gap for every such pair.  Dinkelbach (1967): from
+    # the ratio of some pair, move to the ratio of the pair whose gain most
+    # exceeds r*q at the current rate, until none exceeds it.
+    m, n = 1, n_pk
+    while True:
+        lam = Fraction(s * (n - m) - r, s * (arrivals[n - 1] - arrivals[m - 1]))
+        keys, _, limit = _excess_keys(arrivals, lam, nu)
+        m, n, gain = max(_gains(keys, keys, lag), key=itemgetter(2))
+        if gain == limit:
+            return FitResult(LambdaNuModel(lam=lam, nu=nu), (m, n))
 
 
 def fit_tspec(

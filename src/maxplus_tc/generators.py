@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .conformance import check_lambda_nu, fit_lambda_nu
+from .conformance import _excess_keys, _first_over, fit_lambda_nu
 from .errors import GridError
 from .models import LambdaNuModel, TSpecModel, WindowMode
 from .rational import ceil_div
@@ -65,25 +65,29 @@ def gen_extremal_lambda_nu(model: LambdaNuModel, count: int) -> Trace:
     Greedy construction: packet 1 arrives at tick 0 and each later packet
     arrives at the first tick every earlier packet's spacing bound allows,
     i.e. ``arrival(n) = max over m < n of arrival(m) + ceil(min_spacing(n - m))``.
-    When the exact bounds land on the tick grid this collapses to
+    With lam = p/q and nu = r/s a term more than nu packets back is
+    ``ceil((s*q*n - r*q - key(m)) / (s*p))``, ``key(m) = s*q*m - s*p*arrival(m)``,
+    so a running minimum of the keys gives the maximum.  When the exact
+    bounds land on the tick grid this collapses to
     ``arrival(n) = min_spacing(n - 1)`` anchored at the first packet.  The
     trace opens with a burst of floor(nu) + 1 simultaneous packets, and for
     integer nu the fitted burst allowance at the model's rate is exactly nu.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return Trace(arrivals=())
     p, q = model.lam.numerator, model.lam.denominator
     r, s = model.nu.numerator, model.nu.denominator
-    # integer spacing floor per packet-count gap: ceil((d - nu)+ / lam)
-    min_gap = [0] * count
-    for d in range(1, count):
-        excess = d * s - r
-        min_gap[d] = ceil_div(excess * q, s * p) if excess > 0 else 0
+    lag = r // s + 1  # closer packets only need arrival(n) >= arrival(n - 1)
     arrivals = [0] * count
+    keys = [0] * count
+    low = 0  # key of packet 1, the first to constrain a later one
     for n in range(1, count):
-        arrivals[n] = max(arrivals[m] + min_gap[n - m] for m in range(n))
+        arrival = arrivals[n - 1]
+        if n >= lag:
+            low = min(low, keys[n - lag])
+            arrival = max(arrival, ceil_div(s * q * n - r * q - low, s * p))
+        arrivals[n] = arrival
+        keys[n] = s * q * n - s * p * arrival
     return Trace(arrivals=tuple(arrivals))
 
 
@@ -137,6 +141,7 @@ def gen_jittered(
     if count == 0:
         return trace, LambdaNuModel(lam=Fraction(1, period), nu=Fraction(0))
     fitted = fit_lambda_nu(trace, lam=Fraction(1, period)).model
-    report = check_lambda_nu(trace, fitted)
-    assert report.conforms, "fitted envelope must cover its own trace"
+    # the verdict alone: a full report would also list every tight pair
+    keys, lag, limit = _excess_keys(trace.arrivals, fitted.lam, fitted.nu)
+    assert _first_over(keys, keys, lag, limit) is None, "fitted envelope must cover its own trace"
     return trace, fitted

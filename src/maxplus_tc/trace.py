@@ -129,6 +129,11 @@ def read_trace_csv(source: str | TextIO) -> Trace:
             saw_lengths = has_len
         elif saw_lengths != has_len:
             raise FormatError(f"row {lineno}: inconsistent column count")
+        # int() alone would also take "1_0", "+5" and non-ASCII digits
+        if not row.isascii() or "_" in row or "+" in row:
+            raise FormatError(
+                f"row {lineno}: fields must be ASCII base-10 integers, got {row!r}"
+            )
         try:
             arrivals.append(int(cols[0]))
             if has_len:

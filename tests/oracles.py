@@ -5,7 +5,9 @@ arithmetic and no thresholds, windows, or vectorization, so a bug in the
 production fast paths cannot hide in a shared helper.
 """
 
+import math
 from fractions import Fraction
+from operator import itemgetter
 
 from maxplus_tc import LambdaNuModel, SigmaRhoModel, Trace, TSpecModel, WindowMode
 
@@ -55,6 +57,33 @@ def tspec_conforms(trace: Trace, tspec: TSpecModel) -> bool:
     return not tspec_violations(trace, tspec)
 
 
+def _bits(trace: Trace, s, t) -> Fraction:
+    return Fraction(sum(b for a, b in zip(trace.arrivals, trace.lengths or ()) if s <= a <= t))
+
+
+def sigma_rho_report(trace: Trace, model: SigmaRhoModel):
+    """Earliest violating window [m, n] over ticks {0} + arrivals, as
+    (m, n, required, actual), smallest n then smallest m, or None; and every
+    tight window (m, n) sorted by (m, n)."""
+    points = sorted({0, *trace.arrivals})
+    witness, tight = None, []
+    for t in points:
+        for s in points[: points.index(t) + 1]:
+            bits, budget = _bits(trace, s, t), model.rho * (t - s) + model.sigma
+            if witness is None and bits > budget:
+                witness = (s, t, budget, bits)
+            if bits == budget:
+                tight.append((s, t))
+    return witness, sorted(tight)
+
+
+def sigma_for_rate(trace: Trace, rho: Fraction) -> Fraction:
+    """Smallest burst that covers the trace at rate rho."""
+    points = sorted({0, *trace.arrivals})
+    # the window [0, 0] has no negative excess, so the maximum is at least 0
+    return max(_bits(trace, s, t) - rho * (t - s) for s in points for t in points if s <= t)
+
+
 def sigma_rho_conforms(trace: Trace, model: SigmaRhoModel) -> bool:
     points = sorted({0, *trace.arrivals})
     for s in points:
@@ -80,6 +109,43 @@ def fit_nu(trace: Trace, lam: Fraction) -> Fraction:
             if value > best:
                 best = value
     return best
+
+
+def _pairs(trace: Trace):
+    """Every packet pair as (m, n, n - m, gap), in (n, m) scan order."""
+    for n in range(2, trace.num_packets + 1):
+        for m in range(1, n):
+            yield m, n, n - m, trace.arrival(n) - trace.arrival(m)
+
+
+def fit_nu_binding(trace: Trace, lam: Fraction):
+    """First pair in (n, m) order attaining the largest (n - m) - lam*gap;
+    None when that is negative (the floor nu = 0 binds) or there is no pair."""
+    candidates = ((d - lam * g, (m, n)) for m, n, d, g in _pairs(trace))
+    value, pair = max(candidates, key=itemgetter(0), default=(-1, None))
+    return pair if value >= 0 else None
+
+
+def fit_lam_binding(trace: Trace, nu: Fraction):
+    """First pair in (n, m) order with n - m > nu attaining the largest
+    (n - m - nu) / gap, or None.  Needs ``infeasible_pair`` to be None."""
+    candidates = (((d - nu) / g, (m, n)) for m, n, d, g in _pairs(trace) if d > nu)
+    return max(candidates, key=itemgetter(0), default=(None, None))[1]
+
+
+def infeasible_pair(trace: Trace, nu: Fraction):
+    """First pair in (n, m) order arriving together though more than nu apart, or None."""
+    return next(((m, n) for m, n, d, g in _pairs(trace) if d > nu and g == 0), None)
+
+
+def extremal_arrivals(model: LambdaNuModel, count: int):
+    """Greedy earliest integer ticks: packet 1 at 0, each later packet at the
+    first tick every earlier packet's spacing bound allows."""
+    arrivals = []
+    for n in range(count):
+        spacings = (math.ceil(max(n - m - model.nu, 0) / model.lam) for m in range(n))
+        arrivals.append(max((a + sp for a, sp in zip(arrivals, spacings)), default=0))
+    return tuple(arrivals)
 
 
 def fit_lam(trace: Trace, nu: Fraction):

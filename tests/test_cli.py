@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import maxplus_tc
 from maxplus_tc.cli import run
 
 
@@ -355,3 +360,12 @@ class TestSuiteCli:
     def test_text_format(self, capsys):
         assert run(["suite", "--trials", "1", "--format", "text"]) == 0
         assert "wall time" in capsys.readouterr().out
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(maxplus_tc.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-c", "import maxplus_tc.cli, sys; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )

@@ -39,6 +39,11 @@ def _random_trace(rng, max_packets=60, with_lengths=False):
     return Trace(tuple(arrivals), lengths=lengths)
 
 
+def _shifted(trace):
+    """The same trace moved past the int64 range."""
+    return Trace(tuple(a + 2**63 for a in trace.arrivals), lengths=trace.lengths)
+
+
 class TestCheckLambdaNu:
     def test_periodic_conforms(self):
         report = check_lambda_nu(Trace((0, 10, 20, 30)), LambdaNuModel(F(1, 10), F(0)))
@@ -79,7 +84,7 @@ class TestCheckLambdaNu:
         assert (report.witness.m, report.witness.n) == (2, 3)
 
     def test_python_fallback_matches_numpy(self):
-        # ticks beyond the int64-safe bound force the arbitrary-precision path
+        # ticks beyond 2**63 must give the same report as the small trace
         huge = 2**63
         small = Trace((0, 1, 1, 5))
         big = Trace(tuple(a + huge for a in small.arrivals))
@@ -198,6 +203,7 @@ class TestCheckSigmaRho:
         assert not check_sigma_rho(trace, SigmaRhoModel(F(100), F(10))).conforms
 
     def test_python_fallback_matches_numpy(self):
+        # bit counts and model scaled by 2**62 must give the same report
         small = Trace((0, 3, 3, 9), lengths=(50, 20, 20, 50))
         huge = Trace(small.arrivals, lengths=tuple(l * 2**62 for l in small.lengths))
         model = SigmaRhoModel(sigma=F(60), rho=F(9))
@@ -220,6 +226,17 @@ class TestCheckSigmaRho:
             assert check_sigma_rho(trace, model).conforms == oracles.sigma_rho_conforms(
                 trace, model
             )
+            # the drawn model, and the tightest burst at its rate
+            covering = SigmaRhoModel(oracles.sigma_for_rate(trace, model.rho), model.rho)
+            for model in (model, covering):
+                report = check_sigma_rho(trace, model)
+                witness, tight = oracles.sigma_rho_report(trace, model)
+                if witness is None:
+                    assert report.witness is None
+                else:
+                    w = report.witness
+                    assert (w.m, w.n, w.required, w.actual) == witness
+                assert list(report.tight_pairs) == tight
 
 
 class TestFitLambdaNu:
@@ -258,24 +275,32 @@ class TestFitLambdaNu:
         for _ in range(100):
             trace = _random_trace(rng, max_packets=40)
             lam = F(rng.randint(1, 6), rng.randint(1, 30))
-            fit = fit_lambda_nu(trace, lam=lam)
-            assert fit.model.nu == oracles.fit_nu(trace, lam)
-            assert check_lambda_nu(trace, fit.model).conforms
-            if fit.model.nu > 0:
-                tighter = LambdaNuModel(lam, fit.model.nu - F(1, 1000))
-                assert not check_lambda_nu(trace, tighter).conforms
+            for trace in (trace, _shifted(trace)):
+                fit = fit_lambda_nu(trace, lam=lam)
+                assert fit.model.nu == oracles.fit_nu(trace, lam)
+                assert fit.binding_pair == oracles.fit_nu_binding(trace, lam)
+                assert check_lambda_nu(trace, fit.model).conforms
+                if fit.model.nu > 0:
+                    tighter = LambdaNuModel(lam, fit.model.nu - F(1, 1000))
+                    assert not check_lambda_nu(trace, tighter).conforms
 
     def test_fit_rate_matches_oracle(self):
         rng = Lcg64(4242)
         for _ in range(100):
             trace = _random_trace(rng, max_packets=40)
             nu = F(rng.randint(0, 8), rng.randint(1, 2))
-            try:
-                fit = fit_lambda_nu(trace, nu=nu)
-            except (InfeasibleFitError, UnboundedFitError):
-                continue
-            assert fit.model.lam == oracles.fit_lam(trace, nu)
-            assert check_lambda_nu(trace, fit.model).conforms
+            for trace in (trace, _shifted(trace)):
+                try:
+                    fit = fit_lambda_nu(trace, nu=nu)
+                except InfeasibleFitError as exc:
+                    assert exc.pair == oracles.infeasible_pair(trace, nu)
+                    continue
+                except UnboundedFitError:
+                    assert oracles.fit_lam_binding(trace, nu) is None
+                    continue
+                assert fit.model.lam == oracles.fit_lam(trace, nu)
+                assert fit.binding_pair == oracles.fit_lam_binding(trace, nu)
+                assert check_lambda_nu(trace, fit.model).conforms
 
 
 class TestFitTspec:

@@ -109,6 +109,20 @@ class TestGenExtremal:
         assert trace.arrivals == (0, 2, 4, 6)
 
 
+    def test_matches_greedy_oracle_randomized(self):
+        rng = Lcg64(8086)
+        for _ in range(150):
+            denominator = rng.choice((1, rng.randint(2, 50), rng.randint(10**9, 10**12)))
+            model = LambdaNuModel(
+                F(rng.randint(1, 9), denominator),
+                F(rng.randint(0, 12), rng.randint(1, 4)),
+            )
+            count = rng.randint(0, 40)
+            assert gen_extremal_lambda_nu(model, count).arrivals == oracles.extremal_arrivals(
+                model, count
+            )
+
+
 class TestGenTspecExtremal:
     def test_open_mode_bursts_at_interval(self):
         tspec = TSpecModel(F(10), 2, WindowMode.OPEN)

@@ -127,6 +127,17 @@ class TestCsv:
         with pytest.raises(FormatError):
             read_trace_csv(io.StringIO("1.5\n"))
 
+    @pytest.mark.parametrize("field", ["1_0", "+5", "\u0661\u0662"])
+    def test_non_decimal_fields(self, field):
+        with pytest.raises(FormatError):
+            read_trace_csv(io.StringIO(f"{field}\n"))
+        with pytest.raises(FormatError):
+            read_trace_csv(io.StringIO(f"0,{field}\n"))
+
+    def test_negative_tick_keeps_range_message(self):
+        with pytest.raises(FormatError, match="arrival tick -5 at packet 1 is negative"):
+            read_trace_csv(io.StringIO("-5\n"))
+
     def test_decreasing(self):
         with pytest.raises(FormatError):
             read_trace_csv(io.StringIO("5\n3\n"))
