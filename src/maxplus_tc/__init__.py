@@ -11,9 +11,7 @@ and a seeded randomized validation suite.
 """
 
 from .aggregation import (
-    MergePolicy,
     PacketOrigin,
-    TieBreak,
     aggregate_eq1,
     merge_traces,
     merge_traces_with_provenance,
@@ -113,7 +111,6 @@ __all__ = [
     "Lcg64",
     "MappingVariant",
     "MaxPlusCurve",
-    "MergePolicy",
     "MissingLengthsError",
     "PacketOrigin",
     "PROPERTY_NAMES",
@@ -123,7 +120,6 @@ __all__ = [
     "SuiteConfig",
     "SuiteSummary",
     "Table1Row",
-    "TieBreak",
     "Trace",
     "TrafficModelError",
     "TSpecModel",

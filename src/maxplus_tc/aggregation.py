@@ -11,28 +11,14 @@ composition form is what makes aggregate envelopes hard to derive directly.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InconsistentInputError
 from .trace import Trace
 
 
-class TieBreak(enum.Enum):
-    """Order of simultaneous arrivals in the merged trace."""
-
-    BY_FLOW_INDEX = "by_flow_index"
-
-
-@dataclass(frozen=True)
-class MergePolicy:
-    tie_break: TieBreak = TieBreak.BY_FLOW_INDEX
-
-
-@dataclass(frozen=True)
-class PacketOrigin:
+class PacketOrigin(NamedTuple):
     """Provenance of one aggregate packet: which input flow it came from
     (0-based) and its 1-based index within that flow."""
 
@@ -41,7 +27,7 @@ class PacketOrigin:
 
 
 def merge_traces_with_provenance(
-    traces: Sequence[Trace], policy: MergePolicy = MergePolicy()
+    traces: Sequence[Trace],
 ) -> tuple[Trace, tuple[PacketOrigin, ...]]:
     """Merge traces by arrival tick, breaking ties by flow then intra-flow
     index; returns the aggregate and per-packet provenance."""
@@ -57,7 +43,7 @@ def merge_traces_with_provenance(
         for idx, tick in enumerate(trace.arrivals):
             bits = trace.lengths[idx] if trace.lengths is not None else None
             entries.append((tick, flow, idx + 1, bits))
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
+    entries.sort()  # (tick, flow, index) is unique: lengths never decide the order
     arrivals = tuple(e[0] for e in entries)
     lengths = tuple(e[3] for e in entries) if all(with_lengths) else None
     origins = tuple(PacketOrigin(flow=e[1], index=e[2]) for e in entries)
@@ -65,9 +51,9 @@ def merge_traces_with_provenance(
     return merged, origins
 
 
-def merge_traces(traces: Sequence[Trace], policy: MergePolicy = MergePolicy()) -> Trace:
+def merge_traces(traces: Sequence[Trace]) -> Trace:
     """Merge traces by arrival tick (see :func:`merge_traces_with_provenance`)."""
-    merged, _ = merge_traces_with_provenance(traces, policy)
+    merged, _ = merge_traces_with_provenance(traces)
     return merged
 
 

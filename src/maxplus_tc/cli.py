@@ -16,6 +16,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .aggregation import merge_traces_with_provenance
 from .algebra import (
@@ -72,11 +74,80 @@ def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": {"kind": kind, "message": message}}), file=sys.stderr)
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """The text ``json.dumps`` writes with an indent of 2, byte for byte, for
+    the values the CLI emits: dicts with str keys, lists, tuples, ints, strs,
+    bools and None.
+
+    The stdlib's C encoder has no indent support, so an indented
+    ``json.dumps`` runs in pure Python; here a list of same-shape flat int
+    rows (tight pairs, provenance records) is rendered by one %-template.
+    """
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        opening, closing = "{", "}"
+        parts = [
+            f"{encode_basestring_ascii(key)}: {_json_text(value, inner)}"
+            for key, value in obj.items()
+        ]
+        body = f",\n{inner}".join(parts)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        opening, closing = "[", "]"
+        body = _int_rows(obj, inner)
+        if body is None:
+            body = f",\n{inner}".join([_json_text(item, inner) for item in obj])
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return f"{opening}\n{inner}{body}\n{indent}{closing}"
+
+
+def _int_rows(items, indent: str) -> str | None:
+    """The items of a list, at ``indent``, if they are all flat int lists or
+    tuples of one length, or all flat int dicts with one key order: one
+    template join with no Python call per value.  None for any other list."""
+    kinds = set(map(type, items))
+    if kinds <= {list, tuple}:
+        if len(set(map(len, items))) != 1:
+            return None
+        opening, closing = "[", "]"
+        fields = ["%d"] * len(items[0])
+        values = tuple(chain.from_iterable(items))
+    elif kinds == {dict}:
+        key_orders = set(map(tuple, items))
+        if len(key_orders) != 1:
+            return None
+        (keys,) = key_orders
+        opening, closing = "{", "}"
+        fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %d" for key in keys]
+        values = tuple(chain.from_iterable(map(dict.values, items)))
+    else:
+        return None
+    if set(map(type, values)) != {int}:  # also rules out bools and empty rows
+        return None
+    inner = indent + "  "
+    row = f"{opening}\n{inner}" + f",\n{inner}".join(fields) + f"\n{indent}{closing}"
+    return f",\n{indent}".join([row] * len(items)) % values
+
+
 def _print(obj, fmt: str, text: str | None = None) -> None:
     if fmt == "text" and text is not None:
         sys.stdout.write(text)
     else:
-        print(json.dumps(obj, indent=2))
+        sys.stdout.write(_json_text(obj) + "\n")
 
 
 def _load_json(path: str):
@@ -207,8 +278,7 @@ def _cmd_merge(args) -> int:
             "packets": [{"flow": o.flow, "index": o.index} for o in origins]
         }
         with open(args.provenance, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+            fh.write(_json_text(sidecar) + "\n")
     return 0
 
 
@@ -266,8 +336,7 @@ def _cmd_generate(args) -> int:
             fh.write(text)
     if fitted is not None and args.model_out:
         with open(args.model_out, "w", encoding="utf-8") as fh:
-            json.dump(model_to_json(fitted), fh, indent=2)
-            fh.write("\n")
+            fh.write(_json_text(model_to_json(fitted)) + "\n")
     return 0
 
 
@@ -298,7 +367,7 @@ def _cmd_suite(args) -> int:
     if args.format == "text":
         sys.stdout.write(summary.render_text())
     else:
-        print(json.dumps(summary.to_json_dict(), indent=2))
+        _print(summary.to_json_dict(), args.format)
         print(f"suite wall time: {summary.elapsed:.2f} s", file=sys.stderr)
     if summary.warning:
         print(f"warning: {summary.warning}", file=sys.stderr)

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import maxplus_tc
-from maxplus_tc.cli import run
+from maxplus_tc.cli import _json_text, run
 
 
 def _write(path, text):
@@ -369,3 +372,220 @@ def test_cli_import_does_not_load_numpy():
         env={**os.environ, "PYTHONPATH": src},
         check=True,
     )
+
+
+def _indented(obj) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+class TestJsonBytes:
+    """Output is exactly ``json.dumps(..., indent=2)`` of the library's object.
+
+    The tests above parse the JSON back, so they would not see a change of
+    layout; these pin every byte.
+    """
+
+    @staticmethod
+    def _model(tmp_path, name, obj):
+        return _write(tmp_path / name, json.dumps(obj))
+
+    def test_check_all_tight(self, tmp_path, lam_nu_model, capsys):
+        trace = _write(tmp_path / "t.csv", "".join(f"{10 * k}\n" for k in range(12)))
+        assert run(["check", "--trace", trace, "--model", lam_nu_model]) == 0
+        report = maxplus_tc.check_lambda_nu(
+            maxplus_tc.read_trace_csv(trace),
+            maxplus_tc.LambdaNuModel(lam=Fraction(1, 10), nu=Fraction(0)),
+        )
+        assert len(report.tight_pairs) == 66
+        assert capsys.readouterr().out == _indented(maxplus_tc.report_to_json(report))
+
+    def test_check_violation_prints_witness(self, tmp_path, lam_nu_model, capsys):
+        trace = _write(tmp_path / "t.csv", "0\n0\n10\n15\n")
+        assert run(["check", "--trace", trace, "--model", lam_nu_model]) == 1
+        report = maxplus_tc.check_lambda_nu(
+            maxplus_tc.read_trace_csv(trace),
+            maxplus_tc.LambdaNuModel(lam=Fraction(1, 10), nu=Fraction(0)),
+        )
+        assert report.witness is not None
+        assert capsys.readouterr().out == _indented(maxplus_tc.report_to_json(report))
+
+    def test_check_sigma_rho(self, tmp_path, capsys):
+        obj = {"type": "sigma_rho", "sigma": 100, "rho": {"num": 21, "den": 2}}
+        model = self._model(tmp_path, "sr.json", obj)
+        trace = _write(
+            tmp_path / "t.csv", "arrival_ticks,length_bits\n0,100\n10,50\n20,100\n30,100\n"
+        )
+        assert run(["check", "--trace", trace, "--model", model]) == 0
+        report = maxplus_tc.check_sigma_rho(
+            maxplus_tc.read_trace_csv(trace), maxplus_tc.model_from_json(obj)
+        )
+        assert report.tight_pairs
+        assert capsys.readouterr().out == _indented(maxplus_tc.report_to_json(report))
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--rate", "1/10"), ("--burst", "1"), ("--interval", "25")],
+    )
+    def test_fit(self, tmp_path, capsys, flag, value):
+        trace = _write(tmp_path / "t.csv", "0\n0\n10\n20\n35\n41\n")
+        assert run(["fit", "--trace", trace, flag, value]) == 0
+        t = maxplus_tc.read_trace_csv(trace)
+        if flag == "--rate":
+            result = maxplus_tc.fit_lambda_nu(t, lam=Fraction(value))
+        elif flag == "--burst":
+            result = maxplus_tc.fit_lambda_nu(t, nu=Fraction(value))
+        else:
+            result = maxplus_tc.fit_tspec(t, Fraction(value), maxplus_tc.WindowMode.CLOSED)
+        assert capsys.readouterr().out == _indented(maxplus_tc.fit_result_to_json(result))
+
+    def test_map(self, tmp_path, capsys):
+        obj = {"type": "lambda_nu", "lambda": {"num": 1, "den": 2}, "nu": 4}
+        assert run(["map", "--model", self._model(tmp_path, "m.json", obj), "--j", "2"]) == 0
+        mapped = maxplus_tc.map_lambda_nu_to_tspec(
+            maxplus_tc.model_from_json(obj), maxplus_tc.MappingVariant("a"), 2
+        )
+        assert capsys.readouterr().out == _indented(maxplus_tc.model_to_json(mapped))
+
+    def test_superpose(self, tmp_path, capsys):
+        objs = [
+            {"type": "tspec", "tau": 2, "k_max": 1},
+            {"type": "tspec", "tau": {"num": 7, "den": 2}, "k_max": 3, "window_mode": "open"},
+        ]
+        paths = [self._model(tmp_path, f"{i}.json", o) for i, o in enumerate(objs)]
+        assert run(["superpose", "--models", *paths]) == 0
+        result = maxplus_tc.superpose_tspec([maxplus_tc.model_from_json(o) for o in objs])
+        assert capsys.readouterr().out == _indented(maxplus_tc.model_to_json(result))
+
+    def test_table1(self, capsys):
+        assert run(["table1"]) == 0
+        expected = maxplus_tc.table1_to_json(maxplus_tc.reproduce_table1())
+        assert capsys.readouterr().out == _indented(expected)
+
+    def test_suite(self, capsys):
+        assert run(["suite", "--seed", "7", "--trials", "3"]) == 0
+        summary = maxplus_tc.run_property_suite(maxplus_tc.SuiteConfig(seed=7, trials=3))
+        assert capsys.readouterr().out == _indented(summary.to_json_dict())
+
+    def test_merge_provenance_file(self, tmp_path):
+        t1 = _write(tmp_path / "a.csv", "1\n3\n3\n5\n")
+        t2 = _write(tmp_path / "b.csv", "2\n3\n")
+        prov = tmp_path / "prov.json"
+        out = str(tmp_path / "m.csv")
+        assert run(["merge", "--traces", t1, t2, "--out", out, "--provenance", str(prov)]) == 0
+        _, origins = maxplus_tc.merge_traces_with_provenance(
+            [maxplus_tc.read_trace_csv(t1), maxplus_tc.read_trace_csv(t2)]
+        )
+        expected = {"packets": [{"flow": o.flow, "index": o.index} for o in origins]}
+        assert prov.read_text() == _indented(expected)
+
+    def test_generate_model_out_file(self, tmp_path):
+        model_out = tmp_path / "fitted.json"
+        assert run(
+            [
+                "generate", "--kind", "jittered", "--period", "10", "--jitter", "3",
+                "--seed", "7", "--count", "20", "--out", str(tmp_path / "t.csv"),
+                "--model-out", str(model_out),
+            ]
+        ) == 0
+        _, fitted = maxplus_tc.gen_jittered(10, 3, 7, 20)
+        assert model_out.read_text() == _indented(maxplus_tc.model_to_json(fitted))
+
+
+ints = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**70),
+    st.integers(min_value=-(2**70), max_value=-(2**63) + 1),
+)
+texts = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["%", "%d", "%%s", '"', "\\", "\x00", "\x1f\n\t", "\x7f", "é", " ", "😀"]),
+)
+scalars = st.one_of(st.none(), st.booleans(), ints, texts)
+
+
+def _spoil(draw, rows, cells):
+    """Now and then put one non-int scalar (or a bool) into otherwise int rows."""
+    if cells and draw(st.integers(min_value=0, max_value=3)) == 0:
+        row, key = draw(st.sampled_from(cells))
+        rows[row][key] = draw(st.one_of(st.booleans(), scalars))
+
+
+@st.composite
+def int_rows(draw):
+    """Lists of flat int rows, the writer's template case, or near misses."""
+    width = draw(st.integers(min_value=0, max_value=3))
+    rows = draw(st.lists(st.lists(ints, min_size=width, max_size=width), max_size=5))
+    _spoil(draw, rows, [(r, k) for r in range(len(rows)) for k in range(width)])
+    if rows and draw(st.integers(min_value=0, max_value=3)) == 0:
+        rows.append(draw(st.lists(ints, max_size=4)))  # ragged
+    return [tuple(row) if draw(st.booleans()) else row for row in rows]
+
+
+@st.composite
+def dict_rows(draw):
+    """Lists of flat int dicts with one key order, or near misses."""
+    keys = draw(st.lists(texts, unique=True, max_size=3))
+    rows = [{key: draw(ints) for key in keys} for _ in range(draw(st.integers(0, 5)))]
+    _spoil(draw, rows, [(r, k) for r in range(len(rows)) for k in keys])
+    if rows and draw(st.integers(min_value=0, max_value=3)) == 0:
+        order = draw(st.permutations(keys))
+        rows[-1] = {key: rows[-1][key] for key in order}
+    return rows
+
+
+json_values = st.recursive(
+    st.one_of(scalars, int_rows(), dict_rows()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(texts, children, max_size=4),
+        int_rows(),
+        dict_rows(),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    """The CLI's writer against ``json.dumps(v, indent=2)``."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [True, 1],
+            [1, False],
+            [[True, 1], [1, 2]],
+            [[1, False], [1, 2]],
+            [[1, 2], [3, True]],
+            [[2**63, -(2**63) - 1], [2**64 + 1, -(2**100)]],
+            [[1, 2], [3]],
+            [[1, 2], [3, 4, 5]],
+            [[1, 2], (3, 4)],
+            ((1, 2), [3, 4]),
+            [],
+            {},
+            [[]],
+            [[], []],
+            [{}],
+            [{}, {}],
+            [(), ()],
+            [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+            [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
+            [{"a": 1}, {"a": "1"}],
+            [{"a": 1}, {"a": None}],
+            [{"a": 1}, {"a": True}],
+            [{"a": 1}, {"a": 1, "b": 2}],
+            [{"a": 1}, [1]],
+            [{'"\\\x00\x1f%d%%é 😀': 5, "%s": -1}, {'"\\\x00\x1f%d%%é 😀': 6, "%s": 0}],
+            {'k"\\\x00é': 'v"\\\x7f 😀', "": ""},
+            {"a": [{"b": [[1, 2], [3, 4]], "c": {"d": [[5, 6]]}}], "e": None},
+            [[[[1, 2], [3, 4]], [[5, 6]]], [[[7, 8]]]],
+        ],
+    )
+    def test_adversarial(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @given(json_values)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_stdlib(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
