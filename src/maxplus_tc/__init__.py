@@ -10,12 +10,7 @@ families, superposition operators for aggregated flows, trace generators,
 and a seeded randomized validation suite.
 """
 
-from .aggregation import (
-    PacketOrigin,
-    aggregate_eq1,
-    merge_traces,
-    merge_traces_with_provenance,
-)
+from .aggregation import PacketOrigin, merge_traces, merge_traces_with_provenance
 from .algebra import (
     CurveReduction,
     curve_to_lambda_nu,
@@ -33,10 +28,8 @@ from .conformance import (
     FitResult,
     Witness,
     check_lambda_nu,
-    check_lambda_nu_via_convolution,
     check_sigma_rho,
     check_tspec,
-    check_tspec_pairwise,
     fit_lambda_nu,
     fit_result_to_json,
     fit_tspec,
@@ -45,7 +38,6 @@ from .conformance import (
 )
 from .errors import (
     DegenerateCurveError,
-    FitError,
     FormatError,
     GridError,
     InconsistentInputError,
@@ -74,14 +66,8 @@ from .models import (
     variant_from_json,
     variant_to_json,
 )
-from .rational import (
-    Rational,
-    ceil_div,
-    parse_rational,
-    positive_part,
-    rational_from_json,
-    rational_to_json,
-)
+from .rational import ceil_div, parse_rational, rational_from_json, rational_to_json
+from .reference import aggregate_eq1, check_lambda_nu_via_convolution, check_tspec_pairwise
 from .suite import (
     PROPERTY_NAMES,
     PropertyReport,
@@ -100,7 +86,6 @@ __all__ = [
     "CurveSpec",
     "ConformanceReport",
     "DegenerateCurveError",
-    "FitError",
     "FitResult",
     "FormatError",
     "GridError",
@@ -115,7 +100,6 @@ __all__ = [
     "PacketOrigin",
     "PROPERTY_NAMES",
     "PropertyReport",
-    "Rational",
     "SigmaRhoModel",
     "SuiteConfig",
     "SuiteSummary",
@@ -153,7 +137,6 @@ __all__ = [
     "model_from_json",
     "model_to_json",
     "parse_rational",
-    "positive_part",
     "rational_from_json",
     "rational_to_json",
     "read_trace_csv",

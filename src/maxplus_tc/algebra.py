@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Sequence
 
-from .errors import DegenerateCurveError
+from .errors import DegenerateCurveError, MissingLengthsError
 from .models import (
     IndirectInputs,
     LambdaNuModel,
@@ -35,7 +35,7 @@ from .models import (
     WindowMode,
 )
 from .rational import RationalLike
-from .trace import Trace, cumulative
+from .trace import Trace
 
 
 def maxplus_convolve(
@@ -56,29 +56,29 @@ def minplus_convolve(trace: Trace, model: SigmaRhoModel, t: RationalLike) -> Fra
 
     Returns the exact infimum of ``A(s) + rho*(t - s) + sigma`` over real
     s in [0, t].  A is a right-continuous step function, so the infimum is
-    attained either at an endpoint or approached just before a breakpoint;
-    evaluating A and its left limit at {0, breakpoints <= t, t} is exact.
+    attained at s = t or approached just before a breakpoint 0 < s <= t
+    (s = 0 never beats the first breakpoint, or s = t when there is none).
+    One walk over the arrivals up to t carries the left limit A(s-).
     """
     t = Fraction(t)
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    points: list[Fraction] = [Fraction(0), t]
-    points.extend(Fraction(a) for a in trace.arrivals if a <= t)
-    best: Fraction | None = None
-    for s in points:
-        value = cumulative(trace, s) + model.rho * (t - s) + model.sigma
-        if best is None or value < best:
-            best = value
-        if s > 0:
-            # left limit of A at s: everything strictly before s
-            at_s = sum(
-                b for a, b in zip(trace.arrivals, trace.lengths or ()) if a == s
-            )
-            value = (cumulative(trace, s) - at_s) + model.rho * (t - s) + model.sigma
-            if value < best:
-                best = value
-    assert best is not None
-    return best
+    if trace.lengths is None and trace.num_packets > 0:
+        raise MissingLengthsError("cumulative traffic needs per-packet lengths")
+    p, q = model.rho.numerator, model.rho.denominator
+    low = None  # smallest q*A(s-) - p*s over the breakpoints walked
+    total = prev = 0
+    for tick, bits in zip(trace.arrivals, trace.lengths or ()):
+        if tick > t:
+            break
+        if tick != prev:
+            key = q * total - p * tick
+            low = key if low is None or key < low else low
+            prev = tick
+        total += bits
+    if low is not None:  # the best breakpoint against s = t
+        total = min(Fraction(total), Fraction(low, q) + model.rho * t)
+    return total + model.sigma
 
 
 def map_lambda_nu_to_tspec(

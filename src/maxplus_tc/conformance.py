@@ -17,7 +17,9 @@ and bit-domain question reduces to integer keys per packet (or breakpoint):
 a pair is judged by the gain ``ends[n] - starts[m]`` against an integer
 limit.  One pass with a running minimum of the start keys then gives the
 verdict, the earliest witness, the largest gain (a fitted burst) and its
-binding pair; tight pairs come from grouping equal keys.
+binding pair; tight pairs come from grouping equal keys.  The literal
+pairwise routes these passes are tested against live in
+:mod:`maxplus_tc.reference`.
 """
 
 from __future__ import annotations
@@ -189,53 +191,6 @@ def check_lambda_nu(trace: Trace, model: LambdaNuModel) -> ConformanceReport:
     )
 
 
-def check_lambda_nu_via_convolution(trace: Trace, model: LambdaNuModel) -> ConformanceReport:
-    """Same report as :func:`check_lambda_nu`, via the max-plus route.
-
-    The O(N^2) twin of the linear pass: for each n it forms the running bound
-    ``sup over m < n of (arrival(m) + min_spacing(n - m))`` term by term and
-    compares the actual arrival time against it.  Kept as an independent
-    reference for the production checker.
-    """
-    arrivals = trace.arrivals
-    n_pk = len(arrivals)
-    checked = n_pk * (n_pk - 1) // 2
-    if n_pk < 2:
-        return ConformanceReport(True, None, (), checked)
-    p, q = model.lam.numerator, model.lam.denominator
-    r, s = model.nu.numerator, model.nu.denominator
-    den = s * p
-    # alpha_num[d] / den is the exact required spacing for gap d
-    alpha_num = [max(0, d * s - r) * q for d in range(n_pk)]
-    witness = None
-    tight: list[tuple[int, int]] = []
-    for n in range(2, n_pk + 1):
-        lhs = arrivals[n - 1] * den
-        bound = None
-        for m in range(1, n):
-            term = arrivals[m - 1] * den + alpha_num[n - m]
-            if bound is None or term > bound:
-                bound = term
-            if term == lhs:
-                tight.append((m, n))
-        if witness is None and bound is not None and lhs < bound:
-            for m in range(1, n):
-                if arrivals[m - 1] * den + alpha_num[n - m] > lhs:
-                    witness = Witness(
-                        m=m,
-                        n=n,
-                        required=model.min_spacing(n - m),
-                        actual=Fraction(arrivals[n - 1] - arrivals[m - 1]),
-                    )
-                    break
-    return ConformanceReport(
-        conforms=witness is None,
-        witness=witness,
-        tight_pairs=tuple(sorted(tight)),
-        checked_pairs=checked,
-    )
-
-
 # ---------------------------------------------------------------------------
 # TSpec (sliding window) checking
 
@@ -276,39 +231,6 @@ def check_tspec(trace: Trace, tspec: TSpecModel) -> ConformanceReport:
         m0 = j - k + 1
         if m0 >= 0 and arrivals[j] - arrivals[m0] <= max_gap:
             tight.append((m0 + 1, j + 1))
-    return ConformanceReport(
-        conforms=witness is None,
-        witness=witness,
-        tight_pairs=tuple(sorted(tight)),
-        checked_pairs=checked,
-    )
-
-
-def check_tspec_pairwise(trace: Trace, tspec: TSpecModel) -> ConformanceReport:
-    """Literal pairwise formulation of the TSpec check.
-
-    Quantifies over every packet pair that fits in one window and requires
-    the packet count not to exceed k_max.  Kept as an independent route for
-    verifying the sliding-window scan; same report on every input.
-    """
-    arrivals = trace.arrivals
-    n_pk = len(arrivals)
-    checked = n_pk * (n_pk + 1) // 2
-    max_gap = tspec.max_gap_in_window()
-    k = tspec.k_max
-    witness = None
-    tight: list[tuple[int, int]] = []
-    for n in range(1, n_pk + 1):
-        for m in range(1, n + 1):
-            if arrivals[n - 1] - arrivals[m - 1] > max_gap:
-                continue
-            count = n - m + 1
-            if witness is None and count > k:
-                witness = Witness(
-                    m=m, n=n, required=Fraction(k), actual=Fraction(count)
-                )
-            if count == k:
-                tight.append((m, n))
     return ConformanceReport(
         conforms=witness is None,
         witness=witness,

@@ -12,16 +12,7 @@ from fractions import Fraction
 
 from .errors import FormatError
 
-# Public alias: anywhere the API says "Rational", a Fraction (or int) is fine.
-Rational = Fraction
-
 RationalLike = Fraction | int
-
-
-def positive_part(x: RationalLike) -> Fraction:
-    """(x)+ = max(x, 0)."""
-    x = Fraction(x)
-    return x if x > 0 else Fraction(0)
 
 
 def ceil_div(a: int, b: int) -> int:

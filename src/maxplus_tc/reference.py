@@ -1,0 +1,270 @@
+"""Brute-force reference routes: one literal route per question.
+
+Each route quantifies over every packet pair (or window, or split) exactly as
+the definition reads, with no running minima, window scans or shared helpers
+of the production modules, so a bug in a fast path cannot hide in code both
+sides use.  Each route has the signature and result type of the production
+function it checks, so a test can compare whole outcomes.  They cost O(N^2)
+or more (``aggregate_eq1`` is exponential in the flow count) and are meant
+for small inputs: the test suite and the randomized validation suite.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from operator import itemgetter
+from typing import Sequence
+
+from .conformance import ConformanceReport, FitResult, Witness
+from .errors import InfeasibleFitError, MissingLengthsError, UnboundedFitError
+from .models import LambdaNuModel, SigmaRhoModel, TSpecModel, WindowMode
+from .rational import RationalLike
+from .trace import Trace
+
+
+def _report(witness: Witness | None, tight: list, checked: int) -> ConformanceReport:
+    return ConformanceReport(witness is None, witness, tuple(sorted(tight)), checked)
+
+
+# ---------------------------------------------------------------------------
+# Rate/burst (packet domain)
+
+
+def check_lambda_nu_via_convolution(trace: Trace, model: LambdaNuModel) -> ConformanceReport:
+    """Reference for :func:`~maxplus_tc.check_lambda_nu`, via the max-plus route.
+
+    For each n it forms the bound ``sup over m < n of arrival(m) + alpha(n - m)``
+    with ``alpha(d) = (d - nu)+ / lam``, term by term, and compares the actual
+    arrival time against it.  Terms are kept as integers scaled by s*p for
+    lam = p/q and nu = r/s.
+    """
+    arrivals = trace.arrivals
+    n_pk = len(arrivals)
+    p, q = model.lam.numerator, model.lam.denominator
+    r, s = model.nu.numerator, model.nu.denominator
+    den = s * p
+    # alpha_num[d] / den is the exact required spacing for gap d
+    alpha_num = [max(0, d * s - r) * q for d in range(n_pk)]
+    witness = None
+    tight: list[tuple[int, int]] = []
+    for n in range(2, n_pk + 1):
+        lhs = arrivals[n - 1] * den
+        bound = None
+        for m in range(1, n):
+            term = arrivals[m - 1] * den + alpha_num[n - m]
+            if bound is None or term > bound:
+                bound = term
+            if term == lhs:
+                tight.append((m, n))
+        if witness is None and bound > lhs:
+            m = next(m for m in range(1, n) if arrivals[m - 1] * den + alpha_num[n - m] > lhs)
+            witness = Witness(
+                m=m,
+                n=n,
+                required=Fraction(max(n - m - model.nu, 0)) / model.lam,
+                actual=Fraction(arrivals[n - 1] - arrivals[m - 1]),
+            )
+    return _report(witness, tight, n_pk * (n_pk - 1) // 2)
+
+
+def _pairs(trace: Trace):
+    """Every packet pair as (m, n, n - m, gap), in (n, m) scan order."""
+    arrivals = trace.arrivals
+    for n in range(2, len(arrivals) + 1):
+        for m in range(1, n):
+            yield m, n, n - m, arrivals[n - 1] - arrivals[m - 1]
+
+
+def fit_lambda_nu_pairwise(
+    trace: Trace,
+    *,
+    lam: RationalLike | None = None,
+    nu: RationalLike | None = None,
+) -> FitResult:
+    """Reference for :func:`~maxplus_tc.fit_lambda_nu`.
+
+    With ``lam`` fixed, nu is the largest ``(n - m) - lam * gap`` over all
+    pairs (at least 0).  With ``nu`` fixed, lam is the largest
+    ``(n - m - nu) / gap`` over the pairs more than nu apart.  The binding
+    pair is the first pair in (n, m) order attaining the value.
+    """
+    if (lam is None) == (nu is None):
+        raise ValueError("fix exactly one of lam and nu")
+    if lam is not None:
+        lam = Fraction(lam)
+        candidates = ((d - lam * g, (m, n)) for m, n, d, g in _pairs(trace))
+        value, pair = max(candidates, key=itemgetter(0), default=(-1, None))
+        if value < 0:
+            return FitResult(LambdaNuModel(lam=lam, nu=Fraction(0)), None)
+        return FitResult(LambdaNuModel(lam=lam, nu=value), pair)
+    nu = Fraction(nu)
+    constraining = [(m, n, d, g) for m, n, d, g in _pairs(trace) if d > nu]
+    if not constraining:
+        raise UnboundedFitError(f"no packet pair exceeds the allowance {nu}")
+    for m, n, d, g in constraining:
+        if g == 0:
+            raise InfeasibleFitError(f"packets {m} and {n} arrive together", pair=(m, n))
+    candidates = (((d - nu) / g, (m, n)) for m, n, d, g in constraining)
+    value, pair = max(candidates, key=itemgetter(0))
+    return FitResult(LambdaNuModel(lam=value, nu=nu), pair)
+
+
+def extremal_arrivals(model: LambdaNuModel, count: int) -> Trace:
+    """Reference for :func:`~maxplus_tc.gen_extremal_lambda_nu`: packet 1
+    at tick 0, each later packet at the first integer tick that every
+    earlier packet's spacing bound allows."""
+    arrivals: list[int] = []
+    for n in range(count):
+        spacings = (math.ceil(max(n - m - model.nu, 0) / model.lam) for m in range(n))
+        arrivals.append(max((a + sp for a, sp in zip(arrivals, spacings)), default=0))
+    return Trace(tuple(arrivals))
+
+
+# ---------------------------------------------------------------------------
+# TSpec (packets per window)
+
+
+def _window_limit(tau: Fraction, window_mode: WindowMode) -> tuple[int, int]:
+    """(q, limit) such that an integer tick gap fits in one window of length
+    tau = p/q iff ``q * gap <= limit``: ``gap <= tau`` for closed windows,
+    ``gap < tau`` (that is ``q * gap <= p - 1``) for open ones."""
+    p, q = tau.numerator, tau.denominator
+    return q, p if window_mode is WindowMode.CLOSED else p - 1
+
+
+def check_tspec_pairwise(trace: Trace, tspec: TSpecModel) -> ConformanceReport:
+    """Reference for :func:`~maxplus_tc.check_tspec`: every packet pair
+    m <= n that fits in one window must span at most k_max packets."""
+    arrivals = trace.arrivals
+    n_pk = len(arrivals)
+    q, limit = _window_limit(tspec.tau, tspec.window_mode)
+    k = tspec.k_max
+    witness = None
+    tight: list[tuple[int, int]] = []
+    for n in range(1, n_pk + 1):
+        end = arrivals[n - 1]
+        for m in range(1, n + 1):
+            if q * (end - arrivals[m - 1]) > limit:
+                continue
+            count = n - m + 1
+            if witness is None and count > k:
+                witness = Witness(m=m, n=n, required=Fraction(k), actual=Fraction(count))
+            if count == k:
+                tight.append((m, n))
+    return _report(witness, tight, n_pk * (n_pk + 1) // 2)
+
+
+def max_window(
+    trace: Trace, tau: RationalLike, window_mode: WindowMode
+) -> tuple[int, tuple[int, int] | None]:
+    """Reference for :func:`~maxplus_tc.max_window_count`: the most packets
+    a pair m <= n fitting in one window spans, and the first such pair in
+    (n, m) order; (0, None) for an empty trace."""
+    arrivals = trace.arrivals
+    q, limit = _window_limit(Fraction(tau), window_mode)
+    best, best_pair = 0, None
+    for n in range(1, len(arrivals) + 1):
+        for m in range(1, n + 1):
+            if q * (arrivals[n - 1] - arrivals[m - 1]) <= limit and n - m + 1 > best:
+                best, best_pair = n - m + 1, (m, n)
+    return best, best_pair
+
+
+# ---------------------------------------------------------------------------
+# Bit domain (cumulative traffic)
+
+
+def _windows(trace: Trace):
+    """Every closed window [s, t] between breakpoints {0} + arrival ticks, as
+    (s, t, bits arrived in it), in (t, s) order."""
+    if trace.lengths is None and trace.arrivals:
+        raise MissingLengthsError("bit-domain check needs per-packet lengths")
+    points = sorted({0, *trace.arrivals})
+    packets = list(zip(trace.arrivals, trace.lengths or ()))
+    before = [sum(b for a, b in packets if a < x) for x in points]
+    upto = [sum(b for a, b in packets if a <= x) for x in points]
+    for j, t in enumerate(points):
+        for i, s in enumerate(points[: j + 1]):
+            yield s, t, upto[j] - before[i]
+
+
+def check_sigma_rho_pairwise(trace: Trace, model: SigmaRhoModel) -> ConformanceReport:
+    """Reference for :func:`~maxplus_tc.check_sigma_rho`: every closed
+    window [s, t] between breakpoints carries at most ``rho*(t - s) + sigma``
+    bits; witness and tight pairs name windows by their end ticks."""
+    witness = None
+    tight: list[tuple[int, int]] = []
+    checked = 0
+    for s, t, bits in _windows(trace):
+        checked += 1
+        budget = model.rho * (t - s) + model.sigma
+        if witness is None and bits > budget:
+            witness = Witness(m=s, n=t, required=budget, actual=Fraction(bits))
+        if bits == budget:
+            tight.append((s, t))
+    return _report(witness, tight, checked)
+
+
+def sigma_for_rate(trace: Trace, rho: Fraction) -> Fraction:
+    """Smallest burst sigma such that (sigma, rho) covers the trace: the
+    largest excess ``bits - rho*(t - s)`` of any window, scaled by the
+    denominator of rho so that each window costs integer work only.  The
+    one-point windows have no negative excess, so the result is >= 0."""
+    p, q = rho.numerator, rho.denominator
+    return Fraction(max(q * bits - p * (t - s) for s, t, bits in _windows(trace)), q)
+
+
+def minplus_value(trace: Trace, model: SigmaRhoModel, t: RationalLike) -> Fraction:
+    """Reference for :func:`~maxplus_tc.minplus_convolve`: the infimum of
+    ``A(s) + rho*(t - s) + sigma`` over real s in [0, t], by interval
+    decomposition.  On each interval where A is constant the value falls
+    toward the right end."""
+    t = Fraction(t)
+
+    def cum(x: Fraction) -> int:
+        return sum(b for a, b in zip(trace.arrivals, trace.lengths or ()) if a <= x)
+
+    critical = sorted({Fraction(0), t, *(Fraction(a) for a in trace.arrivals if a <= t)})
+    values = [cum(t), cum(Fraction(0)) + model.rho * t]  # the endpoints s = t and s = 0
+    values.extend(cum(left) + model.rho * (t - right) for left, right in zip(critical, critical[1:]))
+    return min(values) + model.sigma
+
+
+# ---------------------------------------------------------------------------
+# Aggregation (eq. 1)
+
+
+def aggregate_eq1(traces: Sequence[Trace], n: int) -> int:
+    """Aggregate arrival time of packet n, by exhaustive composition.
+
+    Over every split n = m_1 + ... + m_I of the packet count among the
+    flows, the aggregate's n-th arrival is the smallest achievable value of
+    ``max_i arrival_i(m_i)`` (taking +infinity when flow i has fewer than
+    m_i packets).  Must equal ``merge_traces(traces).arrival(n)``.
+    Exponential in the flow count.
+    """
+    if not traces:
+        raise ValueError("need at least one trace")
+    total = sum(t.num_packets for t in traces)
+    if n < 0 or n > total:
+        raise IndexError(f"index {n} out of range 0..{total}")
+    if n == 0:
+        return 0
+
+    sizes = [t.num_packets for t in traces]
+    best: float | int = math.inf
+
+    def recurse(flow: int, remaining: int, worst: int) -> None:
+        nonlocal best
+        if flow == len(traces) - 1:
+            if remaining > sizes[flow]:
+                return
+            best = min(best, max(worst, traces[flow].arrival(remaining)))
+            return
+        for m in range(min(remaining, sizes[flow]) + 1):
+            recurse(flow + 1, remaining - m, max(worst, traces[flow].arrival(m)))
+
+    recurse(0, n, 0)
+    assert best is not math.inf  # n <= total packets guarantees a finite split
+    return int(best)

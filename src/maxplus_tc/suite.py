@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .aggregation import aggregate_eq1, merge_traces
+from .aggregation import merge_traces
 from .algebra import (
     curve_to_lambda_nu,
     map_lambda_nu_to_tspec,
@@ -30,11 +30,10 @@ from .algebra import (
     superpose_tspec,
 )
 from .conformance import (
+    ConformanceReport,
     check_lambda_nu,
-    check_lambda_nu_via_convolution,
     check_sigma_rho,
     check_tspec,
-    check_tspec_pairwise,
     fit_lambda_nu,
     fit_tspec,
     report_to_json,
@@ -58,6 +57,12 @@ from .models import (
     model_to_json,
 )
 from .rational import ceil_div
+from .reference import (
+    aggregate_eq1,
+    check_lambda_nu_via_convolution,
+    check_tspec_pairwise,
+    sigma_for_rate,
+)
 from .trace import Trace
 
 _MAX_FAILURES_PER_PROPERTY = 25
@@ -237,28 +242,15 @@ def _arbitrary_trace(rng: Lcg64, max_packets: int, with_lengths: bool = False) -
     return Trace(arrivals=tuple(arrivals), lengths=lengths)
 
 
-def _fit_burst_for_rate(trace: Trace, rho: Fraction) -> Fraction:
-    """Smallest bit burst so that (sigma, rho) covers the trace: the largest
-    excess of any closed breakpoint window over its rate budget.  Direct
-    window enumeration, independent of the production checker."""
-    points = sorted({0, *trace.arrivals})
-    bits_at = {p: 0 for p in points}
-    for a, b in zip(trace.arrivals, trace.lengths or ()):
-        bits_at[a] += b
-    at = [bits_at[p] for p in points]
-    cum = []
-    total = 0
-    for b in at:
-        total += b
-        cum.append(total)
-    sigma = Fraction(0)
-    for i in range(len(points)):
-        for j in range(i, len(points)):
-            window_bits = cum[j] - cum[i] + at[i]
-            excess = window_bits - rho * (points[j] - points[i])
-            if excess > sigma:
-                sigma = excess
-    return sigma
+def _report_mismatch(
+    context: dict, fast_name: str, fast: ConformanceReport, slow_name: str, slow: ConformanceReport
+) -> dict | None:
+    """None when a fast checker's report equals its reference's, else the
+    failure record: ``context`` plus both reports."""
+    fast_json, slow_json = report_to_json(fast), report_to_json(slow)
+    if fast_json == slow_json:
+        return None
+    return {**context, fast_name: fast_json, slow_name: slow_json}
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +260,11 @@ def _fit_burst_for_rate(trace: Trace, rho: Fraction) -> Fraction:
 def _prop_pairwise_equals_maxplus_route(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
     trace = _arbitrary_trace(rng, min(cfg.max_packets, 120))
     model = _rand_rate_burst(rng)
-    direct = check_lambda_nu(trace, model)
-    via = check_lambda_nu_via_convolution(trace, model)
-    same = (
-        direct.conforms == via.conforms
-        and direct.tight_pairs == via.tight_pairs
-        and (direct.witness is None) == (via.witness is None)
-        and (direct.witness is None or (direct.witness.m, direct.witness.n) == (via.witness.m, via.witness.n))
+    return _report_mismatch(
+        {"trace": _trace_summary(trace), "model": model_to_json(model)},
+        "pairwise", check_lambda_nu(trace, model),
+        "maxplus_route", check_lambda_nu_via_convolution(trace, model),
     )
-    if same:
-        return None
-    return {
-        "trace": _trace_summary(trace),
-        "model": model_to_json(model),
-        "pairwise": report_to_json(direct),
-        "maxplus_route": report_to_json(via),
-    }
 
 
 def _prop_merge_conforms_to_direct_sum(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
@@ -381,7 +362,7 @@ def _prop_merge_conforms_to_bit_sum(rng: Lcg64, cfg: SuiteConfig) -> dict | None
     for _ in range(flows):
         trace = _arbitrary_trace(rng, min(cfg.max_packets, 80), with_lengths=True)
         rho = Fraction(rng.randint(1, 500), rng.randint(1, 8))
-        model = SigmaRhoModel(sigma=_fit_burst_for_rate(trace, rho), rho=rho)
+        model = SigmaRhoModel(sigma=sigma_for_rate(trace, rho), rho=rho)
         models.append(model)
         traces.append(trace)
     merged = merge_traces(traces)
@@ -518,22 +499,11 @@ def _prop_fitted_envelopes_are_tight(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
 def _prop_window_scan_equals_pairwise_windows(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
     trace = _arbitrary_trace(rng, min(cfg.max_packets, 120))
     tspec = _rand_tspec(rng)
-    fast = check_tspec(trace, tspec)
-    slow = check_tspec_pairwise(trace, tspec)
-    same = (
-        fast.conforms == slow.conforms
-        and fast.tight_pairs == slow.tight_pairs
-        and (fast.witness is None) == (slow.witness is None)
-        and (fast.witness is None or (fast.witness.m, fast.witness.n) == (slow.witness.m, slow.witness.n))
+    return _report_mismatch(
+        {"trace": _trace_summary(trace), "tspec": model_to_json(tspec)},
+        "window_scan", check_tspec(trace, tspec),
+        "pairwise", check_tspec_pairwise(trace, tspec),
     )
-    if same:
-        return None
-    return {
-        "trace": _trace_summary(trace),
-        "tspec": model_to_json(tspec),
-        "window_scan": report_to_json(fast),
-        "pairwise": report_to_json(slow),
-    }
 
 
 def _prop_looser_models_stay_conforming(rng: Lcg64, cfg: SuiteConfig) -> dict | None:

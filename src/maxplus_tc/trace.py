@@ -31,7 +31,6 @@ class Trace:
 
     arrivals: tuple[int, ...]
     lengths: tuple[int, ...] | None = None
-    tick_unit: str = "ticks"
 
     def __post_init__(self):
         arrivals = tuple(int(a) for a in self.arrivals)
@@ -70,9 +69,6 @@ class Trace:
         if not 1 <= n <= len(self.arrivals):
             raise IndexError(f"packet index {n} out of range 0..{len(self.arrivals)}")
         return self.arrivals[n - 1]
-
-    def has_lengths(self) -> bool:
-        return self.lengths is not None
 
 
 def interarrival(trace: Trace, m: int, n: int) -> int:

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-import oracles
 from maxplus_tc import (
     DegenerateCurveError,
     IndirectInputs,
@@ -19,6 +18,7 @@ from maxplus_tc import (
     map_tspec_to_lambda_nu,
     maxplus_convolve,
     minplus_convolve,
+    reference,
     superpose_indirect,
     superpose_lambda_nu,
     superpose_sigma_rho,
@@ -81,9 +81,22 @@ class TestMinplusConvolve:
                 rho=F(rng.randint(1, 90), rng.randint(1, 3)),
             )
             t = F(rng.randint(0, 60), rng.randint(1, 2))
-            assert minplus_convolve(trace, model, t) == oracles.minplus_value(
+            assert minplus_convolve(trace, model, t) == reference.minplus_value(
                 trace, model, t
             )
+
+    def test_periodic_trace_of_1e5_packets(self):
+        # N packets of L bits every P ticks, at t = (N - 1) * P.  Just before
+        # breakpoint s = k*P the value is k*L + rho*(t - s) + sigma: at half
+        # the mean rate the first breakpoint wins (N*L/2); above it the last.
+        n, period, bits = 10**5, 7, 100
+        trace = Trace(tuple(k * period for k in range(n)), lengths=(bits,) * n)
+        t = (n - 1) * period
+        slow = SigmaRhoModel(sigma=F(5), rho=F(bits, 2 * period))
+        assert minplus_convolve(trace, slow, t) == 5 + F(n * bits, 2)
+        fast = SigmaRhoModel(sigma=F(5), rho=F(2 * bits, period))
+        half = t + F(1, 2)  # rho/2 short of a full packet past the last one
+        assert minplus_convolve(trace, fast, half) == 5 + (n - 1) * bits + F(bits, period)
 
     def test_bounds_cumulative_iff_conforming(self):
         from maxplus_tc import check_sigma_rho, cumulative

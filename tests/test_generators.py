@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-import oracles
 from maxplus_tc import (
     GridError,
     LambdaNuModel,
@@ -18,6 +17,8 @@ from maxplus_tc import (
     gen_periodic,
     gen_tspec_extremal,
     merge_traces,
+    reference,
+    report_to_json,
 )
 
 F = Fraction
@@ -101,7 +102,9 @@ class TestGenExtremal:
                 F(rng.randint(0, 10), rng.randint(1, 4)),
             )
             trace = gen_extremal_lambda_nu(model, rng.randint(0, 60))
-            assert oracles.lam_nu_conforms(trace, model)
+            slow = reference.check_lambda_nu_via_convolution(trace, model)
+            assert slow.conforms
+            assert report_to_json(check_lambda_nu(trace, model)) == report_to_json(slow)
 
     def test_off_grid_times_round_up(self):
         # rate 2/3: exact spacings 1.5, 3, 4.5 land between ticks
@@ -118,7 +121,7 @@ class TestGenExtremal:
                 F(rng.randint(0, 12), rng.randint(1, 4)),
             )
             count = rng.randint(0, 40)
-            assert gen_extremal_lambda_nu(model, count).arrivals == oracles.extremal_arrivals(
+            assert gen_extremal_lambda_nu(model, count) == reference.extremal_arrivals(
                 model, count
             )
 

@@ -1,0 +1,55 @@
+"""The exported API, and the independence of the reference routes."""
+
+import ast
+from pathlib import Path
+
+import maxplus_tc
+from maxplus_tc import reference
+
+EXPORTED = [
+    "ConformanceReport", "CurveReduction", "CurveSpec", "DegenerateCurveError",
+    "FitResult", "FormatError", "GridError", "InconsistentInputError",
+    "IndirectInputs", "InfeasibleFitError", "LambdaNuModel", "Lcg64",
+    "MappingVariant", "MaxPlusCurve", "MissingLengthsError", "PROPERTY_NAMES",
+    "PacketOrigin", "PropertyReport", "SigmaRhoModel", "SuiteConfig",
+    "SuiteSummary", "TSpecModel", "Table1Row", "Trace", "TrafficModelError",
+    "UnboundedFitError", "WindowMode", "Witness", "aggregate_eq1", "ceil_div",
+    "check_lambda_nu", "check_lambda_nu_via_convolution", "check_sigma_rho",
+    "check_tspec", "check_tspec_pairwise", "cumulative", "curve_to_lambda_nu",
+    "fit_lambda_nu", "fit_result_to_json", "fit_tspec", "gen_extremal_lambda_nu",
+    "gen_jittered", "gen_periodic", "gen_tspec_extremal", "interarrival",
+    "map_lambda_nu_to_tspec", "map_tspec_to_lambda_nu", "max_window_count",
+    "maxplus_convolve", "merge_traces", "merge_traces_with_provenance",
+    "minplus_convolve", "model_from_json", "model_to_json", "parse_rational",
+    "rational_from_json", "rational_to_json", "read_trace_csv",
+    "render_table1_text", "report_to_json", "reproduce_table1", "run_property",
+    "run_property_suite", "superpose_indirect", "superpose_lambda_nu",
+    "superpose_sigma_rho", "superpose_tspec", "table1_to_json",
+    "variant_from_json", "variant_to_json", "write_trace_csv",
+]
+
+# production helpers whose result a reference route would share with the
+# fast path it checks
+SHARED_HELPERS = {"min_spacing", "max_gap_in_window", "cumulative"}
+
+
+def test_exported_names_are_pinned_and_resolve():
+    assert sorted(maxplus_tc.__all__) == EXPORTED
+    for name in EXPORTED:
+        assert getattr(maxplus_tc, name) is not None
+
+
+def test_reference_routes_stay_independent():
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").startswith("maxplus_tc")
+        ):
+            problems += [f"imports {a.name}" for a in node.names if a.name.startswith("_")]
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in SHARED_HELPERS:
+                problems.append(f"calls {name} on line {node.lineno}")
+    assert problems == []

@@ -5,7 +5,6 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
 from maxplus_tc import (
     LambdaNuModel,
     Trace,
@@ -13,10 +12,10 @@ from maxplus_tc import (
     WindowMode,
     check_lambda_nu,
     check_tspec,
-    check_tspec_pairwise,
     cumulative,
     interarrival,
     merge_traces,
+    reference,
     report_to_json,
     superpose_lambda_nu,
 )
@@ -91,8 +90,8 @@ class TestCheckerInvariants:
     @settings(max_examples=60)
     def test_matches_bruteforce(self, trace, lam, nu):
         model = LambdaNuModel(lam, nu)
-        assert check_lambda_nu(trace, model).conforms == oracles.lam_nu_conforms(
-            trace, model
+        assert report_to_json(check_lambda_nu(trace, model)) == report_to_json(
+            reference.check_lambda_nu_via_convolution(trace, model)
         )
 
     @given(
@@ -134,7 +133,7 @@ class TestCheckerInvariants:
     def test_window_scan_equals_pairwise(self, trace, tau, k, mode):
         tspec = TSpecModel(tau, k, mode)
         assert report_to_json(check_tspec(trace, tspec)) == report_to_json(
-            check_tspec_pairwise(trace, tspec)
+            reference.check_tspec_pairwise(trace, tspec)
         )
 
     @given(traces(max_packets=12), st.integers(min_value=0, max_value=10**6))
