@@ -15,7 +15,6 @@ from maxplus_tc import (
     MappingVariant,
     MaxPlusCurve,
     TSpecModel,
-    check_lambda_nu,
     check_tspec,
     curve_to_lambda_nu,
     gen_extremal_lambda_nu,

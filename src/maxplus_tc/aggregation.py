@@ -7,6 +7,7 @@ twin, the composition formula of eq. 1, is
 
 from __future__ import annotations
 
+from itertools import count, repeat
 from typing import NamedTuple, Sequence
 
 from .errors import InconsistentInputError
@@ -35,15 +36,11 @@ def merge_traces_with_provenance(
         )
     entries = []
     for flow, trace in enumerate(traces):
-        for idx, tick in enumerate(trace.arrivals):
-            bits = trace.lengths[idx] if trace.lengths is not None else None
-            entries.append((tick, flow, idx + 1, bits))
+        entries += zip(trace.arrivals, repeat(flow), count(1), trace.lengths or repeat(None))
     entries.sort()  # (tick, flow, index) is unique: lengths never decide the order
-    arrivals = tuple(e[0] for e in entries)
-    lengths = tuple(e[3] for e in entries) if all(with_lengths) else None
-    origins = tuple(PacketOrigin(flow=e[1], index=e[2]) for e in entries)
-    merged = Trace(arrivals=arrivals, lengths=lengths)
-    return merged, origins
+    arrivals, flows, indices, lengths = zip(*entries) if entries else ((),) * 4
+    merged = Trace(arrivals=arrivals, lengths=lengths if all(with_lengths) else None)
+    return merged, tuple(map(PacketOrigin, flows, indices))
 
 
 def merge_traces(traces: Sequence[Trace]) -> Trace:

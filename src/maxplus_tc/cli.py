@@ -15,9 +15,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from pathlib import Path
 
 from .aggregation import merge_traces_with_provenance
 from .algebra import (
@@ -55,7 +55,7 @@ from .models import (
 from .rational import parse_rational
 from .suite import DEFAULT_SEED, SuiteConfig, run_property_suite
 from .table1 import render_table1_text, reproduce_table1, table1_to_json
-from .trace import Trace, read_trace_csv, write_trace_csv
+from .trace import read_trace_csv, write_trace_csv
 
 SEED_ENV_VAR = "MAXPLUS_TC_SEED"
 
@@ -144,10 +144,20 @@ def _int_rows(items, indent: str) -> str | None:
 
 
 def _print(obj, fmt: str, text: str | None = None) -> None:
-    if fmt == "text" and text is not None:
-        sys.stdout.write(text)
+    """Write ``obj`` as indented JSON, or its text view: ``text`` when given,
+    else the compact JSON."""
+    if fmt == "text":
+        sys.stdout.write(json.dumps(obj) + "\n" if text is None else text)
     else:
         sys.stdout.write(_json_text(obj) + "\n")
+
+
+def _write_out(path: str, text: str) -> None:
+    """Write the text of ``--out``: to stdout when the path is ``-``."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _load_json(path: str):
@@ -168,10 +178,6 @@ def _report_text(report: ConformanceReport) -> str:
     lines.append(f"tight pairs: {len(report.tight_pairs)}")
     lines.append(f"checked pairs: {report.checked_pairs}")
     return "\n".join(lines) + "\n"
-
-
-def _model_text(model) -> str:
-    return json.dumps(model_to_json(model)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -207,28 +213,23 @@ def _cmd_fit(args) -> int:
     else:
         mode = WindowMode(args.mode)
         result = fit_tspec(trace, parse_rational(args.interval), mode)
-    obj = fit_result_to_json(result)
-    _print(obj, args.format, json.dumps(obj) + "\n")
+    _print(fit_result_to_json(result), args.format)
     return 0
 
 
 def _cmd_map(args) -> int:
     model = model_from_json(_load_json(args.model))
     if isinstance(model, LambdaNuModel):
-        variant = MappingVariant(args.variant)
-        mapped = map_lambda_nu_to_tspec(model, variant, args.j)
-        obj = model_to_json(mapped)
+        obj = model_to_json(map_lambda_nu_to_tspec(model, MappingVariant(args.variant), args.j))
     elif isinstance(model, TSpecModel):
-        mapped = map_tspec_to_lambda_nu(model)
-        obj = model_to_json(mapped)
+        obj = model_to_json(map_tspec_to_lambda_nu(model))
     elif isinstance(model, MaxPlusCurve):
         reduction = curve_to_lambda_nu(model)
         obj = model_to_json(reduction.model)
         obj["horizon"] = reduction.horizon
-        mapped = reduction.model
     else:
         raise _UsageError(f"no mapping defined for model type {type(model).__name__}")
-    _print(obj, args.format, json.dumps(obj) + "\n")
+    _print(obj, args.format)
     return 0
 
 
@@ -259,27 +260,29 @@ def _cmd_superpose(args) -> int:
         result = superpose_sigma_rho(models)
     else:
         raise _UsageError("max-plus curves cannot be superposed directly; reduce them first")
-    obj = model_to_json(result)
-    _print(obj, args.format, _model_text(result))
+    _print(model_to_json(result), args.format)
     return 0
 
 
 def _cmd_merge(args) -> int:
     traces = [read_trace_csv(path) for path in args.traces]
     merged, origins = merge_traces_with_provenance(traces)
-    text = write_trace_csv(merged)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_out(args.out, write_trace_csv(merged))
     if args.provenance:
         sidecar = {
             "packets": [{"flow": o.flow, "index": o.index} for o in origins]
         }
-        with open(args.provenance, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(sidecar) + "\n")
+        Path(args.provenance).write_text(_json_text(sidecar) + "\n", encoding="utf-8")
     return 0
+
+
+# generator parameters and the JSON types a config may give them: those
+# their flags take (a rational is a string, as on the command line, or an int)
+_GENERATE_PARAMS = {
+    **dict.fromkeys(("kind", "mode"), (str,)),
+    **dict.fromkeys(("period", "phase", "count", "k_max", "jitter", "seed"), (int,)),
+    **dict.fromkeys(("rate", "burst", "interval"), (str, int)),
+}
 
 
 def _generate_params(args) -> dict:
@@ -289,21 +292,25 @@ def _generate_params(args) -> dict:
         if not isinstance(loaded, dict):
             raise FormatError("generator config must be a JSON object")
         params.update(loaded)
-    for key in ("kind", "period", "phase", "count", "rate", "burst",
-                "interval", "k_max", "mode", "jitter", "seed"):
-        value = getattr(args, key, None)
+    for key, types in _GENERATE_PARAMS.items():
+        value = getattr(args, key)
         if value is not None:
             params[key] = value
+        elif key in params and type(params[key]) not in types:  # a bool is no int here
+            names = " or ".join(t.__name__ for t in types)
+            raise FormatError(
+                f"generator config {key!r} must be {names}, got {json.dumps(params[key])}"
+            )
     return params
 
 
 def _cmd_generate(args) -> int:
     params = _generate_params(args)
     kind = params.get("kind")
-    count = int(params.get("count", 0))
+    count = params.get("count", 0)
     fitted = None
     if kind == "periodic":
-        trace = gen_periodic(int(params["period"]), int(params.get("phase", 0)), count)
+        trace = gen_periodic(params["period"], params.get("phase", 0), count)
     elif kind == "extremal":
         model = LambdaNuModel(
             lam=parse_rational(str(params["rate"])),
@@ -313,30 +320,21 @@ def _cmd_generate(args) -> int:
     elif kind == "tspec-bursts":
         tspec = TSpecModel(
             tau=parse_rational(str(params["interval"])),
-            k_max=int(params["k_max"]),
+            k_max=params["k_max"],
             window_mode=WindowMode(params.get("mode", "closed")),
         )
         trace = gen_tspec_extremal(tspec, count)
     elif kind == "jittered":
         trace, fitted = gen_jittered(
-            int(params["period"]),
-            int(params.get("jitter", 0)),
-            int(params.get("seed", 0)),
-            count,
+            params["period"], params.get("jitter", 0), params.get("seed", 0), count
         )
     else:
         raise _UsageError(
             "pick --kind periodic|extremal|tspec-bursts|jittered (or set it in --config)"
         )
-    text = write_trace_csv(trace)
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_out(args.out, write_trace_csv(trace))
     if fitted is not None and args.model_out:
-        with open(args.model_out, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(model_to_json(fitted)) + "\n")
+        Path(args.model_out).write_text(_json_text(model_to_json(fitted)) + "\n", encoding="utf-8")
     return 0
 
 

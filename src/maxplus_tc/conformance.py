@@ -31,7 +31,7 @@ from itertools import repeat
 from operator import itemgetter
 
 from .errors import InfeasibleFitError, MissingLengthsError, UnboundedFitError
-from .models import LambdaNuModel, SigmaRhoModel, TSpecModel, WindowMode
+from .models import LambdaNuModel, SigmaRhoModel, TSpecModel, WindowMode, model_to_json
 from .rational import RationalLike, rational_to_json
 from .trace import Trace
 
@@ -89,8 +89,6 @@ def report_to_json(report: ConformanceReport) -> dict:
 
 
 def fit_result_to_json(result: FitResult) -> dict:
-    from .models import model_to_json
-
     return {
         "model": model_to_json(result.model),
         "binding_pair": list(result.binding_pair) if result.binding_pair else None,
@@ -228,13 +226,13 @@ def check_tspec(trace: Trace, tspec: TSpecModel) -> ConformanceReport:
             witness = Witness(
                 m=i + 1, n=j + 1, required=Fraction(k), actual=Fraction(count)
             )
-        m0 = j - k + 1
+        m0 = j - k + 1  # rises with j, so the pairs come in (m, n) order
         if m0 >= 0 and arrivals[j] - arrivals[m0] <= max_gap:
             tight.append((m0 + 1, j + 1))
     return ConformanceReport(
         conforms=witness is None,
         witness=witness,
-        tight_pairs=tuple(sorted(tight)),
+        tight_pairs=tuple(tight),
         checked_pairs=checked,
     )
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormatError, InconsistentInputError
-from .rational import RationalLike, rational_from_json, rational_to_json
+from .rational import rational_from_json, rational_to_json
 
 
 class WindowMode(enum.Enum):
@@ -176,13 +176,6 @@ class IndirectInputs:
 
 
 Model = LambdaNuModel | TSpecModel | SigmaRhoModel | MaxPlusCurve
-
-_TYPE_TAGS = {
-    LambdaNuModel: "lambda_nu",
-    TSpecModel: "tspec",
-    SigmaRhoModel: "sigma_rho",
-    MaxPlusCurve: "maxplus_curve",
-}
 
 
 def model_to_json(model: Model) -> dict:

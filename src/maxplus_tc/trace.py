@@ -9,9 +9,10 @@ length, enabling the cumulative (bit-domain) view.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import le
 from typing import TextIO
 
 from .errors import FormatError, MissingLengthsError
@@ -33,27 +34,31 @@ class Trace:
     lengths: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        arrivals = tuple(int(a) for a in self.arrivals)
+        arrivals = tuple(map(int, self.arrivals))
         object.__setattr__(self, "arrivals", arrivals)
-        prev = 0
-        for i, a in enumerate(arrivals):
+        # a(0) = 0 and a nondecreasing is one condition, 0 <= a(1) <= a(2) <= ...;
+        # the first packet that breaks it is looked up only on failure
+        if not all(map(le, chain((0,), arrivals), arrivals)):
+            n, prev, a = next(
+                (n, prev, a)
+                for n, (prev, a) in enumerate(zip(chain((0,), arrivals), arrivals), start=1)
+                if a < prev
+            )
             if a < 0:
-                raise ValueError(f"arrival tick {a} at packet {i + 1} is negative")
-            if a < prev:
-                raise ValueError(
-                    f"arrival ticks must be nondecreasing: packet {i + 1} at {a} after {prev}"
-                )
-            prev = a
+                raise ValueError(f"arrival tick {a} at packet {n} is negative")
+            raise ValueError(
+                f"arrival ticks must be nondecreasing: packet {n} at {a} after {prev}"
+            )
         if self.lengths is not None:
-            lengths = tuple(int(l) for l in self.lengths)
+            lengths = tuple(map(int, self.lengths))
             object.__setattr__(self, "lengths", lengths)
             if len(lengths) != len(arrivals):
                 raise ValueError(
                     f"{len(lengths)} lengths for {len(arrivals)} packets"
                 )
-            for i, l in enumerate(lengths):
-                if l <= 0:
-                    raise ValueError(f"length {l} of packet {i + 1} is not positive")
+            if min(lengths, default=1) <= 0:
+                n, l = next((n, l) for n, l in enumerate(lengths, start=1) if l <= 0)
+                raise ValueError(f"length {l} of packet {n} is not positive")
 
     @property
     def num_packets(self) -> int:
@@ -101,29 +106,26 @@ def read_trace_csv(source: str | TextIO) -> Trace:
     Format: optional header ``arrival_ticks[,length_bits]``, then one packet
     per line.  Ticks are nonnegative base-10 integers and must be
     nondecreasing; lengths, when the column is present, are positive
-    base-10 integers.
+    base-10 integers.  Spaces around fields, blank lines and CRLF line ends
+    are accepted; a file with no packet rows is the empty trace.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return read_trace_csv(fh)
-    lines = [line.strip() for line in source]
-    rows = [line for line in lines if line]
+    rows = [line for line in map(str.strip, source) if line]
     if rows and rows[0].split(",")[0].strip() == CSV_HEADER_TICKS:
         header_cols = [c.strip() for c in rows[0].split(",")]
         if header_cols not in ([CSV_HEADER_TICKS], [CSV_HEADER_TICKS, CSV_HEADER_LENGTHS]):
             raise FormatError(f"unrecognized trace header {rows[0]!r}")
-        rows = rows[1:]
+        del rows[0]
+    width = rows[0].count(",") + 1 if rows else 1
     arrivals: list[int] = []
     lengths: list[int] = []
-    saw_lengths: bool | None = None
     for lineno, row in enumerate(rows, start=1):
-        cols = [c.strip() for c in row.split(",")]
-        if len(cols) not in (1, 2):
+        cols = row.split(",")
+        if len(cols) > 2:
             raise FormatError(f"row {lineno}: expected 1 or 2 columns, got {len(cols)}")
-        has_len = len(cols) == 2
-        if saw_lengths is None:
-            saw_lengths = has_len
-        elif saw_lengths != has_len:
+        if len(cols) != width:
             raise FormatError(f"row {lineno}: inconsistent column count")
         # int() alone would also take "1_0", "+5" and non-ASCII digits
         if not row.isascii() or "_" in row or "+" in row:
@@ -132,36 +134,31 @@ def read_trace_csv(source: str | TextIO) -> Trace:
             )
         try:
             arrivals.append(int(cols[0]))
-            if has_len:
+            if width == 2:
                 lengths.append(int(cols[1]))
-        except ValueError as exc:
-            raise FormatError(f"row {lineno}: {exc}") from None
+        except ValueError:
+            raise _field_error(lineno, row) from None
     try:
-        return Trace(
-            arrivals=tuple(arrivals),
-            lengths=tuple(lengths) if saw_lengths else None,
-        )
+        return Trace(arrivals=arrivals, lengths=lengths if width == 2 else None)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 
-def write_trace_csv(trace: Trace, dest: str | TextIO | None = None) -> str:
-    """Write a trace as CSV; returns the text (and writes it when dest given)."""
-    buf = io.StringIO()
-    if trace.lengths is not None:
-        buf.write(f"{CSV_HEADER_TICKS},{CSV_HEADER_LENGTHS}\n")
-        for tick, bits in zip(trace.arrivals, trace.lengths):
-            buf.write(f"{tick},{bits}\n")
-    else:
-        buf.write(f"{CSV_HEADER_TICKS}\n")
-        for tick in trace.arrivals:
-            buf.write(f"{tick}\n")
-    text = buf.getvalue()
-    if dest is None:
-        return text
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        dest.write(text)
-    return text
+def _field_error(lineno: int, row: str) -> FormatError:
+    """The error for a row whose fields int() rejects, naming the first bad
+    field without its padding ("1 , x" names 'x', not ' x')."""
+    for field in row.split(","):
+        try:
+            int(field.strip())
+        except ValueError as exc:
+            return FormatError(f"row {lineno}: {exc}")
+    # str.strip() drops the separators 0x1c-0x1f around a field, int() does not
+    return FormatError(f"row {lineno}: fields must be ASCII base-10 integers, got {row!r}")
+
+
+def write_trace_csv(trace: Trace) -> str:
+    """The trace as CSV text: the header, then one row per packet."""
+    if trace.lengths is None:
+        return f"{CSV_HEADER_TICKS}\n" + ("%d\n" * len(trace)) % trace.arrivals
+    values = tuple(chain.from_iterable(zip(trace.arrivals, trace.lengths)))
+    return f"{CSV_HEADER_TICKS},{CSV_HEADER_LENGTHS}\n" + ("%d,%d\n" * len(trace)) % values

@@ -45,6 +45,20 @@ class TestMerge:
         with pytest.raises(ValueError):
             merge_traces([])
 
+    def test_empty_traces(self):
+        assert merge_traces_with_provenance([Trace(()), Trace(())]) == (Trace(()), ())
+        merged, origins = merge_traces_with_provenance(
+            [Trace((), lengths=()), Trace((), lengths=())]
+        )
+        assert merged.lengths == () and merged.arrivals == () and origins == ()
+        merged, origins = merge_traces_with_provenance([Trace(()), Trace((4, 6), lengths=None)])
+        assert merged == Trace((4, 6))
+        assert origins == (PacketOrigin(flow=1, index=1), PacketOrigin(flow=1, index=2))
+        merged, origins = merge_traces_with_provenance(
+            [Trace((3,), lengths=(9,)), Trace((), lengths=())]
+        )
+        assert merged == Trace((3,), lengths=(9,)) and origins == (PacketOrigin(0, 1),)
+
     def test_tie_break_by_flow_then_index(self):
         merged, origins = merge_traces_with_provenance(
             [Trace((5, 5)), Trace((5,))]

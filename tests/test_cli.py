@@ -314,6 +314,93 @@ class TestMergeGenerate:
         ) == 1
 
 
+class TestGenerateConfigTypes:
+    """Config values take the types the flags take: a JSON integer (not a
+    bool) where the flag is an int, a string or integer for a rational, and
+    a string for a name."""
+
+    @pytest.mark.parametrize(
+        "config, output",
+        [
+            ({"kind": "periodic", "period": 10, "phase": 3, "count": 3}, "3\n13\n23\n"),
+            ({"kind": "extremal", "rate": "1/2", "burst": 2, "count": 5}, "0\n0\n0\n2\n4\n"),
+            ({"kind": "extremal", "rate": 1, "count": 3}, "0\n1\n2\n"),
+            (
+                {"kind": "tspec-bursts", "interval": "5", "k_max": 2, "mode": "open", "count": 4},
+                "0\n0\n5\n5\n",
+            ),
+            ({"kind": "tspec-bursts", "interval": 7, "k_max": 3, "count": 4}, "0\n0\n0\n8\n"),
+            (
+                {"kind": "jittered", "period": 10, "jitter": 3, "seed": 7, "count": 5},
+                "0\n13\n22\n32\n42\n",
+            ),
+        ],
+    )
+    def test_valid_config_output(self, tmp_path, capsys, config, output):
+        cfg = _write(tmp_path / "cfg.json", json.dumps(config))
+        assert run(["generate", "--config", cfg]) == 0
+        assert capsys.readouterr().out == "arrival_ticks\n" + output
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("period", 10.7),
+            ("phase", True),
+            ("count", 3.0),
+            ("count", "3"),
+            ("k_max", False),
+            ("jitter", 2.9),
+            ("seed", 7.5),
+            ("seed", None),
+            ("rate", 0.1),
+            ("burst", True),
+            ("interval", [5]),
+            ("kind", 5),
+            ("mode", {"open": True}),
+        ],
+    )
+    def test_rejected_type_exits_three(self, tmp_path, capsys, key, value):
+        config = {"kind": "periodic", "period": 10, "count": 3, key: value}
+        cfg = _write(tmp_path / "cfg.json", json.dumps(config))
+        assert run(["generate", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["kind"] == "io"
+        assert repr(key) in error["message"]
+
+
+class TestTextFormat:
+    """``--format text`` of fit, map and superpose is the compact JSON."""
+
+    def test_fit(self, tmp_path, capsys):
+        trace = _write(tmp_path / "t.csv", "0\n0\n10\n20\n")
+        assert run(["fit", "--trace", trace, "--rate", "1/10", "--format", "text"]) == 0
+        assert capsys.readouterr().out == (
+            '{"model": {"type": "lambda_nu", "lambda": {"num": 1, "den": 10}, '
+            '"nu": {"num": 1, "den": 1}}, "binding_pair": [1, 2]}\n'
+        )
+
+    def test_map_curve(self, tmp_path, capsys):
+        model = _write(
+            tmp_path / "c.json", json.dumps({"type": "maxplus_curve", "values": [0, 0, 10, 20]})
+        )
+        assert run(["map", "--model", model, "--format", "text"]) == 0
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and "\n" not in out[:-1]
+        assert json.loads(out)["horizon"] == 3
+
+    def test_superpose(self, tmp_path, capsys):
+        paths = [
+            _write(tmp_path / f"{i}.json", json.dumps({"type": "sigma_rho", "sigma": i, "rho": 2}))
+            for i in (1, 2)
+        ]
+        assert run(["superpose", "--models", *paths, "--format", "text"]) == 0
+        assert capsys.readouterr().out == (
+            '{"type": "sigma_rho", "sigma": {"num": 3, "den": 1}, "rho": {"num": 4, "den": 1}}\n'
+        )
+
+
 class TestTable1Cli:
     def test_json(self, capsys):
         assert run(["table1"]) == 0

@@ -6,7 +6,6 @@ from maxplus_tc import (
     GridError,
     LambdaNuModel,
     Lcg64,
-    Trace,
     TSpecModel,
     WindowMode,
     check_lambda_nu,

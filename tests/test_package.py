@@ -53,3 +53,29 @@ def test_reference_routes_stay_independent():
             if name in SHARED_HELPERS:
                 problems.append(f"calls {name} on line {node.lineno}")
     assert problems == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never mentions again."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    paths = [p for p in sorted((ROOT / "src" / "maxplus_tc").glob("*.py"))
+             if p.name != "__init__.py"]  # the package re-exports what it imports
+    paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    assert [line for path in paths for line in _unused_imports(path)] == []

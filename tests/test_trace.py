@@ -33,6 +33,29 @@ class TestTraceConstruction:
         with pytest.raises(ValueError, match="negative"):
             Trace((-1, 3))
 
+    @pytest.mark.parametrize(
+        "arrivals, lengths, message",
+        [
+            ((-1, 3), None, "arrival tick -1 at packet 1 is negative"),
+            ((0, 4, -2), None, "arrival tick -2 at packet 3 is negative"),
+            ((0, 4, 4, 3, -1), None, "arrival ticks must be nondecreasing: packet 4 at 3 after 4"),
+            ((1, 2), (10,), "1 lengths for 2 packets"),
+            ((1, 2), (10, 0), "length 0 of packet 2 is not positive"),
+            ((1, 2, 3), (-4, 5, 0), "length -4 of packet 1 is not positive"),
+            # the ticks are checked before the lengths
+            ((2, 1), (0, 0), "arrival ticks must be nondecreasing: packet 2 at 1 after 2"),
+        ],
+    )
+    def test_invalid_messages(self, arrivals, lengths, message):
+        with pytest.raises(ValueError) as info:
+            Trace(arrivals, lengths=lengths)
+        assert str(info.value) == message
+
+    def test_columns_stored_as_int_tuples(self):
+        t = Trace(["0", 5.0, 7], lengths=[1, "2", 3])
+        assert t.arrivals == (0, 5, 7) and t.lengths == (1, 2, 3)
+        assert {type(v) for v in t.arrivals + t.lengths} == {int}
+
     def test_length_count_mismatch(self):
         with pytest.raises(ValueError):
             Trace((1, 2), lengths=(10,))
@@ -142,10 +165,98 @@ class TestCsv:
         with pytest.raises(FormatError):
             read_trace_csv(io.StringIO("5\n3\n"))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("-5\n3\n", "arrival tick -5 at packet 1 is negative"),
+            ("1\n2\n-3\n", "arrival tick -3 at packet 3 is negative"),
+            ("0,5\n-1,5\n", "arrival tick -1 at packet 2 is negative"),
+            ("1\n5\n3\n", "arrival ticks must be nondecreasing: packet 3 at 3 after 5"),
+            ("0,5\n1,0\n", "length 0 of packet 2 is not positive"),
+            ("0,5\n1,-2\n", "length -2 of packet 2 is not positive"),
+            ("0,5\n1\n", "row 2: inconsistent column count"),
+            ("0\n1,5\n", "row 2: inconsistent column count"),
+            ("0,5,6\n", "row 1: expected 1 or 2 columns, got 3"),
+            ("0,5\n1,2,3\n", "row 2: expected 1 or 2 columns, got 3"),
+            ("1 , x\n", "row 1: invalid literal for int() with base 10: 'x'"),
+            ("1, x \n", "row 1: invalid literal for int() with base 10: 'x'"),
+            ("2,\n", "row 1: invalid literal for int() with base 10: ''"),
+            (",2\n", "row 1: invalid literal for int() with base 10: ''"),
+            ("1.5\n", "row 1: invalid literal for int() with base 10: '1.5'"),
+            ("1 2\n", "row 1: invalid literal for int() with base 10: '1 2'"),
+            ("1_0\n", "row 1: fields must be ASCII base-10 integers, got '1_0'"),
+            ("0,+5\n", "row 1: fields must be ASCII base-10 integers, got '0,+5'"),
+            ("\u0661\n", "row 1: fields must be ASCII base-10 integers, got '\u0661'"),
+            ("arrival_ticks,foo\n1\n", "unrecognized trace header 'arrival_ticks,foo'"),
+            ("arrival_ticks,length_bits,x\n", "unrecognized trace header 'arrival_ticks,length_bits,x'"),
+            # a malformed row is reported before a range error in an earlier row
+            ("-1\nx\n", "row 2: invalid literal for int() with base 10: 'x'"),
+            ("0,0\n1,x\n", "row 2: invalid literal for int() with base 10: 'x'"),
+            # and rows are reported in file order, whatever the fault
+            ("x\n1,2,3\n", "row 1: invalid literal for int() with base 10: 'x'"),
+            ("0\n\n1_0\n2,3\n", "row 2: fields must be ASCII base-10 integers, got '1_0'"),
+        ],
+    )
+    def test_malformed_messages(self, text, message):
+        with pytest.raises(FormatError) as info:
+            read_trace_csv(io.StringIO(text))
+        assert str(info.value) == message
+
+    def test_separator_controls_around_a_field_rejected(self):
+        # str.strip() would drop 0x1c-0x1f, int() does not take them as space
+        with pytest.raises(FormatError) as info:
+            read_trace_csv(io.StringIO("0,1\n1,\x1c5\n"))
+        assert str(info.value) == (
+            "row 2: fields must be ASCII base-10 integers, got '1,\\x1c5'"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "arrival_ticks\n",
+            "arrival_ticks,length_bits\n",
+            " arrival_ticks \n\n",
+            "",
+            "\n\r\n  \n",
+        ],
+    )
+    def test_no_rows_is_empty_trace(self, text):
+        trace = read_trace_csv(io.StringIO(text))
+        assert trace == Trace(())
+        assert trace.lengths is None
+
+    def test_padding_blank_lines_and_crlf(self):
+        text = " arrival_ticks , length_bits \r\n\r\n 1 , 5 \r\n\t2,\t6\r\n\n3 ,7"
+        assert read_trace_csv(io.StringIO(text)) == Trace((1, 2, 3), lengths=(5, 6, 7))
+        assert read_trace_csv(io.StringIO(" 4 \r\n\r\n5\t\n")) == Trace((4, 5))
+
+    def test_header_names_ticks_only_rows_may_carry_lengths(self):
+        assert read_trace_csv(io.StringIO("arrival_ticks\n1,5\n")) == Trace((1,), lengths=(5,))
+
+    @pytest.mark.parametrize("lengths", [None, (2**63, 1, 2**70)])
+    def test_ticks_and_lengths_beyond_int64_roundtrip(self, lengths):
+        t = Trace((2**63 - 1, 2**63, 2**64 + 7), lengths=lengths)
+        text = write_trace_csv(t)
+        assert text.splitlines()[1:] == [
+            ",".join(map(str, row))
+            for row in (zip(t.arrivals, lengths) if lengths else zip(t.arrivals))
+        ]
+        assert read_trace_csv(io.StringIO(text)) == t
+
+    def test_empty_trace_writes_header_only(self):
+        assert write_trace_csv(Trace(())) == "arrival_ticks\n"
+        assert write_trace_csv(Trace((), lengths=())) == "arrival_ticks,length_bits\n"
+
+    def test_written_text(self):
+        assert write_trace_csv(Trace((0, 0, 7), lengths=(64, 64, 1500))) == (
+            "arrival_ticks,length_bits\n0,64\n0,64\n7,1500\n"
+        )
+        assert write_trace_csv(Trace((3, 5, 5))) == "arrival_ticks\n3\n5\n5\n"
+
     def test_file_path_roundtrip(self, tmp_path):
         t = Trace((1, 4), lengths=(8, 8))
         path = tmp_path / "t.csv"
-        write_trace_csv(t, str(path))
+        path.write_text(write_trace_csv(t), encoding="utf-8")
         assert read_trace_csv(str(path)) == t
 
 
