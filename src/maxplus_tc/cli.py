@@ -175,7 +175,8 @@ def _report_text(report: ConformanceReport) -> str:
         lines.append(
             f"violation at ({w.m}, {w.n}): required {w.required}, actual {w.actual}"
         )
-    lines.append(f"tight pairs: {len(report.tight_pairs)}")
+    listed = f" (first {len(report.tight_pairs)} listed)" if report.truncated else ""
+    lines.append(f"tight pairs: {report.tight_count}{listed}")
     lines.append(f"checked pairs: {report.checked_pairs}")
     return "\n".join(lines) + "\n"
 
@@ -188,11 +189,11 @@ def _cmd_check(args) -> int:
     trace = read_trace_csv(args.trace)
     model = model_from_json(_load_json(args.model))
     if isinstance(model, LambdaNuModel):
-        report = check_lambda_nu(trace, model)
+        report = check_lambda_nu(trace, model, max_tight=args.max_tight)
     elif isinstance(model, TSpecModel):
-        report = check_tspec(trace, model)
+        report = check_tspec(trace, model, max_tight=args.max_tight)
     elif isinstance(model, SigmaRhoModel):
-        report = check_sigma_rho(trace, model)
+        report = check_sigma_rho(trace, model, max_tight=args.max_tight)
     else:
         raise _UsageError(
             "a max-plus curve is not directly checkable; map it to a rate/burst model first"
@@ -309,24 +310,31 @@ def _cmd_generate(args) -> int:
     kind = params.get("kind")
     count = params.get("count", 0)
     fitted = None
+
+    def need(key):
+        if key not in params:
+            flag = "--" + key.replace("_", "-")
+            raise _UsageError(f"--kind {kind} needs {flag} (or {key!r} in --config)")
+        return params[key]
+
     if kind == "periodic":
-        trace = gen_periodic(params["period"], params.get("phase", 0), count)
+        trace = gen_periodic(need("period"), params.get("phase", 0), count)
     elif kind == "extremal":
         model = LambdaNuModel(
-            lam=parse_rational(str(params["rate"])),
+            lam=parse_rational(str(need("rate"))),
             nu=parse_rational(str(params.get("burst", 0))),
         )
         trace = gen_extremal_lambda_nu(model, count)
     elif kind == "tspec-bursts":
         tspec = TSpecModel(
-            tau=parse_rational(str(params["interval"])),
-            k_max=params["k_max"],
+            tau=parse_rational(str(need("interval"))),
+            k_max=need("k_max"),
             window_mode=WindowMode(params.get("mode", "closed")),
         )
         trace = gen_tspec_extremal(tspec, count)
     elif kind == "jittered":
         trace, fitted = gen_jittered(
-            params["period"], params.get("jitter", 0), params.get("seed", 0), count
+            need("period"), params.get("jitter", 0), params.get("seed", 0), count
         )
     else:
         raise _UsageError(
@@ -376,6 +384,15 @@ def _cmd_suite(args) -> int:
 # parser
 
 
+def _max_tight(text: str) -> int | None:
+    """``--max-tight``: a count of pairs to list, or ``all``."""
+    if text == "all":
+        return None
+    if text.isdigit() and text.isascii():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer or 'all', got {text!r}")
+
+
 def _add_format(parser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -387,6 +404,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check", help="check a trace against a model")
     p.add_argument("--trace", required=True)
     p.add_argument("--model", required=True)
+    # bounded by default: a periodic trace at its own rate has N(N-1)/2 tight pairs
+    p.add_argument("--max-tight", type=_max_tight, default=1000, metavar="K",
+                   help="list the first K tight pairs, or 'all' (default %(default)s); "
+                   "the count is always exact")
     _add_format(p)
     p.set_defaults(handler=_cmd_check)
 

@@ -8,8 +8,9 @@ shifts of the whole trace).  Every checker reports:
 * a verdict,
 * the earliest violation when there is one (smallest ending index n, then
   smallest starting index m),
-* all tight pairs, i.e. pairs where the model bound holds with exact
-  equality, sorted by (m, n),
+* how many pairs meet the model bound with exact equality (tight pairs),
+  exactly, and the first ``max_tight`` of them in (m, n) order (all of
+  them by default),
 * how many pairs the verdict quantified over.
 
 All comparisons are exact and use Python integers only.  Each rate/burst
@@ -17,18 +18,21 @@ and bit-domain question reduces to integer keys per packet (or breakpoint):
 a pair is judged by the gain ``ends[n] - starts[m]`` against an integer
 limit.  One pass with a running minimum of the start keys then gives the
 verdict, the earliest witness, the largest gain (a fitted burst) and its
-binding pair; tight pairs come from grouping equal keys.  The literal
-pairwise routes these passes are tested against live in
+binding pair.  Tight pairs are counted in O(N) however many there are:
+one C-level pass keeps the starts whose key plus the limit occurs among the
+end keys, and only those are grouped; listing them costs the pairs listed.
+The literal pairwise routes these passes are tested against live in
 :mod:`maxplus_tc.reference`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, compress, count, islice, repeat
+from operator import add, and_, eq, ge, itemgetter
 
 from .errors import InfeasibleFitError, MissingLengthsError, UnboundedFitError
 from .models import LambdaNuModel, SigmaRhoModel, TSpecModel, WindowMode, model_to_json
@@ -49,14 +53,22 @@ class Witness:
 
 @dataclass(frozen=True)
 class ConformanceReport:
+    """``tight_pairs`` lists the first of the ``tight_count`` tight pairs in
+    (m, n) order; ``truncated`` says whether some were left out."""
+
     conforms: bool
     witness: Witness | None
     tight_pairs: tuple[tuple[int, int], ...]
+    tight_count: int
     checked_pairs: int
 
     def __post_init__(self):
         if self.conforms != (self.witness is None):
             raise ValueError("conforms must hold exactly when there is no witness")
+
+    @property
+    def truncated(self) -> bool:
+        return len(self.tight_pairs) < self.tight_count
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,8 @@ def report_to_json(report: ConformanceReport) -> dict:
         "conforms": report.conforms,
         "witness": witness,
         "tight_pairs": [[m, n] for m, n in report.tight_pairs],
+        "tight_count": report.tight_count,
+        "truncated": report.truncated,
         "checked_pairs": report.checked_pairs,
     }
 
@@ -124,14 +138,34 @@ def _first_over(starts: list[int], ends: list[int], lag: int, limit: int) -> tup
 
 
 def _gain_exactly(starts: list[int], ends: list[int], lag: int, limit: int):
-    """For each m in order, yield m and the ascending ends n >= m + lag whose
-    gain is exactly ``limit``."""
-    by_key: dict[int, list[int]] = {}
-    for n, key in enumerate(ends, 1):
-        by_key.setdefault(key, []).append(n)
-    for m, key in enumerate(starts, 1):
-        later = by_key.get(key + limit, ())
-        yield m, later[bisect_left(later, m + lag):]
+    """The number of pairs n >= m + lag whose gain is exactly ``limit``, and
+    an iterator over them in (m, n) order.
+
+    Only the starts whose key plus ``limit`` is an end key, and the ends
+    holding such a key, are looked at in Python.
+    """
+    present = set(ends)
+    hit = list(map(present.__contains__, map(add, starts, repeat(limit))))
+    targets = list(map(add, compress(starts, hit), repeat(limit)))
+    wanted = list(map(set(targets).__contains__, ends))
+    by_key: defaultdict[int, list[int]] = defaultdict(list)
+    for key, n in zip(compress(ends, wanted), compress(count(1), wanted)):
+        by_key[key].append(n)
+    hits = list(compress(count(1), hit))
+    rows = list(map(by_key.__getitem__, targets))
+    skips = list(map(bisect_left, rows, map(add, hits, repeat(lag))))
+    total = sum(map(len, rows)) - sum(skips)
+    pairs = (zip(repeat(m), row[skip:]) for m, row, skip in zip(hits, rows, skips))
+    return total, chain.from_iterable(pairs)
+
+
+def _report(
+    witness: Witness | None, total: int, pairs, checked: int, max_tight: int | None
+) -> ConformanceReport:
+    """A report listing the first ``max_tight`` (all when None) of the
+    ``total`` tight pairs that ``pairs`` iterates in (m, n) order."""
+    listed = tuple(islice(pairs, max_tight))
+    return ConformanceReport(witness is None, witness, listed, total, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +187,33 @@ def _excess_keys(
     return [s * q * k - s * p * a for k, a in enumerate(arrivals, 1)], r // s + 1, r * q
 
 
-def check_lambda_nu(trace: Trace, model: LambdaNuModel) -> ConformanceReport:
+def _simultaneous(arrivals: tuple[int, ...], lag: int):
+    """The number of pairs m < n < m + lag of packets on one tick, and an
+    iterator over them in (m, n) order.
+
+    A packet m whose successor arrives on the same tick pairs with every
+    later packet on that tick up to m + lag - 1: one closed form per m,
+    evaluated in C.
+    """
+    same_next = list(map(eq, arrivals, arrivals[1:]))
+    firsts = list(compress(count(1), same_next))
+    lasts = map(bisect_right, repeat(arrivals), compress(arrivals, same_next))
+    stops = list(map(min, map(add, firsts, repeat(lag)), map(add, lasts, repeat(1))))
+    total = sum(stops) - sum(firsts) - len(firsts)
+    pairs = map(zip, map(repeat, firsts), map(range, map(add, firsts, repeat(1)), stops))
+    return total, chain.from_iterable(pairs)
+
+
+def check_lambda_nu(
+    trace: Trace, model: LambdaNuModel, *, max_tight: int | None = None
+) -> ConformanceReport:
     """Check the rate/burst arrival-time bound over every packet pair.
 
     Conforms iff every packet pair m < n has
     ``interarrival(m, n) >= (n - m - nu)+ / lam``; one pass over the keys of
-    :func:`_excess_keys` decides all pairs.
+    :func:`_excess_keys` decides all pairs.  Pairs more than nu apart are
+    tight when their gain equals the limit; pairs within the allowance have
+    bound 0, met by simultaneous packets.
     """
     arrivals = trace.arrivals
     n_pk = len(arrivals)
@@ -173,20 +228,12 @@ def check_lambda_nu(trace: Trace, model: LambdaNuModel) -> ConformanceReport:
             required=model.min_spacing(n - m),
             actual=Fraction(arrivals[n - 1] - arrivals[m - 1]),
         )
-    tight: list[tuple[int, int]] = []
-    for m, later in _gain_exactly(keys, keys, lag, limit):
-        # within the allowance the bound is 0, met by simultaneous packets
-        n = m + 1
-        while n < m + lag and n <= n_pk and arrivals[n - 1] == arrivals[m - 1]:
-            tight.append((m, n))
-            n += 1
-        tight.extend(zip(repeat(m), later))
-    return ConformanceReport(
-        conforms=witness is None,
-        witness=witness,
-        tight_pairs=tuple(tight),
-        checked_pairs=n_pk * (n_pk - 1) // 2,
-    )
+    total, pairs = _gain_exactly(keys, keys, lag, limit)
+    extra, simultaneous = _simultaneous(arrivals, lag)
+    if extra:  # the first max_tight of each list hold those of their union
+        total += extra
+        pairs = sorted(chain(islice(pairs, max_tight), islice(simultaneous, max_tight)))
+    return _report(witness, total, pairs, n_pk * (n_pk - 1) // 2, max_tight)
 
 
 # ---------------------------------------------------------------------------
@@ -203,38 +250,33 @@ def _window_starts(arrivals: tuple[int, ...], max_gap: int):
         yield j, i
 
 
-def check_tspec(trace: Trace, tspec: TSpecModel) -> ConformanceReport:
+def check_tspec(
+    trace: Trace, tspec: TSpecModel, *, max_tight: int | None = None
+) -> ConformanceReport:
     """Check that no window of length tau holds more than k_max packets.
 
     Closed mode counts a packet exactly tau after the window start as inside;
     open mode requires strictly less than tau.  Equivalent to enumerating all
-    packet pairs (m, n) that fit one window and requiring n - m + 1 <= k_max;
-    the scan here slides the window in O(N).
+    packet pairs (m, n) that fit one window and requiring n - m + 1 <= k_max:
+    the tight pairs are the runs of exactly k_max packets that fit one
+    window, found by one C-level pass, and the first violation ends at the
+    first packet j whose k_max-th predecessor shares a window with it.
     """
     arrivals = trace.arrivals
     n_pk = len(arrivals)
-    checked = n_pk * (n_pk + 1) // 2
-    if n_pk == 0:
-        return ConformanceReport(True, None, (), checked)
     max_gap = tspec.max_gap_in_window()
     k = tspec.k_max
+    # full[i]: packets i+1 .. i+k (1-based) fit one window, a tight pair
+    full = list(map(ge, map(add, arrivals, repeat(max_gap)), islice(arrivals, k - 1, None)))
+    # k+1 packets from i fit only if the k from i and the k from i+1 do
+    both = compress(count(), map(and_, full, islice(full, 1, None)))
+    j = next((i + k for i in both if arrivals[i + k] - arrivals[i] <= max_gap), None)
     witness = None
-    tight: list[tuple[int, int]] = []
-    for j, i in _window_starts(arrivals, max_gap):
-        count = j - i + 1
-        if witness is None and count > k:
-            witness = Witness(
-                m=i + 1, n=j + 1, required=Fraction(k), actual=Fraction(count)
-            )
-        m0 = j - k + 1  # rises with j, so the pairs come in (m, n) order
-        if m0 >= 0 and arrivals[j] - arrivals[m0] <= max_gap:
-            tight.append((m0 + 1, j + 1))
-    return ConformanceReport(
-        conforms=witness is None,
-        witness=witness,
-        tight_pairs=tuple(tight),
-        checked_pairs=checked,
-    )
+    if j is not None:
+        i = bisect_left(arrivals, arrivals[j] - max_gap)  # the window's first packet
+        witness = Witness(m=i + 1, n=j + 1, required=Fraction(k), actual=Fraction(j - i + 1))
+    pairs = compress(zip(count(1), count(k)), full)
+    return _report(witness, full.count(True), pairs, n_pk * (n_pk + 1) // 2, max_tight)
 
 
 def max_window_count(trace: Trace, tau: RationalLike, window_mode: WindowMode) -> tuple[int, tuple[int, int] | None]:
@@ -275,7 +317,9 @@ def _breakpoints(trace: Trace) -> tuple[list[int], list[int], list[int]]:
     return points, at, cum
 
 
-def check_sigma_rho(trace: Trace, model: SigmaRhoModel) -> ConformanceReport:
+def check_sigma_rho(
+    trace: Trace, model: SigmaRhoModel, *, max_tight: int | None = None
+) -> ConformanceReport:
     """Check the bit-domain bound: every closed window [s, t] between
     breakpoints carries at most ``rho * (t - s) + sigma`` bits.
 
@@ -308,17 +352,9 @@ def check_sigma_rho(trace: Trace, model: SigmaRhoModel) -> ConformanceReport:
             required=model.rho * (points[j - 1] - points[i - 1]) + model.sigma,
             actual=Fraction(cum[j - 1] - cum[i - 1] + at[i - 1]),
         )
-    tight = tuple(
-        (points[i - 1], points[j - 1])
-        for i, later in _gain_exactly(starts, ends, 0, burst_c)
-        for j in later
-    )
-    return ConformanceReport(
-        conforms=witness is None,
-        witness=witness,
-        tight_pairs=tight,
-        checked_pairs=b * (b + 1) // 2,
-    )
+    total, pairs = _gain_exactly(starts, ends, 0, burst_c)
+    windows = ((points[i - 1], points[j - 1]) for i, j in pairs)
+    return _report(witness, total, windows, b * (b + 1) // 2, max_tight)
 
 
 # ---------------------------------------------------------------------------

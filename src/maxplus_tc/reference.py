@@ -24,7 +24,7 @@ from .trace import Trace
 
 
 def _report(witness: Witness | None, tight: list, checked: int) -> ConformanceReport:
-    return ConformanceReport(witness is None, witness, tuple(sorted(tight)), checked)
+    return ConformanceReport(witness is None, witness, tuple(sorted(tight)), len(tight), checked)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,6 +68,42 @@ class TestCheck:
         trace = _write(tmp_path / "t.csv", "0\n10\n")
         assert run(["check", "--trace", trace, "--model", lam_nu_model, "--format", "text"]) == 0
         assert "conforms: yes" in capsys.readouterr().out
+
+    def test_max_tight_lists_a_prefix_and_counts_all(self, tmp_path, lam_nu_model, capsys):
+        trace = _write(tmp_path / "t.csv", "0\n10\n20\n30\n")
+        assert run(["check", "--trace", trace, "--model", lam_nu_model, "--max-tight", "2"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["tight_pairs"] == [[1, 2], [1, 3]]
+        assert (report["tight_count"], report["truncated"]) == (6, True)
+        assert run(["check", "--trace", trace, "--model", lam_nu_model, "--max-tight", "all"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["tight_pairs"]) == 6 and report["truncated"] is False
+
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5", "", "١"])
+    def test_bad_max_tight_exits_two(self, tmp_path, lam_nu_model, capsys, value):
+        trace = _write(tmp_path / "t.csv", "0\n")
+        args = ["check", "--trace", trace, "--model", lam_nu_model, "--max-tight", value]
+        assert run(args) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "usage" and "--max-tight" in error["message"]
+
+    def test_periodic_1e5_packets_in_bounded_memory(self, tmp_path, lam_nu_model, capsys):
+        """All N(N-1)/2 pairs are tight (about 5e9); the report lists the
+        default 1000 and counts them all.  A list of every pair is
+        quadratic: uncapped, 2,000 packets alone peak at about 475 MiB."""
+        n = 10**5
+        trace = _write(tmp_path / "t.csv", "".join(f"{10 * k}\n" for k in range(n)))
+        tracemalloc.start()
+        try:
+            code = run(["check", "--trace", trace, "--model", lam_nu_model])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert report["tight_count"] == n * (n - 1) // 2
+        assert len(report["tight_pairs"]) == 1000 and report["truncated"] is True
+        assert peak < 40 * 2**20  # 17.8 MiB measured
 
     def test_curve_not_checkable(self, tmp_path, capsys):
         model = _write(
@@ -305,6 +342,24 @@ class TestMergeGenerate:
     def test_generate_without_kind_exits_two(self, capsys):
         assert run(["generate", "--count", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "kind, given, missing",
+        [
+            ("periodic", [], "--period"),
+            ("extremal", ["--burst", "2"], "--rate"),
+            ("tspec-bursts", ["--k-max", "2"], "--interval"),
+            ("tspec-bursts", ["--interval", "10"], "--k-max"),
+            ("jittered", ["--jitter", "3"], "--period"),
+        ],
+    )
+    def test_generate_missing_parameter_exits_two(self, capsys, kind, given, missing):
+        assert run(["generate", "--kind", kind, *given, "--count", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["kind"] == "usage"
+        assert error["message"].startswith(f"--kind {kind} needs {missing} ")
+
     def test_generate_grid_error_exits_one(self, tmp_path, capsys):
         assert run(
             [
@@ -371,7 +426,26 @@ class TestGenerateConfigTypes:
 
 
 class TestTextFormat:
-    """``--format text`` of fit, map and superpose is the compact JSON."""
+    """``--format text`` of check is a summary of the report; that of fit,
+    map and superpose is the compact JSON."""
+
+    def test_check(self, tmp_path, lam_nu_model, capsys):
+        trace = _write(tmp_path / "t.csv", "0\n10\n20\n30\n")
+        assert run(["check", "--trace", trace, "--model", lam_nu_model, "--format", "text"]) == 0
+        assert capsys.readouterr().out == "conforms: yes\ntight pairs: 6\nchecked pairs: 6\n"
+        args = ["check", "--trace", trace, "--model", lam_nu_model, "--max-tight", "4"]
+        assert run([*args, "--format", "text"]) == 0
+        assert capsys.readouterr().out == (
+            "conforms: yes\ntight pairs: 6 (first 4 listed)\nchecked pairs: 6\n"
+        )
+
+    def test_check_violation(self, tmp_path, lam_nu_model, capsys):
+        trace = _write(tmp_path / "t.csv", "0\n0\n10\n")
+        assert run(["check", "--trace", trace, "--model", lam_nu_model, "--format", "text"]) == 1
+        assert capsys.readouterr().out == (
+            "conforms: no\nviolation at (1, 2): required 10, actual 0\n"
+            "tight pairs: 1\nchecked pairs: 3\n"
+        )
 
     def test_fit(self, tmp_path, capsys):
         trace = _write(tmp_path / "t.csv", "0\n0\n10\n20\n")

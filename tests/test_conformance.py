@@ -323,3 +323,71 @@ class TestFitTspec:
         count, pair = max_window_count(Trace((0, 1, 2)), F(2), WindowMode.CLOSED)
         assert count == 3
         assert pair == (1, 3)
+
+
+class TestBoundedReports:
+    """Every cap keeps the full reference count and lists its prefix."""
+
+    CAPS = (0, 1, 7, None)
+
+    def _assert_bounded(self, check, reference_check, trace, model):
+        full = reference_check(trace, model)
+        for max_tight in self.CAPS:
+            report = check(trace, model, max_tight=max_tight)
+            assert report.tight_count == len(full.tight_pairs)
+            assert report.tight_pairs == full.tight_pairs[:max_tight]
+            assert report.truncated == (len(report.tight_pairs) < report.tight_count)
+            assert (report.conforms, report.witness, report.checked_pairs) == (
+                full.conforms, full.witness, full.checked_pairs
+            )
+
+    def test_lambda_nu(self):
+        rng = Lcg64(8128)
+        for _ in range(80):
+            trace = _random_trace(rng, max_packets=45)
+            lam = F(rng.randint(1, 6), rng.randint(1, 30))
+            # nu > 1 and not whole: simultaneous packets closer than the lag
+            drawn = LambdaNuModel(lam, F(rng.randint(3, 30), rng.randint(2, 3)))
+            for trace in (trace, _shifted(trace)):
+                for model in (drawn, fit_lambda_nu(trace, lam=lam).model):
+                    self._assert_bounded(
+                        check_lambda_nu, reference.check_lambda_nu_via_convolution, trace, model
+                    )
+
+    def test_tspec(self):
+        rng = Lcg64(4096)
+        for _ in range(80):
+            trace = _random_trace(rng, max_packets=45)
+            tau = F(rng.randint(1, 60), rng.randint(1, 2))
+            mode = rng.choice((WindowMode.CLOSED, WindowMode.OPEN))
+            drawn = TSpecModel(tau, rng.randint(1, 6), mode)
+            for trace in (trace, _shifted(trace)):
+                for model in (drawn, fit_tspec(trace, tau, mode).model):
+                    self._assert_bounded(check_tspec, reference.check_tspec_pairwise, trace, model)
+
+    def test_sigma_rho(self):
+        rng = Lcg64(1618)
+        for _ in range(60):
+            trace = _random_trace(rng, max_packets=30, with_lengths=True)
+            rho = F(rng.randint(1, 400), rng.randint(1, 4))
+            drawn = SigmaRhoModel(F(rng.randint(0, 3000), rng.randint(1, 3)), rho)
+            # equal lengths at a fixed period: at that rate every window is tight
+            period, bits, n = rng.randint(1, 9), rng.randint(1, 500), len(trace)
+            steady = Trace(tuple(range(0, period * n, period)), lengths=(bits,) * n)
+            for trace, rho in ((trace, rho), (steady, F(bits, period))):
+                for trace in (trace, _shifted(trace)):
+                    covering = SigmaRhoModel(reference.sigma_for_rate(trace, rho), rho)
+                    for model in (drawn, covering):
+                        self._assert_bounded(
+                            check_sigma_rho, reference.check_sigma_rho_pairwise, trace, model
+                        )
+
+    def test_periodic_at_its_own_rate_counts_every_pair(self):
+        n = 3000
+        trace = Trace(tuple(range(0, 10 * n, 10)))
+        report = check_lambda_nu(trace, LambdaNuModel(F(1, 10), F(0)), max_tight=5)
+        assert report.tight_count == n * (n - 1) // 2
+        assert report.tight_pairs == ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6))
+        assert report.truncated
+        assert report_to_json(report)["tight_count"] == n * (n - 1) // 2
+        assert report_to_json(report)["truncated"] is True
