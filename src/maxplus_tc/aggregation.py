@@ -1,13 +1,15 @@
 """Flow aggregation: multiplexing traces into one arrival process.
 
-:func:`merge_traces` is a sorted multiset merge.  Its first-principles
-twin, the composition formula of eq. 1, is
-:func:`maxplus_tc.reference.aggregate_eq1`.
+:func:`merge_traces_with_provenance` is one stable sort of the flows' ticks
+laid end to end: Timsort merges the presorted flows as runs, and stability
+keeps ties in (flow, index) order.  Every column is gathered through that
+order, so no step makes a Python call per packet.  Its twins in
+:mod:`maxplus_tc.reference` are a tuple sort and eq. 1's composition formula.
 """
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import chain, repeat
 from typing import NamedTuple, Sequence
 
 from .errors import InconsistentInputError
@@ -34,13 +36,14 @@ def merge_traces_with_provenance(
         raise InconsistentInputError(
             "either every trace carries lengths or none does"
         )
-    entries = []
-    for flow, trace in enumerate(traces):
-        entries += zip(trace.arrivals, repeat(flow), count(1), trace.lengths or repeat(None))
-    entries.sort()  # (tick, flow, index) is unique: lengths never decide the order
-    arrivals, flows, indices, lengths = zip(*entries) if entries else ((),) * 4
-    merged = Trace(arrivals=arrivals, lengths=lengths if all(with_lengths) else None)
-    return merged, tuple(map(PacketOrigin, flows, indices))
+    ticks = list(chain.from_iterable(t.arrivals for t in traces))
+    order = sorted(range(len(ticks)), key=ticks.__getitem__)
+    lengths = list(chain.from_iterable(t.lengths or () for t in traces))
+    origins = list(map(tuple.__new__, repeat(PacketOrigin), chain.from_iterable(
+        zip(repeat(flow), range(1, len(t) + 1)) for flow, t in enumerate(traces))))
+    merged = Trace(tuple(map(ticks.__getitem__, order)),
+                   tuple(map(lengths.__getitem__, order)) if all(with_lengths) else None)
+    return merged, tuple(map(origins.__getitem__, order))
 
 
 def merge_traces(traces: Sequence[Trace]) -> Trace:

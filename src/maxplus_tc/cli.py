@@ -12,6 +12,7 @@ error object to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -58,6 +59,8 @@ from .table1 import render_table1_text, reproduce_table1, table1_to_json
 from .trace import read_trace_csv, write_trace_csv
 
 SEED_ENV_VAR = "MAXPLUS_TC_SEED"
+# the most pairs `check --max-tight all` lists: 10^5 and their JSON take ~24 MiB
+MAX_TIGHT_ALL = 100_000
 
 
 class _UsageError(Exception):
@@ -77,7 +80,7 @@ def _emit_error(kind: str, message: str) -> None:
 def _json_text(obj, indent: str = "") -> str:
     """The text ``json.dumps`` writes with an indent of 2, byte for byte, for
     the values the CLI emits: dicts with str keys, lists, tuples, ints, strs,
-    bools and None.
+    bools and None.  A NamedTuple is written as the dict of its fields.
 
     The stdlib's C encoder has no indent support, so an indented
     ``json.dumps`` runs in pure Python; here a list of same-shape flat int
@@ -94,6 +97,8 @@ def _json_text(obj, indent: str = "") -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     inner = indent + "  "
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        obj = obj._asdict()
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -117,25 +122,21 @@ def _json_text(obj, indent: str = "") -> str:
 
 def _int_rows(items, indent: str) -> str | None:
     """The items of a list, at ``indent``, if they are all flat int lists or
-    tuples of one length, or all flat int dicts with one key order: one
-    template join with no Python call per value.  None for any other list."""
+    tuples of one length, or all flat int NamedTuples of one type (written
+    as objects keyed by its fields): one template join with no Python call
+    per value.  None for any other list."""
     kinds = set(map(type, items))
     if kinds <= {list, tuple}:
         if len(set(map(len, items))) != 1:
             return None
         opening, closing = "[", "]"
         fields = ["%d"] * len(items[0])
-        values = tuple(chain.from_iterable(items))
-    elif kinds == {dict}:
-        key_orders = set(map(tuple, items))
-        if len(key_orders) != 1:
-            return None
-        (keys,) = key_orders
+    elif len(kinds) == 1 and isinstance(items[0], tuple) and hasattr(items[0], "_fields"):
         opening, closing = "{", "}"
-        fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %d" for key in keys]
-        values = tuple(chain.from_iterable(map(dict.values, items)))
+        fields = [encode_basestring_ascii(key) + ": %d" for key in items[0]._fields]
     else:
         return None
+    values = tuple(chain.from_iterable(items))
     if set(map(type, values)) != {int}:  # also rules out bools and empty rows
         return None
     inner = indent + "  "
@@ -188,16 +189,20 @@ def _report_text(report: ConformanceReport) -> str:
 def _cmd_check(args) -> int:
     trace = read_trace_csv(args.trace)
     model = model_from_json(_load_json(args.model))
+    max_tight = MAX_TIGHT_ALL if args.max_tight is None else args.max_tight
     if isinstance(model, LambdaNuModel):
-        report = check_lambda_nu(trace, model, max_tight=args.max_tight)
+        report = check_lambda_nu(trace, model, max_tight=max_tight)
     elif isinstance(model, TSpecModel):
-        report = check_tspec(trace, model, max_tight=args.max_tight)
+        report = check_tspec(trace, model, max_tight=max_tight)
     elif isinstance(model, SigmaRhoModel):
-        report = check_sigma_rho(trace, model, max_tight=args.max_tight)
+        report = check_sigma_rho(trace, model, max_tight=max_tight)
     else:
         raise _UsageError(
             "a max-plus curve is not directly checkable; map it to a rate/burst model first"
         )
+    if args.max_tight is None and report.truncated:
+        raise _UsageError(f"--max-tight all lists at most {MAX_TIGHT_ALL} tight pairs, not "
+                          f"{report.tight_count}; give a count K to list the first K")
     _print(report_to_json(report), args.format, _report_text(report))
     return 0 if report.conforms else 1
 
@@ -270,10 +275,7 @@ def _cmd_merge(args) -> int:
     merged, origins = merge_traces_with_provenance(traces)
     _write_out(args.out, write_trace_csv(merged))
     if args.provenance:
-        sidecar = {
-            "packets": [{"flow": o.flow, "index": o.index} for o in origins]
-        }
-        Path(args.provenance).write_text(_json_text(sidecar) + "\n", encoding="utf-8")
+        Path(args.provenance).write_text(_json_text({"packets": origins}) + "\n", encoding="utf-8")
     return 0
 
 
@@ -406,8 +408,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     # bounded by default: a periodic trace at its own rate has N(N-1)/2 tight pairs
     p.add_argument("--max-tight", type=_max_tight, default=1000, metavar="K",
-                   help="list the first K tight pairs, or 'all' (default %(default)s); "
-                   "the count is always exact")
+                   help="list the first K tight pairs, or 'all' (default %(default)s; "
+                   f"'all' refuses more than {MAX_TIGHT_ALL}); the count is always exact")
     _add_format(p)
     p.set_defaults(handler=_cmd_check)
 
@@ -498,4 +500,5 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    gc.disable()  # exit frees by reference counting; the collector only re-walks packets
     sys.exit(run(sys.argv[1:]))

@@ -4,7 +4,7 @@ Each route quantifies over every packet pair (or window, or split) exactly as
 the definition reads, with no running minima, window scans or shared helpers
 of the production modules, so a bug in a fast path cannot hide in code both
 sides use.  Each route has the signature and result type of the production
-function it checks, so a test can compare whole outcomes.  They cost O(N^2)
+function it checks, so a test can compare whole outcomes.  Most cost O(N^2)
 or more (``aggregate_eq1`` is exponential in the flow count) and are meant
 for small inputs: the test suite and the randomized validation suite.
 """
@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 from operator import itemgetter
 from typing import Sequence
 
+from .aggregation import PacketOrigin
 from .conformance import ConformanceReport, FitResult, Witness
 from .errors import InfeasibleFitError, MissingLengthsError, UnboundedFitError
 from .models import LambdaNuModel, SigmaRhoModel, TSpecModel, WindowMode
@@ -235,6 +237,27 @@ def minplus_value(trace: Trace, model: SigmaRhoModel, t: RationalLike) -> Fracti
 # Aggregation (eq. 1)
 
 
+def merge_with_provenance_by_tuples(
+    traces: Sequence[Trace],
+) -> tuple[Trace, tuple[PacketOrigin, ...]]:
+    """Reference for :func:`~maxplus_tc.merge_traces_with_provenance`, for
+    inputs it accepts: every packet as a ``(tick, flow, index, length)``
+    tuple, sorted as tuples.  Ties fall to the flow, then the index, by
+    comparison rather than by the stability of a sort; (tick, flow, index)
+    is unique, so the length never decides."""
+    entries = sorted(
+        (tick, flow, index, None if t.lengths is None else t.lengths[index - 1])
+        for flow, t in enumerate(traces)
+        for index, tick in enumerate(t.arrivals, 1)
+    )
+    with_lengths = all(t.lengths is not None for t in traces)
+    merged = Trace(
+        arrivals=tuple(e[0] for e in entries),
+        lengths=tuple(e[3] for e in entries) if with_lengths else None,
+    )
+    return merged, tuple(PacketOrigin(flow=e[1], index=e[2]) for e in entries)
+
+
 def aggregate_eq1(traces: Sequence[Trace], n: int) -> int:
     """Aggregate arrival time of packet n, by exhaustive composition.
 
@@ -254,17 +277,10 @@ def aggregate_eq1(traces: Sequence[Trace], n: int) -> int:
 
     sizes = [t.num_packets for t in traces]
     best: float | int = math.inf
-
-    def recurse(flow: int, remaining: int, worst: int) -> None:
-        nonlocal best
-        if flow == len(traces) - 1:
-            if remaining > sizes[flow]:
-                return
-            best = min(best, max(worst, traces[flow].arrival(remaining)))
-            return
-        for m in range(min(remaining, sizes[flow]) + 1):
-            recurse(flow + 1, remaining - m, max(worst, traces[flow].arrival(m)))
-
-    recurse(0, n, 0)
+    # every split: free counts for all flows but the last, which takes the rest
+    for head in product(*(range(min(n, size) + 1) for size in sizes[:-1])):
+        last = n - sum(head)
+        if 0 <= last <= sizes[-1]:
+            best = min(best, max(t.arrival(m) for t, m in zip(traces, (*head, last))))
     assert best is not math.inf  # n <= total packets guarantees a finite split
     return int(best)

@@ -1,4 +1,8 @@
+import gc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxplus_tc import (
     InconsistentInputError,
@@ -8,6 +12,7 @@ from maxplus_tc import (
     aggregate_eq1,
     merge_traces,
     merge_traces_with_provenance,
+    reference,
 )
 
 
@@ -92,6 +97,49 @@ class TestMerge:
             assert nested.arrivals == merge_traces([a, b, c]).arrivals
 
 
+@st.composite
+def flow_sets(draw):
+    """1-6 flows on a few ticks, so ties across flows are common; empty
+    flows; all with lengths or none; ticks shifted by 0 or 2^63."""
+    with_lengths = draw(st.booleans())
+    shift = draw(st.sampled_from([0, 2**63]))
+    traces = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        ticks = sorted(draw(st.lists(st.integers(min_value=0, max_value=5), max_size=8)))
+        lengths = st.lists(st.integers(1, 2**70), min_size=len(ticks), max_size=len(ticks))
+        traces.append(Trace(
+            tuple(t + shift for t in ticks),
+            tuple(draw(lengths)) if with_lengths else None,
+        ))
+    return traces
+
+
+class TestReferenceMerge:
+    """The stable-sort merge against the tuple-sort reference, whole results."""
+
+    @given(flow_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tuple_sort(self, traces):
+        assert merge_traces_with_provenance(traces) == reference.merge_with_provenance_by_tuples(
+            traces
+        )
+
+    def test_ties_empty_flows_lengths_and_big_ticks(self):
+        big = 2**63
+        traces = [
+            Trace((big, big + 2), lengths=(1, 2)),
+            Trace((), lengths=()),
+            Trace((big, big, big + 1), lengths=(3, 4, 5)),
+            Trace((big + 2,), lengths=(6,)),
+        ]
+        merged, origins = merge_traces_with_provenance(traces)
+        assert (merged, origins) == reference.merge_with_provenance_by_tuples(traces)
+        assert merged == Trace((big, big, big, big + 1, big + 2, big + 2), (1, 3, 4, 5, 2, 6))
+        assert origins == tuple(
+            map(PacketOrigin, (0, 2, 2, 2, 0, 3), (1, 1, 2, 3, 2, 1))
+        )
+
+
 class TestCompositionFormula:
     def test_worked_example(self):
         assert aggregate_eq1([Trace((1, 3, 5)), Trace((2, 4))], 3) == 3
@@ -125,3 +173,17 @@ class TestCompositionFormula:
             merged = merge_traces(traces)
             for n in range(merged.num_packets + 1):
                 assert aggregate_eq1(traces, n) == merged.arrival(n)
+
+    def test_leaves_no_cyclic_garbage(self):
+        """The suite calls it per packet; with the collector off, as in the
+        CLI process, cyclic garbage would stay until exit."""
+        traces = [Trace((1, 3, 5)), Trace((2, 4)), Trace((0, 4))]
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert [aggregate_eq1(traces, n) for n in range(8)] == [0, 0, 1, 2, 3, 4, 4, 5]
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxplus_tc
+from maxplus_tc import PacketOrigin, cli
 from maxplus_tc.cli import _json_text, run
 
 
@@ -104,6 +106,43 @@ class TestCheck:
         assert report["tight_count"] == n * (n - 1) // 2
         assert len(report["tight_pairs"]) == 1000 and report["truncated"] is True
         assert peak < 40 * 2**20  # 17.8 MiB measured
+
+    def test_max_tight_all_lists_up_to_its_limit(
+        self, tmp_path, lam_nu_model, capsys, monkeypatch
+    ):
+        args = ["check", "--model", lam_nu_model, "--max-tight", "all", "--trace"]
+        args.append(_write(tmp_path / "t.csv", "0\n10\n20\n30\n"))  # 6 tight pairs
+        monkeypatch.setattr(cli, "MAX_TIGHT_ALL", 6)
+        assert run(args) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (len(report["tight_pairs"]), report["tight_count"]) == (6, 6)
+        monkeypatch.setattr(cli, "MAX_TIGHT_ALL", 5)
+        assert run(args) == 2
+        out, err = capsys.readouterr()
+        error = json.loads(err)["error"]
+        assert out == "" and error["kind"] == "usage"
+        assert error["message"].startswith("--max-tight all lists at most 5 tight pairs, not 6;")
+
+    def test_max_tight_all_refuses_periodic_1e5_in_bounded_memory(
+        self, tmp_path, lam_nu_model, capsys
+    ):
+        """About 5e9 tight pairs: listing every one is not bounded, so
+        ``all`` refuses with a usage error after listing at most
+        MAX_TIGHT_ALL of them."""
+        n = 10**5
+        trace = _write(tmp_path / "t.csv", "".join(f"{10 * k}\n" for k in range(n)))
+        tracemalloc.start()
+        try:
+            code = run(["check", "--trace", trace, "--model", lam_nu_model, "--max-tight", "all"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        error = json.loads(err)["error"]
+        assert code == 2 and out == ""
+        assert error["kind"] == "usage" and "--max-tight" in error["message"]
+        assert str(n * (n - 1) // 2) in error["message"]
+        assert peak < 40 * 2**20  # 22.4 MiB measured
 
     def test_curve_not_checkable(self, tmp_path, capsys):
         model = _write(
@@ -628,16 +667,28 @@ class TestJsonBytes:
         assert capsys.readouterr().out == _indented(summary.to_json_dict())
 
     def test_merge_provenance_file(self, tmp_path):
-        t1 = _write(tmp_path / "a.csv", "1\n3\n3\n5\n")
-        t2 = _write(tmp_path / "b.csv", "2\n3\n")
-        prov = tmp_path / "prov.json"
-        out = str(tmp_path / "m.csv")
-        assert run(["merge", "--traces", t1, t2, "--out", out, "--provenance", str(prov)]) == 0
-        _, origins = maxplus_tc.merge_traces_with_provenance(
-            [maxplus_tc.read_trace_csv(t1), maxplus_tc.read_trace_csv(t2)]
-        )
-        expected = {"packets": [{"flow": o.flow, "index": o.index} for o in origins]}
-        assert prov.read_text() == _indented(expected)
+        cases = [
+            ["1\n3\n3\n5\n", "2\n3\n"],
+            ["1\n3\n3\n5\n", "", "2\n3\n", "0\n3\n"],  # ties across three flows, one empty
+            [
+                "arrival_ticks,length_bits\n1,100\n3,20\n",
+                "arrival_ticks,length_bits\n3,5\n3,7\n",
+                "arrival_ticks,length_bits\n0,9\n3,1\n",
+            ],
+            ["", ""],
+        ]
+        for case, flows in enumerate(cases):
+            paths = [_write(tmp_path / f"{case}-{i}.csv", text) for i, text in enumerate(flows)]
+            prov = tmp_path / f"{case}.json"
+            out = str(tmp_path / f"{case}.csv")
+            args = ["merge", "--traces", *paths, "--out", out, "--provenance", str(prov)]
+            assert run(args) == 0
+            _, origins = maxplus_tc.merge_traces_with_provenance(
+                [maxplus_tc.read_trace_csv(path) for path in paths]
+            )
+            expected = {"packets": [{"flow": o.flow, "index": o.index} for o in origins]}
+            assert prov.read_text() == _indented(expected)
+        assert prov.read_text() == '{\n  "packets": []\n}\n'
 
     def test_generate_model_out_file(self, tmp_path):
         model_out = tmp_path / "fitted.json"
@@ -750,3 +801,67 @@ class TestJsonText:
     @settings(max_examples=400, deadline=None)
     def test_matches_stdlib(self, value):
         assert _json_text(value) == json.dumps(value, indent=2)
+
+    @given(
+        st.lists(st.builds(PacketOrigin, ints, ints), max_size=6),
+        st.one_of(st.none(), st.booleans(), st.integers(min_value=0, max_value=5)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_records_are_objects(self, origins, odd):
+        """A list of NamedTuples is written as the list of their dicts, by
+        the template or, when a field is no int, value by value."""
+        if origins and odd is not None:
+            origins[0] = PacketOrigin(odd, origins[0].index)
+        as_dicts = [o._asdict() for o in origins]
+        assert _json_text(origins) == json.dumps(as_dicts, indent=2)
+        sidecar = {"packets": as_dicts}
+        assert _json_text({"packets": tuple(origins)}) == json.dumps(sidecar, indent=2)
+
+
+class TestEntryPoint:
+    """``main()`` is the process entry and turns the cyclic collector off;
+    what it writes must be what ``run()`` writes."""
+
+    # records the collector's state as main() exits, in the file $GC_STATE
+    LAUNCH = (
+        "import gc, os\n"
+        "from maxplus_tc.cli import main\n"
+        "try:\n"
+        "    main()\n"
+        "finally:\n"
+        "    open(os.environ['GC_STATE'], 'w').write(str(gc.isenabled()))\n"
+    )
+
+    def _main(self, args, tmp_path):
+        src = str(Path(maxplus_tc.__file__).resolve().parents[1])
+        state = tmp_path / "gc_state"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.LAUNCH, *args],
+            env={**os.environ, "PYTHONPATH": src, "GC_STATE": str(state)},
+            capture_output=True,
+            text=True,
+        )
+        assert state.read_text() == "False"
+        return proc.returncode, proc.stdout, proc.stderr
+
+    def _run(self, args, capsys):
+        enabled = gc.isenabled()
+        code = run(args)
+        assert gc.isenabled() == enabled
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_merge_with_provenance(self, tmp_path, capsys):
+        flows = [_write(tmp_path / "a.csv", "1\n3\n3\n"), _write(tmp_path / "b.csv", "0\n3\n")]
+        args = ["merge", "--traces", *flows, "--provenance"]
+        result = self._main(args + [str(tmp_path / "main.json")], tmp_path)
+        assert result == self._run(args + [str(tmp_path / "run.json")], capsys)
+        assert result == (0, "arrival_ticks\n0\n1\n3\n3\n3\n", "")
+        assert (tmp_path / "main.json").read_bytes() == (tmp_path / "run.json").read_bytes()
+
+    def test_malformed_csv_exits_three(self, tmp_path, capsys):
+        flows = [_write(tmp_path / "a.csv", "5\n3\n"), _write(tmp_path / "b.csv", "0\n")]
+        args = ["merge", "--traces", *flows]
+        code, out, err = self._main(args, tmp_path)
+        assert (code, out, err) == self._run(args, capsys)
+        assert code == 3 and json.loads(err)["error"]["kind"] == "io"
