@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Every subcommand is a thin adapter over one library operation: it loads the
-input files, calls the operation, and serializes the result (JSON by
-default, ``--format text`` for a human view).
+Every subcommand is a thin adapter over one library operation: it imports
+the modules it runs, loads the input files, calls the operation, and
+serializes the result (JSON by default, ``--format text`` for a human view).
 
 Exit codes: 0 success/conforms, 1 violation/counterexample/domain failure,
 2 usage error, 3 I/O or parse error.  Failures print a machine-readable
@@ -20,43 +20,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .aggregation import merge_traces_with_provenance
-from .algebra import (
-    curve_to_lambda_nu,
-    map_lambda_nu_to_tspec,
-    map_tspec_to_lambda_nu,
-    superpose_indirect,
-    superpose_lambda_nu,
-    superpose_sigma_rho,
-    superpose_tspec,
-)
-from .conformance import (
-    ConformanceReport,
-    check_lambda_nu,
-    check_sigma_rho,
-    check_tspec,
-    fit_lambda_nu,
-    fit_result_to_json,
-    fit_tspec,
-    report_to_json,
-)
 from .errors import FormatError, TrafficModelError
-from .generators import gen_extremal_lambda_nu, gen_jittered, gen_periodic, gen_tspec_extremal
-from .models import (
-    IndirectInputs,
-    LambdaNuModel,
-    MappingVariant,
-    MaxPlusCurve,
-    SigmaRhoModel,
-    TSpecModel,
-    WindowMode,
-    model_from_json,
-    model_to_json,
-)
-from .rational import parse_rational
-from .suite import DEFAULT_SEED, SuiteConfig, run_property_suite
-from .table1 import render_table1_text, reproduce_table1, table1_to_json
-from .trace import read_trace_csv, write_trace_csv
 
 SEED_ENV_VAR = "MAXPLUS_TC_SEED"
 # the most pairs `check --max-tight all` lists: 10^5 and their JSON take ~24 MiB
@@ -169,7 +133,7 @@ def _load_json(path: str):
             raise FormatError(f"{path}: {exc}") from None
 
 
-def _report_text(report: ConformanceReport) -> str:
+def _report_text(report) -> str:
     lines = [f"conforms: {'yes' if report.conforms else 'no'}"]
     if report.witness is not None:
         w = report.witness
@@ -187,6 +151,10 @@ def _report_text(report: ConformanceReport) -> str:
 
 
 def _cmd_check(args) -> int:
+    from .conformance import check_lambda_nu, check_sigma_rho, check_tspec, report_to_json
+    from .models import LambdaNuModel, SigmaRhoModel, TSpecModel, model_from_json
+    from .trace import read_trace_csv
+
     trace = read_trace_csv(args.trace)
     model = model_from_json(_load_json(args.model))
     max_tight = MAX_TIGHT_ALL if args.max_tight is None else args.max_tight
@@ -208,6 +176,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .conformance import fit_lambda_nu, fit_result_to_json, fit_tspec
+    from .models import WindowMode
+    from .rational import parse_rational
+    from .trace import read_trace_csv
+
     trace = read_trace_csv(args.trace)
     chosen = [opt for opt in (args.rate, args.burst, args.interval) if opt is not None]
     if len(chosen) != 1:
@@ -224,6 +197,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    from .algebra import curve_to_lambda_nu, map_lambda_nu_to_tspec, map_tspec_to_lambda_nu
+    from .models import (
+        LambdaNuModel, MappingVariant, MaxPlusCurve, TSpecModel, model_from_json, model_to_json,
+    )
+
     model = model_from_json(_load_json(args.model))
     if isinstance(model, LambdaNuModel):
         obj = model_to_json(map_lambda_nu_to_tspec(model, MappingVariant(args.variant), args.j))
@@ -240,6 +218,14 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_superpose(args) -> int:
+    from .algebra import (
+        superpose_indirect, superpose_lambda_nu, superpose_sigma_rho, superpose_tspec,
+    )
+    from .models import (
+        IndirectInputs, LambdaNuModel, SigmaRhoModel, TSpecModel, model_from_json, model_to_json,
+    )
+    from .rational import parse_rational
+
     models = [model_from_json(_load_json(path)) for path in args.models]
     kinds = {type(m) for m in models}
     if len(kinds) != 1:
@@ -271,6 +257,9 @@ def _cmd_superpose(args) -> int:
 
 
 def _cmd_merge(args) -> int:
+    from .aggregation import merge_traces_with_provenance
+    from .trace import read_trace_csv, write_trace_csv
+
     traces = [read_trace_csv(path) for path in args.traces]
     merged, origins = merge_traces_with_provenance(traces)
     _write_out(args.out, write_trace_csv(merged))
@@ -308,6 +297,11 @@ def _generate_params(args) -> dict:
 
 
 def _cmd_generate(args) -> int:
+    from .generators import gen_extremal_lambda_nu, gen_jittered, gen_periodic, gen_tspec_extremal
+    from .models import LambdaNuModel, TSpecModel, WindowMode, model_to_json
+    from .rational import parse_rational
+    from .trace import write_trace_csv
+
     params = _generate_params(args)
     kind = params.get("kind")
     count = params.get("count", 0)
@@ -349,12 +343,16 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from .table1 import render_table1_text, reproduce_table1, table1_to_json
+
     rows = reproduce_table1()
     _print(table1_to_json(rows), args.format, render_table1_text(rows))
     return 0
 
 
 def _cmd_suite(args) -> int:
+    from .suite import DEFAULT_SEED, SuiteConfig, run_property_suite
+
     seed = args.seed
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)

@@ -107,18 +107,21 @@ def read_trace_csv(source: str | TextIO) -> Trace:
     per line.  Ticks are nonnegative base-10 integers and must be
     nondecreasing; lengths, when the column is present, are positive
     base-10 integers.  Spaces around fields, blank lines and CRLF line ends
-    are accepted; a file with no packet rows is the empty trace.
+    are accepted.  A file with no packet rows is the empty trace, with
+    lengths when its header names them.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return read_trace_csv(fh)
     rows = [line for line in map(str.strip, source) if line]
+    width = 1
     if rows and rows[0].split(",")[0].strip() == CSV_HEADER_TICKS:
         header_cols = [c.strip() for c in rows[0].split(",")]
         if header_cols not in ([CSV_HEADER_TICKS], [CSV_HEADER_TICKS, CSV_HEADER_LENGTHS]):
             raise FormatError(f"unrecognized trace header {rows[0]!r}")
+        width = len(header_cols)  # the width of a header-only file; rows override it
         del rows[0]
-    width = rows[0].count(",") + 1 if rows else 1
+    width = rows[0].count(",") + 1 if rows else width
     arrivals: list[int] = []
     lengths: list[int] = []
     for lineno, row in enumerate(rows, start=1):

@@ -327,6 +327,12 @@ class TestMergeGenerate:
         assert run(["merge", "--traces", t1, t1]) == 0
         assert capsys.readouterr().out == "arrival_ticks\n0\n0\n"
 
+    def test_merge_with_header_only_flow_keeps_lengths(self, tmp_path, capsys):
+        a = _write(tmp_path / "a.csv", "arrival_ticks,length_bits\n1,8\n3,64\n")
+        empty = _write(tmp_path / "e.csv", "arrival_ticks,length_bits\n")
+        assert run(["merge", "--traces", a, empty]) == 0
+        assert capsys.readouterr().out == "arrival_ticks,length_bits\n1,8\n3,64\n"
+
     def test_generate_periodic_stdout(self, capsys):
         assert run(
             ["generate", "--kind", "periodic", "--period", "10", "--count", "3"]
@@ -572,6 +578,46 @@ def test_cli_import_does_not_load_numpy():
         env={**os.environ, "PYTHONPATH": src},
         check=True,
     )
+
+
+# the maxplus_tc submodules each subcommand loads, besides cli and errors: neither
+# check nor fit loads suite, reference, table1, generators, algebra or aggregation
+SUBCOMMAND_MODULES = {
+    "check": {"conformance", "models", "rational", "trace"},
+    "fit": {"conformance", "models", "rational", "trace"},
+    "map": {"algebra", "models", "rational", "trace"},
+    "merge": {"aggregation", "rational", "trace"},
+    "generate": {"conformance", "generators", "models", "rational", "trace"},
+}
+
+
+@pytest.mark.parametrize("sub", sorted(SUBCOMMAND_MODULES))
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, lam_nu_model, sub):
+    trace = _write(tmp_path / "t.csv", "0\n10\n")
+    out = str(tmp_path / "out.csv")
+    argv = [sub] + {
+        "check": ["--trace", trace, "--model", lam_nu_model],
+        "fit": ["--trace", trace, "--burst", "0"],
+        "map": ["--model", lam_nu_model],
+        "merge": ["--traces", trace, trace, "--out", out],
+        "generate": ["--kind", "periodic", "--period", "3", "--count", "2", "--out", out],
+    }[sub]
+    code = (
+        "import sys\n"
+        "from maxplus_tc import cli\n"
+        f"assert cli.run({argv!r}) == 0\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('maxplus_tc')))\n"
+    )
+    src = str(Path(maxplus_tc.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert loaded == {"maxplus_tc", "maxplus_tc.cli", "maxplus_tc.errors"} | {
+        f"maxplus_tc.{name}" for name in SUBCOMMAND_MODULES[sub]
+    }
 
 
 def _indented(obj) -> str:

@@ -1,7 +1,13 @@
 """The exported API, and the independence of the reference routes."""
 
 import ast
+import os
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 import maxplus_tc
 from maxplus_tc import reference
@@ -37,6 +43,49 @@ def test_exported_names_are_pinned_and_resolve():
     assert sorted(maxplus_tc.__all__) == EXPORTED
     for name in EXPORTED:
         assert getattr(maxplus_tc, name) is not None
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from maxplus_tc import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == EXPORTED
+
+
+def test_dir_lists_every_export():
+    assert set(EXPORTED) <= set(dir(maxplus_tc))
+
+
+def test_each_export_is_the_object_its_module_defines():
+    for name in EXPORTED:
+        value = getattr(maxplus_tc, name)
+        home = import_module(f"maxplus_tc.{maxplus_tc._MODULE_OF[name]}")
+        assert getattr(home, name) is value
+        # the table names the defining module, not one that re-imports the name
+        assert getattr(value, "__module__", home.__name__) == home.__name__
+    assert maxplus_tc.Trace is maxplus_tc.trace.Trace
+
+
+def test_unknown_name_raises_attribute_error_naming_the_module():
+    with pytest.raises(AttributeError, match="^module 'maxplus_tc' has no attribute 'Tracer'$"):
+        maxplus_tc.Tracer
+
+
+def test_exports_load_their_module_on_first_use():
+    code = (
+        "import sys, maxplus_tc\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('maxplus_tc.'))\n"
+        "print(loaded())\n"
+        "maxplus_tc.Trace\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.splitlines() == [
+        "[]", "['maxplus_tc.errors', 'maxplus_tc.rational', 'maxplus_tc.trace']"
+    ]
 
 
 def test_reference_routes_stay_independent():
@@ -75,7 +124,6 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    paths = [p for p in sorted((ROOT / "src" / "maxplus_tc").glob("*.py"))
-             if p.name != "__init__.py"]  # the package re-exports what it imports
+    paths = sorted((ROOT / "src" / "maxplus_tc").glob("*.py"))
     paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     assert [line for path in paths for line in _unused_imports(path)] == []

@@ -214,7 +214,6 @@ class TestCsv:
         "text",
         [
             "arrival_ticks\n",
-            "arrival_ticks,length_bits\n",
             " arrival_ticks \n\n",
             "",
             "\n\r\n  \n",
@@ -224,6 +223,17 @@ class TestCsv:
         trace = read_trace_csv(io.StringIO(text))
         assert trace == Trace(())
         assert trace.lengths is None
+
+    def test_header_with_lengths_and_no_rows_keeps_lengths(self):
+        for text in ("arrival_ticks,length_bits\n", " arrival_ticks , length_bits \r\n\n"):
+            trace = read_trace_csv(io.StringIO(text))
+            assert trace == Trace((), lengths=())
+            assert trace.lengths == ()
+
+    @pytest.mark.parametrize("lengths", [None, ()])
+    def test_empty_trace_roundtrip(self, lengths):
+        t = Trace((), lengths=lengths)
+        assert read_trace_csv(io.StringIO(write_trace_csv(t))) == t
 
     def test_padding_blank_lines_and_crlf(self):
         text = " arrival_ticks , length_bits \r\n\r\n 1 , 5 \r\n\t2,\t6\r\n\n3 ,7"
