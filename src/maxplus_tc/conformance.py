@@ -31,8 +31,8 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count, islice, repeat
-from operator import add, and_, eq, ge, itemgetter
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, and_, eq, ge, itemgetter, ne, sub
 
 from .errors import InfeasibleFitError, MissingLengthsError, UnboundedFitError
 from .models import LambdaNuModel, SigmaRhoModel, TSpecModel, WindowMode, model_to_json
@@ -304,16 +304,15 @@ def max_window_count(trace: Trace, tau: RationalLike, window_mode: WindowMode) -
 def _breakpoints(trace: Trace) -> tuple[list[int], list[int], list[int]]:
     """Distinct time points {0} + arrival ticks, with bits at each point and
     cumulative bits up to and including each point."""
-    bits_at: dict[int, int] = {0: 0}
-    for tick, bits in zip(trace.arrivals, trace.lengths or ()):
-        bits_at[tick] = bits_at.get(tick, 0) + bits
-    points = sorted(bits_at)
-    at = [bits_at[t] for t in points]
-    cum = []
-    total = 0
-    for b in at:
-        total += b
-        cum.append(total)
+    arrivals = trace.arrivals
+    # the running total after the last packet of each tick is that tick's
+    last_of_tick = list(map(ne, arrivals, arrivals[1:] + (None,)))
+    points = list(compress(arrivals, last_of_tick))
+    cum = list(compress(accumulate(trace.lengths or ()), last_of_tick))
+    if not points or points[0] > 0:
+        points.insert(0, 0)
+        cum.insert(0, 0)
+    at = list(map(sub, cum, chain((0,), cum)))
     return points, at, cum
 
 
@@ -401,14 +400,14 @@ def fit_lambda_nu(
         raise UnboundedFitError(
             f"no packet pair exceeds the allowance {nu}; any positive rate conforms"
         )
-    for n in range(lag + 1, n_pk + 1):
-        if arrivals[n - 1] == arrivals[n - 1 - lag]:
-            m = arrivals.index(arrivals[n - 1]) + 1
-            raise InfeasibleFitError(
-                f"packets {m} and {n} arrive together but are {n - m} apart "
-                f"in count, more than the allowance {nu}",
-                pair=(m, n),
-            )
+    n = next(compress(count(lag + 1), map(eq, islice(arrivals, lag, None), arrivals)), None)
+    if n is not None:
+        m = arrivals.index(arrivals[n - 1]) + 1
+        raise InfeasibleFitError(
+            f"packets {m} and {n} arrive together but are {n - m} apart "
+            f"in count, more than the allowance {nu}",
+            pair=(m, n),
+        )
     # lam >= (n - m - nu)/gap for every such pair.  Dinkelbach (1967): from
     # the ratio of some pair, move to the ratio of the pair whose gain most
     # exceeds r*q at the current rate, until none exceeds it.

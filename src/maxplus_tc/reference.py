@@ -1,12 +1,13 @@
 """Brute-force reference routes: one literal route per question.
 
-Each route quantifies over every packet pair (or window, or split) exactly as
-the definition reads, with no running minima, window scans or shared helpers
-of the production modules, so a bug in a fast path cannot hide in code both
-sides use.  Each route has the signature and result type of the production
-function it checks, so a test can compare whole outcomes.  Most cost O(N^2)
-or more (``aggregate_eq1`` is exponential in the flow count) and are meant
-for small inputs: the test suite and the randomized validation suite.
+Each route quantifies over every packet pair (or window, or split, or CSV
+row) exactly as the definition reads, with no running minima, window scans,
+bulk parsing or shared helpers of the production modules, so a bug in a
+fast path cannot hide in code both sides use.  Each route has the signature
+and result type of the production function it checks, so a test can compare
+whole outcomes.  Most cost O(N^2) or more (``aggregate_eq1`` is exponential
+in the flow count) and are meant for small inputs: the test suite and the
+randomized validation suite.
 """
 
 from __future__ import annotations
@@ -15,18 +16,72 @@ import math
 from fractions import Fraction
 from itertools import product
 from operator import itemgetter
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .aggregation import PacketOrigin
 from .conformance import ConformanceReport, FitResult, Witness
-from .errors import InfeasibleFitError, MissingLengthsError, UnboundedFitError
+from .errors import FormatError, InfeasibleFitError, MissingLengthsError, UnboundedFitError
 from .models import LambdaNuModel, SigmaRhoModel, TSpecModel, WindowMode
 from .rational import RationalLike
-from .trace import Trace
+from .trace import CSV_HEADER_LENGTHS, CSV_HEADER_TICKS, Trace
 
 
 def _report(witness: Witness | None, tight: list, checked: int) -> ConformanceReport:
     return ConformanceReport(witness is None, witness, tuple(sorted(tight)), len(tight), checked)
+
+
+# ---------------------------------------------------------------------------
+# Trace CSV
+
+
+def read_trace_csv_by_rows(source: str | TextIO) -> Trace:
+    """Reference for :func:`~maxplus_tc.read_trace_csv`: each row on its own,
+    in file order, split, checked and converted by ``int()``.  The first row
+    that breaks the format is the one reported; the range rules (ticks
+    nonnegative and nondecreasing, lengths positive) are ``Trace``'s, after
+    every row has parsed."""
+    if isinstance(source, str):
+        with open(source, "r", encoding="utf-8") as fh:
+            return read_trace_csv_by_rows(fh)
+    rows = [line for line in map(str.strip, source) if line]
+    width = None
+    if rows and rows[0].split(",")[0].strip() == CSV_HEADER_TICKS:
+        header = [c.strip() for c in rows[0].split(",")]
+        if header == [CSV_HEADER_TICKS, CSV_HEADER_LENGTHS]:
+            width = 2
+        elif header != [CSV_HEADER_TICKS]:
+            raise FormatError(f"unrecognized trace header {rows[0]!r}")
+        rows = rows[1:]
+    if width is None:
+        width = rows[0].count(",") + 1 if rows else 1
+    arrivals: list[int] = []
+    lengths: list[int] = []
+    for lineno, row in enumerate(rows, start=1):
+        cols = row.split(",")
+        if len(cols) > 2:
+            raise FormatError(f"row {lineno}: expected 1 or 2 columns, got {len(cols)}")
+        if len(cols) != width:
+            raise FormatError(f"row {lineno}: inconsistent column count")
+        if not row.isascii() or "_" in row or "+" in row:
+            raise FormatError(f"row {lineno}: fields must be ASCII base-10 integers, got {row!r}")
+        try:
+            values = [int(col) for col in cols]
+        except ValueError:
+            # name the first field int() rejects even without its padding
+            for col in cols:
+                try:
+                    int(col.strip())
+                except ValueError as exc:
+                    raise FormatError(f"row {lineno}: {exc}") from None
+            raise FormatError(
+                f"row {lineno}: fields must be ASCII base-10 integers, got {row!r}"
+            ) from None
+        arrivals.append(values[0])
+        lengths.extend(values[1:])
+    try:
+        return Trace(arrivals=arrivals, lengths=lengths if width == 2 else None)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ length, enabling the cumulative (bit-domain) view.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import le
 from typing import TextIO
 
@@ -107,23 +108,76 @@ def read_trace_csv(source: str | TextIO) -> Trace:
     per line.  Ticks are nonnegative base-10 integers and must be
     nondecreasing; lengths, when the column is present, are positive
     base-10 integers.  Spaces around fields, blank lines and CRLF line ends
-    are accepted.  A file with no packet rows is the empty trace, with
-    lengths when its header names them.
+    are accepted.  Rows have as many columns as the first, or two when the
+    header names lengths.  A file with no packet rows is the empty trace,
+    with lengths when its header names them.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return read_trace_csv(fh)
-    rows = [line for line in map(str.strip, source) if line]
+    rows = list(filter(None, map(str.strip, source)))
     width = 1
     if rows and rows[0].split(",")[0].strip() == CSV_HEADER_TICKS:
         header_cols = [c.strip() for c in rows[0].split(",")]
         if header_cols not in ([CSV_HEADER_TICKS], [CSV_HEADER_TICKS, CSV_HEADER_LENGTHS]):
             raise FormatError(f"unrecognized trace header {rows[0]!r}")
-        width = len(header_cols)  # the width of a header-only file; rows override it
+        width = len(header_cols)  # a header naming lengths binds the rows
         del rows[0]
-    width = rows[0].count(",") + 1 if rows else width
-    arrivals: list[int] = []
-    lengths: list[int] = []
+    if rows and width == 1:
+        width = rows[0].count(",") + 1
+    count = len(rows)
+    # each stage is dropped once the next holds the data: the row list, the
+    # joined text and the integers are never all alive at once.  The rows
+    # split back from the text, unless one holds a "\n" of its own (a stream
+    # that ends lines at "\r" only): then the list is kept
+    body = "\n".join(rows)
+    if body.count("\n") < count:
+        rows = None
+    values = _bulk_integers(body, count, width)
+    if values is None:
+        values = _row_integers(body.split("\n") if rows is None else rows, width)
+    del body, rows
+    arrivals, lengths = (values[::2], values[1::2]) if width == 2 else (values, None)
+    del values
+    try:
+        return Trace(arrivals=arrivals, lengths=lengths)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+# the digits, the sign and the padding int() takes in a field; "\n" ends a row
+_NOT_SEPARATOR = str.maketrans("", "", "0123456789- \t\r\v\f")
+
+
+def _bulk_integers(body: str, count: int, width: int) -> list[int] | None:
+    """Every field of the ``count`` rows joined in ``body``, in file order,
+    or None when some row breaks the format."""
+    if width > 2:
+        return None
+    # every other character (non-ASCII, "_", "+", a letter) stays in the
+    # skeleton and fails the comparison
+    if body.translate(_NOT_SEPARATOR) != "\n".join(repeat("," * (width - 1), count)):
+        return None
+    fields = body.replace("\n", ",")
+    # Each field is now digits, "-" and padding between separators, and the
+    # rows have the right width.  On such text the JSON number grammar
+    # -?(0|[1-9][0-9]*), padded by space, tab or CR, is a subset of what int()
+    # takes, with the same value: the decoder returns int()'s integers or
+    # raises.  It refuses what int() may still take ("007", "\v" padding).
+    try:
+        return json.loads(f"[{fields}]")
+    except ValueError:
+        pass
+    try:
+        return list(map(int, fields.split(",")))
+    except ValueError:
+        return None
+
+
+def _row_integers(rows: list[str], width: int) -> list[int]:
+    """The fields row by row, raising for the first row, in file order, that
+    breaks the format."""
+    values: list[int] = []
     for lineno, row in enumerate(rows, start=1):
         cols = row.split(",")
         if len(cols) > 2:
@@ -136,15 +190,10 @@ def read_trace_csv(source: str | TextIO) -> Trace:
                 f"row {lineno}: fields must be ASCII base-10 integers, got {row!r}"
             )
         try:
-            arrivals.append(int(cols[0]))
-            if width == 2:
-                lengths.append(int(cols[1]))
+            values.extend(map(int, cols))
         except ValueError:
             raise _field_error(lineno, row) from None
-    try:
-        return Trace(arrivals=arrivals, lengths=lengths if width == 2 else None)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return values
 
 
 def _field_error(lineno: int, row: str) -> FormatError:

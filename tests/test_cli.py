@@ -161,6 +161,14 @@ class TestCheck:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["kind"] == "io"
 
+    def test_header_naming_lengths_with_one_column_rows_exits_three(
+        self, tmp_path, lam_nu_model, capsys
+    ):
+        trace = _write(tmp_path / "t.csv", "arrival_ticks,length_bits\n1\n2\n")
+        assert run(["check", "--trace", trace, "--model", lam_nu_model]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"kind": "io", "message": "row 1: inconsistent column count"}
+
     def test_malformed_model_exits_three(self, tmp_path):
         trace = _write(tmp_path / "t.csv", "0\n")
         model = _write(tmp_path / "m.json", "{not json")

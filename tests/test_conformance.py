@@ -232,6 +232,22 @@ class TestCheckSigmaRho:
                 )
 
 
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            Trace((0, 0, 3, 7), lengths=(40, 60, 100, 10)),  # first tick 0
+            Trace((5, 5, 5), lengths=(100, 200, 300)),  # every packet on one tick
+            Trace((0, 0), lengths=(1, 2)),
+            Trace((), lengths=()),
+        ],
+    )
+    def test_breakpoint_edges_match_reference(self, trace):
+        for model in (SigmaRhoModel(F(100), F(10)), SigmaRhoModel(F(600), F(1, 3))):
+            assert report_to_json(check_sigma_rho(trace, model)) == report_to_json(
+                reference.check_sigma_rho_pairwise(trace, model)
+            )
+
+
 class TestFitLambdaNu:
     def test_fit_burst(self):
         fit = fit_lambda_nu(Trace((0, 0, 10, 20)), lam=F(1, 10))
@@ -247,6 +263,20 @@ class TestFitLambdaNu:
         with pytest.raises(InfeasibleFitError) as exc:
             fit_lambda_nu(Trace((0, 0, 10)), nu=F(0))
         assert exc.value.pair == (1, 2)
+
+    @pytest.mark.parametrize(
+        "arrivals, nu, pair",
+        [((0, 0, 10), F(0), (1, 2)), ((0, 5, 5, 5, 5, 9), F(5, 2), (2, 5)), ((7, 7, 7), F(1), (1, 3))],
+    )
+    def test_infeasible_message_names_first_group_member(self, arrivals, nu, pair):
+        with pytest.raises(InfeasibleFitError) as exc:
+            fit_lambda_nu(Trace(arrivals), nu=nu)
+        m, n = pair
+        assert exc.value.pair == pair
+        assert str(exc.value) == (
+            f"packets {m} and {n} arrive together but are {n - m} apart "
+            f"in count, more than the allowance {nu}"
+        )
 
     def test_unconstrained_rate(self):
         with pytest.raises(UnboundedFitError):

@@ -1,7 +1,12 @@
+import gc
 import io
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxplus_tc import (
     FormatError,
@@ -12,6 +17,7 @@ from maxplus_tc import (
     rational_from_json,
     rational_to_json,
     read_trace_csv,
+    reference,
     write_trace_csv,
 )
 
@@ -195,12 +201,15 @@ class TestCsv:
             # and rows are reported in file order, whatever the fault
             ("x\n1,2,3\n", "row 1: invalid literal for int() with base 10: 'x'"),
             ("0\n\n1_0\n2,3\n", "row 2: fields must be ASCII base-10 integers, got '1_0'"),
+            ("-0, 00\t\n", "length 0 of packet 1 is not positive"),
+            ("arrival_ticks,length_bits\n1\n", "row 1: inconsistent column count"),
         ],
     )
     def test_malformed_messages(self, text, message):
-        with pytest.raises(FormatError) as info:
-            read_trace_csv(io.StringIO(text))
-        assert str(info.value) == message
+        for read in (read_trace_csv, reference.read_trace_csv_by_rows):
+            with pytest.raises(FormatError) as info:
+                read(io.StringIO(text))
+            assert str(info.value) == message
 
     def test_separator_controls_around_a_field_rejected(self):
         # str.strip() would drop 0x1c-0x1f, int() does not take them as space
@@ -243,6 +252,38 @@ class TestCsv:
     def test_header_names_ticks_only_rows_may_carry_lengths(self):
         assert read_trace_csv(io.StringIO("arrival_ticks\n1,5\n")) == Trace((1,), lengths=(5,))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "arrival_ticks,length_bits\n1\n2\n",
+            "arrival_ticks , length_bits\r\n\r\n 7 \r\n",
+            "arrival_ticks,length_bits\n1\n2,5\n",
+        ],
+    )
+    def test_header_naming_lengths_binds_the_rows(self, text):
+        with pytest.raises(FormatError) as info:
+            read_trace_csv(io.StringIO(text))
+        assert str(info.value) == "row 1: inconsistent column count"
+
+    @pytest.mark.parametrize(
+        "text, trace",
+        [
+            ("007\n010\n", Trace((7, 10))),
+            ("1\v,\f5\n", Trace((1,), lengths=(5,))),
+            ("-0, 01\t\n", Trace((0,), lengths=(1,))),
+            ("0\r,1\n", Trace((0,), lengths=(1,))),
+        ],
+    )
+    def test_fields_the_json_grammar_refuses_read_as_int_does(self, text, trace):
+        assert read_trace_csv(io.StringIO(text)) == trace
+
+    @pytest.mark.parametrize("text", ["1\n2\r3\r", "1\n,2\r3\n,4\r", "0\r5\n\r", "0\r,\n1\r"])
+    def test_rows_holding_a_line_feed_read_as_the_reference_does(self, text):
+        # a stream that ends lines at "\r" only leaves "\n" inside a row
+        assert _read_outcome(read_trace_csv, text, newline="\r") == _read_outcome(
+            reference.read_trace_csv_by_rows, text, newline="\r"
+        )
+
     @pytest.mark.parametrize("lengths", [None, (2**63, 1, 2**70)])
     def test_ticks_and_lengths_beyond_int64_roundtrip(self, lengths):
         t = Trace((2**63 - 1, 2**63, 2**64 + 7), lengths=lengths)
@@ -268,6 +309,134 @@ class TestCsv:
         path = tmp_path / "t.csv"
         path.write_text(write_trace_csv(t), encoding="utf-8")
         assert read_trace_csv(str(path)) == t
+
+
+PADDING = " \t\r\v\f\x1c\x1d\x1e\x1f"
+HEADERS = [None, "arrival_ticks", "arrival_ticks,length_bits", " arrival_ticks\t,  length_bits "]
+ODD_HEADERS = [
+    "arrival_ticks,foo", "arrival_ticks,length_bits,x", "arrival_ticks,", "length_bits,arrival_ticks",
+]
+ODD_FIELDS = [
+    "", "-", "--1", "-0", "00", "1_0", "+5", "\u0661", "\uff11", "x", "1.5", "1e3", "1 2",
+    "0x1", "NaN", "Infinity", "[1]", "true", str(2**64), str(-(2**70)),
+]
+values = st.one_of(
+    st.integers(0, 40),
+    st.integers(2**63 - 3, 2**63 + 3),
+    st.integers(2**64, 2**80),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text near the format: rows of one to three columns, with padding,
+    blank lines, leading zeros, signs, odd fields and headers mixed in.  One
+    draw per text sets how often a part is spoiled, so that clean texts,
+    which the bulk path reads, are common too."""
+    rarity = draw(st.sampled_from([2, 8, 40, 10**6]))
+
+    def spoiled():
+        return draw(st.integers(0, rarity)) == 0
+
+    n = draw(st.integers(0, 6))
+    width = draw(st.sampled_from([1, 2, 3]))
+    ticks = draw(st.lists(values, min_size=n, max_size=n))
+    if not spoiled():
+        ticks.sort()
+    lengths = draw(st.lists(values, min_size=n, max_size=n))
+    header = draw(st.sampled_from(ODD_HEADERS if spoiled() else HEADERS))
+    lines = [] if header is None else [header]
+    for tick, bits in zip(ticks, lengths):
+        row_width = draw(st.sampled_from([1, 2, 3])) if spoiled() else width
+        fields = []
+        for value in (tick, bits, bits)[:row_width]:
+            text = str(value)
+            if spoiled():
+                text = draw(st.sampled_from(ODD_FIELDS + ["0" + text, "-" + text]))
+            pad = st.text(PADDING if spoiled() else " \t\r", max_size=2)
+            fields.append(draw(pad) + text + draw(pad))
+        lines.append(",".join(fields))
+        if spoiled():
+            lines.append(draw(st.text(PADDING, max_size=2)))  # a blank line
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _read_outcome(read, text, newline="\n"):
+    """The trace read from the text, or the message of the error raised."""
+    source = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
+    try:
+        return read(source)
+    except FormatError as exc:
+        return str(exc)
+
+
+class TestReaderMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts())
+    def test_same_trace_or_same_message(self, text):
+        expected = _read_outcome(reference.read_trace_csv_by_rows, text)
+        assert _read_outcome(read_trace_csv, text) == expected
+
+    @pytest.mark.parametrize("odd", ODD_FIELDS + ["007", "0"] + [f"{c}7{c}" for c in PADDING])
+    def test_one_odd_field_in_a_clean_file(self, odd):
+        for header in HEADERS:
+            for row in range(3):
+                for col in range(2):
+                    rows = [["1", "10"], ["2", "20"], ["3", "30"]]
+                    rows[row][col] = odd
+                    lines = ([header] if header else []) + [",".join(r) for r in rows]
+                    text = "\n".join(lines) + "\n"
+                    assert _read_outcome(read_trace_csv, text) == _read_outcome(
+                        reference.read_trace_csv_by_rows, text
+                    )
+
+
+def _two_column_text(rows):
+    lengths = [64 + i * 37 % 1437 for i in range(rows)]
+    return write_trace_csv(Trace(range(0, 10 * rows, 10), lengths=lengths))
+
+
+class TestReaderCost:
+    def test_peak_memory_at_1e5_rows(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(_two_column_text(10**5))
+        path = str(path)
+        tracemalloc.start()
+        try:
+            trace = read_trace_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 10**5
+        assert peak < 12 * 2**20
+
+    def test_no_python_code_per_row(self):
+        # every Python frame a row might start runs lines, so equal line
+        # counts also mean no frame per row.  The text is read from memory:
+        # a file's UTF-8 decoder runs one Python frame per 8 KiB chunk it
+        # decodes, whatever the rows.  The collector is off, as in the
+        # command line, so that no gc callback (hypothesis installs one)
+        # runs at a random point
+        def count(rows):
+            seen = []
+
+            def record(frame, kind, arg):
+                seen.append(kind)
+                return record  # trace the lines of each frame
+
+            source = io.StringIO(_two_column_text(rows))
+            gc.disable()
+            sys.settrace(record)
+            try:
+                trace = read_trace_csv(source)
+            finally:
+                sys.settrace(None)
+                gc.enable()
+            assert len(trace) == rows
+            return seen.count("line")
+
+        assert count(10**3) == count(10**4)
 
 
 class TestRationalJson:
