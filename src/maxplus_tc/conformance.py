@@ -17,10 +17,13 @@ All comparisons are exact and use Python integers only.  Each rate/burst
 and bit-domain question reduces to integer keys per packet (or breakpoint):
 a pair is judged by the gain ``ends[n] - starts[m]`` against an integer
 limit.  One pass with a running minimum of the start keys then gives the
-verdict, the earliest witness, the largest gain (a fitted burst) and its
-binding pair.  Tight pairs are counted in O(N) however many there are:
-one C-level pass keeps the starts whose key plus the limit occurs among the
-end keys, and only those are grouped; listing them costs the pairs listed.
+verdict, the earliest witness, the largest gain and its binding pair.  With
+the burst set to 0 in the keys, the largest gain, scaled back, is also the
+fitted burst: nu at a fixed rate (:func:`fit_lambda_nu`) and sigma at a
+fixed bit rate (:func:`fit_sigma_rho`).  Tight pairs are counted in O(N)
+however many there are: one C-level pass keeps the starts whose key plus
+the limit occurs among the end keys, and only those are grouped; listing
+them costs the pairs listed.
 The literal pairwise routes these passes are tested against live in
 :mod:`maxplus_tc.reference`.
 """
@@ -240,16 +243,6 @@ def check_lambda_nu(
 # TSpec (sliding window) checking
 
 
-def _window_starts(arrivals: tuple[int, ...], max_gap: int):
-    """For each packet j (0-based) yield the smallest window start i with
-    ``arrivals[j] - arrivals[i] <= max_gap``.  O(N) two-pointer."""
-    i = 0
-    for j in range(len(arrivals)):
-        while arrivals[j] - arrivals[i] > max_gap:
-            i += 1
-        yield j, i
-
-
 def check_tspec(
     trace: Trace, tspec: TSpecModel, *, max_tight: int | None = None
 ) -> ConformanceReport:
@@ -287,14 +280,18 @@ def max_window_count(trace: Trace, tau: RationalLike, window_mode: WindowMode) -
         return 0, None
     probe = TSpecModel(tau=Fraction(tau), k_max=1, window_mode=window_mode)
     max_gap = probe.max_gap_in_window()
-    best = 0
-    best_pair: tuple[int, int] | None = None
-    for j, i in _window_starts(arrivals, max_gap):
-        count = j - i + 1
-        if count > best:
-            best = count
-            best_pair = (i + 1, j + 1)
-    return best, best_pair
+    # packets i..j never shrink: they grow by packet j when it shares a
+    # window with packet i, else slide one place.  So j - i + 1 is the most
+    # packets any window up to j holds, and they last grew at the earliest
+    # busiest window (smallest end, then smallest start).
+    i = 0
+    pair = None
+    for j, a in enumerate(arrivals):
+        if a - arrivals[i] > max_gap:
+            i += 1
+        else:
+            pair = (i + 1, j + 1)
+    return len(arrivals) - i, pair
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +311,17 @@ def _breakpoints(trace: Trace) -> tuple[list[int], list[int], list[int]]:
         cum.insert(0, 0)
     at = list(map(sub, cum, chain((0,), cum)))
     return points, at, cum
+
+
+def _window_keys(
+    points: list[int], at: list[int], cum: list[int], scale: int, rate: int
+) -> tuple[list[int], list[int]]:
+    """Start and end keys of the closed windows between breakpoints: window
+    [points[i], points[j]] (1-based i <= j) has gain
+    ``ends[j] - starts[i] = scale*bits - rate*width``."""
+    ends = [scale * c - rate * t for t, c in zip(points, cum)]
+    starts = [e - scale * a for e, a in zip(ends, at)]
+    return starts, ends
 
 
 def check_sigma_rho(
@@ -337,10 +345,8 @@ def check_sigma_rho(
     scale = rho_d * sig_d  # bits * scale  vs  rho_n*sig_d*dt + sig_n*rho_d
     rate_c = rho_n * sig_d
     burst_c = sig_n * rho_d
-    # window [points[i], points[j]] (1-based i <= j) violates iff
-    # ends[j] - starts[i] = scale*bits - rate_c*width exceeds burst_c
-    ends = [scale * c - rate_c * t for t, c in zip(points, cum)]
-    starts = [e - scale * a for e, a in zip(ends, at)]
+    # a window violates iff its gain scale*bits - rate_c*width exceeds burst_c
+    starts, ends = _window_keys(points, at, cum, scale, rate_c)
     witness = None
     pair = _first_over(starts, ends, 0, burst_c)
     if pair is not None:
@@ -418,6 +424,30 @@ def fit_lambda_nu(
         m, n, gain = max(_gains(keys, keys, lag), key=itemgetter(2))
         if gain == limit:
             return FitResult(LambdaNuModel(lam=lam, nu=nu), (m, n))
+
+
+def fit_sigma_rho(trace: Trace, *, rho: RationalLike) -> FitResult:
+    """Fit the minimal bit-domain burst at rate ``rho``.
+
+    sigma is the largest excess ``bits - rho*(t - s)`` of any closed window
+    [s, t] between breakpoints.  With rho = p/q that is the largest gain of
+    :func:`check_sigma_rho`'s keys at sigma = 0, divided by q; a one-point
+    window never has a negative excess, so sigma >= 0.  The binding pair is
+    the first window in (t, s) order with that excess, labelled by its end
+    ticks like the check's witness.
+    """
+    rho = Fraction(rho)
+    if rho <= 0:
+        raise ValueError(f"rate must be positive, got {rho}")
+    if trace.lengths is None and trace.num_packets > 0:
+        raise MissingLengthsError("bit-domain fit needs per-packet lengths")
+    points, at, cum = _breakpoints(trace)
+    starts, ends = _window_keys(points, at, cum, rho.denominator, rho.numerator)
+    i, j, gain = max(_gains(starts, ends, 0), key=itemgetter(2))
+    return FitResult(
+        SigmaRhoModel(sigma=Fraction(gain, rho.denominator), rho=rho),
+        (points[i - 1], points[j - 1]),
+    )
 
 
 def fit_tspec(

@@ -264,7 +264,8 @@ def check_sigma_rho_pairwise(trace: Trace, model: SigmaRhoModel) -> ConformanceR
 
 
 def sigma_for_rate(trace: Trace, rho: Fraction) -> Fraction:
-    """Smallest burst sigma such that (sigma, rho) covers the trace: the
+    """Reference for the burst :func:`~maxplus_tc.conformance.fit_sigma_rho`
+    fits: the smallest sigma such that (sigma, rho) covers the trace, the
     largest excess ``bits - rho*(t - s)`` of any window, scaled by the
     denominator of rho so that each window costs integer work only.  The
     one-point windows have no negative excess, so the result is >= 0."""

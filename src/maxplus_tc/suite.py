@@ -10,6 +10,11 @@ human-readable rendering.
 A failure never aborts the run; it is recorded as a serialized
 counterexample in the property's report and reflected in the exit status of
 the CLI wrapper.
+
+Trials pay only for what they read: a check read for its verdict passes
+``max_tight=0`` and lists no tight pairs, and a failure record that shows
+the report recomputes it in full.  Reference routes serve only as the slow
+side of a differential property, never to build a trial's inputs.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .conformance import (
     check_sigma_rho,
     check_tspec,
     fit_lambda_nu,
+    fit_sigma_rho,
     fit_tspec,
     report_to_json,
 )
@@ -51,7 +57,6 @@ from .models import (
     LambdaNuModel,
     MappingVariant,
     MaxPlusCurve,
-    SigmaRhoModel,
     TSpecModel,
     WindowMode,
     model_to_json,
@@ -61,7 +66,6 @@ from .reference import (
     aggregate_eq1,
     check_lambda_nu_via_convolution,
     check_tspec_pairwise,
-    sigma_for_rate,
 )
 from .trace import Trace
 
@@ -273,14 +277,13 @@ def _prop_merge_conforms_to_direct_sum(rng: Lcg64, cfg: SuiteConfig) -> dict | N
     traces = [_conforming_rate_burst_trace(rng, m, cfg.max_packets) for m in models]
     merged = merge_traces(traces)
     aggregate = superpose_lambda_nu(models)
-    report = check_lambda_nu(merged, aggregate)
-    if report.conforms:
+    if check_lambda_nu(merged, aggregate, max_tight=0).conforms:
         return None
     return {
         "models": [model_to_json(m) for m in models],
         "traces": [_trace_summary(t) for t in traces],
         "aggregate": model_to_json(aggregate),
-        "report": report_to_json(report),
+        "report": report_to_json(check_lambda_nu(merged, aggregate)),
     }
 
 
@@ -309,15 +312,14 @@ def _prop_rate_burst_maps_into_tspec(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
     for j in range(1, 6):
         for variant in (MappingVariant.A, MappingVariant.B):
             tspec = map_lambda_nu_to_tspec(model, variant, j)
-            report = check_tspec(trace, tspec)
-            if not report.conforms:
+            if not check_tspec(trace, tspec, max_tight=0).conforms:
                 return {
                     "model": model_to_json(model),
                     "j": j,
                     "variant": variant.value,
                     "tspec": model_to_json(tspec),
                     "trace": _trace_summary(trace),
-                    "report": report_to_json(report),
+                    "report": report_to_json(check_tspec(trace, tspec)),
                 }
     return None
 
@@ -326,14 +328,13 @@ def _prop_tspec_maps_into_rate_burst(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
     tspec = _rand_tspec(rng)
     trace = _conforming_tspec_trace(rng, tspec, min(cfg.max_packets, 400))
     model = map_tspec_to_lambda_nu(tspec)
-    report = check_lambda_nu(trace, model)
-    if report.conforms:
+    if check_lambda_nu(trace, model, max_tight=0).conforms:
         return None
     return {
         "tspec": model_to_json(tspec),
         "model": model_to_json(model),
         "trace": _trace_summary(trace),
-        "report": report_to_json(report),
+        "report": report_to_json(check_lambda_nu(trace, model)),
     }
 
 
@@ -344,14 +345,13 @@ def _prop_merge_conforms_to_tspec_sum(rng: Lcg64, cfg: SuiteConfig) -> dict | No
     traces = [_conforming_tspec_trace(rng, t, per_flow) for t in tspecs]
     merged = merge_traces(traces)
     aggregate = superpose_tspec(tspecs)
-    report = check_tspec(merged, aggregate)
-    if report.conforms:
+    if check_tspec(merged, aggregate, max_tight=0).conforms:
         return None
     return {
         "tspecs": [model_to_json(t) for t in tspecs],
         "aggregate": model_to_json(aggregate),
         "traces": [_trace_summary(t) for t in traces],
-        "report": report_to_json(report),
+        "report": report_to_json(check_tspec(merged, aggregate)),
     }
 
 
@@ -362,19 +362,17 @@ def _prop_merge_conforms_to_bit_sum(rng: Lcg64, cfg: SuiteConfig) -> dict | None
     for _ in range(flows):
         trace = _arbitrary_trace(rng, min(cfg.max_packets, 80), with_lengths=True)
         rho = Fraction(rng.randint(1, 500), rng.randint(1, 8))
-        model = SigmaRhoModel(sigma=sigma_for_rate(trace, rho), rho=rho)
-        models.append(model)
+        models.append(fit_sigma_rho(trace, rho=rho).model)
         traces.append(trace)
     merged = merge_traces(traces)
     aggregate = superpose_sigma_rho(models)
-    report = check_sigma_rho(merged, aggregate)
-    if report.conforms:
+    if check_sigma_rho(merged, aggregate, max_tight=0).conforms:
         return None
     return {
         "models": [model_to_json(m) for m in models],
         "aggregate": model_to_json(aggregate),
         "traces": [_trace_summary(t) for t in traces],
-        "report": report_to_json(report),
+        "report": report_to_json(check_sigma_rho(merged, aggregate)),
     }
 
 
@@ -450,13 +448,12 @@ def _prop_fitted_envelopes_are_tight(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
 
     lam = Fraction(rng.randint(1, 8), rng.randint(1, 64))
     fit = fit_lambda_nu(trace, lam=lam)
-    if not check_lambda_nu(trace, fit.model).conforms:
+    if not check_lambda_nu(trace, fit.model, max_tight=0).conforms:
         return {**ctx, "stage": "burst fit does not conform", "model": model_to_json(fit.model)}
     if fit.model.nu > 0:
         delta = fit.model.nu / rng.randint(2, 9)
         tightened = LambdaNuModel(lam=lam, nu=fit.model.nu - delta)
-        report = check_lambda_nu(trace, tightened)
-        if report.conforms:
+        if check_lambda_nu(trace, tightened, max_tight=0).conforms:
             return {**ctx, "stage": "burst fit not minimal", "model": model_to_json(tightened)}
         if fit.binding_pair is not None:
             m, n = fit.binding_pair
@@ -474,24 +471,24 @@ def _prop_fitted_envelopes_are_tight(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
         return None
     except UnboundedFitError:
         probe = LambdaNuModel(lam=Fraction(1, 10**6), nu=nu)
-        if not check_lambda_nu(trace, probe).conforms:
+        if not check_lambda_nu(trace, probe, max_tight=0).conforms:
             return {**ctx, "stage": "bogus unboundedness"}
         return None
-    if not check_lambda_nu(trace, fit.model).conforms:
+    if not check_lambda_nu(trace, fit.model, max_tight=0).conforms:
         return {**ctx, "stage": "rate fit does not conform", "model": model_to_json(fit.model)}
     delta = fit.model.lam / rng.randint(2, 9)
     tightened = LambdaNuModel(lam=fit.model.lam - delta, nu=nu)
-    if check_lambda_nu(trace, tightened).conforms:
+    if check_lambda_nu(trace, tightened, max_tight=0).conforms:
         return {**ctx, "stage": "rate fit not minimal", "model": model_to_json(tightened)}
 
     tau = Fraction(rng.randint(1, 40))
     mode = rng.choice((WindowMode.CLOSED, WindowMode.OPEN))
     tfit = fit_tspec(trace, tau, mode)
-    if not check_tspec(trace, tfit.model).conforms:
+    if not check_tspec(trace, tfit.model, max_tight=0).conforms:
         return {**ctx, "stage": "window fit does not conform", "model": model_to_json(tfit.model)}
     if tfit.model.k_max > 1:
         smaller = TSpecModel(tau=tau, k_max=tfit.model.k_max - 1, window_mode=mode)
-        if check_tspec(trace, smaller).conforms and trace.num_packets > 0:
+        if check_tspec(trace, smaller, max_tight=0).conforms and trace.num_packets > 0:
             return {**ctx, "stage": "window fit not minimal", "model": model_to_json(smaller)}
     return None
 
@@ -513,7 +510,7 @@ def _prop_looser_models_stay_conforming(rng: Lcg64, cfg: SuiteConfig) -> dict | 
         lam=model.lam * (1 + Fraction(rng.randint(0, 8), 4)),
         nu=model.nu + Fraction(rng.randint(0, 8), 2),
     )
-    if not check_lambda_nu(trace, looser).conforms:
+    if not check_lambda_nu(trace, looser, max_tight=0).conforms:
         return {
             "model": model_to_json(model),
             "looser": model_to_json(looser),
@@ -526,7 +523,7 @@ def _prop_looser_models_stay_conforming(rng: Lcg64, cfg: SuiteConfig) -> dict | 
         k_max=tspec.k_max + rng.randint(0, 3),
         window_mode=tspec.window_mode,
     )
-    if not check_tspec(ttrace, shorter).conforms:
+    if not check_tspec(ttrace, shorter, max_tight=0).conforms:
         return {
             "tspec": model_to_json(tspec),
             "looser": model_to_json(shorter),
@@ -578,12 +575,12 @@ def _prop_generators_pass_their_checkers(rng: Lcg64, cfg: SuiteConfig) -> dict |
     count = rng.randint(0, min(cfg.max_packets, 200))
     periodic = gen_periodic(period, rng.randint(0, 100), count)
     model = LambdaNuModel(lam=Fraction(1, period), nu=Fraction(0))
-    if not check_lambda_nu(periodic, model).conforms:
+    if not check_lambda_nu(periodic, model, max_tight=0).conforms:
         return {"stage": "periodic", "period": period, "trace": _trace_summary(periodic)}
 
     rb = _rand_rate_burst(rng)
     extremal = gen_extremal_lambda_nu(rb, rng.randint(0, 150))
-    if not check_lambda_nu(extremal, rb).conforms:
+    if not check_lambda_nu(extremal, rb, max_tight=0).conforms:
         return {"stage": "extremal", "model": model_to_json(rb), "trace": _trace_summary(extremal)}
     if rb.nu.denominator == 1 and extremal.num_packets >= rb.nu + 2:
         refit = fit_lambda_nu(extremal, lam=rb.lam)
@@ -596,14 +593,14 @@ def _prop_generators_pass_their_checkers(rng: Lcg64, cfg: SuiteConfig) -> dict |
 
     tspec = _rand_tspec(rng)
     bursts = gen_tspec_extremal(tspec, rng.randint(0, 200))
-    if not check_tspec(bursts, tspec).conforms:
+    if not check_tspec(bursts, tspec, max_tight=0).conforms:
         return {"stage": "tspec bursts", "tspec": model_to_json(tspec), "trace": _trace_summary(bursts)}
 
     period = rng.randint(1, 60)
     trace, fitted = gen_jittered(
         period, rng.randint(0, period - 1), rng.next_u32(), rng.randint(0, 200)
     )
-    if not check_lambda_nu(trace, fitted).conforms:
+    if not check_lambda_nu(trace, fitted, max_tight=0).conforms:
         return {"stage": "jittered", "model": model_to_json(fitted), "trace": _trace_summary(trace)}
     return None
 

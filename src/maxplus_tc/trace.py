@@ -151,7 +151,8 @@ _NOT_SEPARATOR = str.maketrans("", "", "0123456789- \t\r\v\f")
 
 def _bulk_integers(body: str, count: int, width: int) -> list[int] | None:
     """Every field of the ``count`` rows joined in ``body``, in file order,
-    or None when some row breaks the format."""
+    or None when some row breaks the format or holds a field the JSON
+    decoder refuses."""
     if width > 2:
         return None
     # every other character (non-ASCII, "_", "+", a letter) stays in the
@@ -163,13 +164,10 @@ def _bulk_integers(body: str, count: int, width: int) -> list[int] | None:
     # rows have the right width.  On such text the JSON number grammar
     # -?(0|[1-9][0-9]*), padded by space, tab or CR, is a subset of what int()
     # takes, with the same value: the decoder returns int()'s integers or
-    # raises.  It refuses what int() may still take ("007", "\v" padding).
+    # raises.  What it refuses and int() may still take ("007", "\v"
+    # padding) is left to the row loop, which reads it as int() does.
     try:
         return json.loads(f"[{fields}]")
-    except ValueError:
-        pass
-    try:
-        return list(map(int, fields.split(",")))
     except ValueError:
         return None
 

@@ -21,6 +21,7 @@ from maxplus_tc import (
     reference,
     report_to_json,
 )
+from maxplus_tc.conformance import fit_sigma_rho
 
 F = Fraction
 
@@ -318,6 +319,29 @@ class TestFitLambdaNu:
                     assert check_lambda_nu(trace, fit.model).conforms
 
 
+class TestFitSigmaRho:
+    def test_worked_example(self):
+        # at 10 bits/tick the 300 bits on tick 5 exceed by 300; [0, 5] and
+        # [5, 9] exceed by 260 and 265, and [0, 9] by 225
+        fit = fit_sigma_rho(Trace((0, 5, 5, 9), lengths=(10, 200, 100, 5)), rho=10)
+        assert fit.model == SigmaRhoModel(sigma=F(300), rho=F(10))
+        assert fit.binding_pair == (5, 5)
+
+    def test_empty_trace_needs_no_lengths(self):
+        fit = fit_sigma_rho(Trace(()), rho=F(1, 2))
+        assert fit.model == SigmaRhoModel(sigma=F(0), rho=F(1, 2))
+        assert fit.binding_pair == (0, 0)
+
+    def test_missing_lengths(self):
+        with pytest.raises(MissingLengthsError):
+            fit_sigma_rho(Trace((1,)), rho=1)
+
+    @pytest.mark.parametrize("rho", [0, F(-1, 3)])
+    def test_rate_must_be_positive(self, rho):
+        with pytest.raises(ValueError, match="rate must be positive"):
+            fit_sigma_rho(Trace((1,), lengths=(8,)), rho=rho)
+
+
 class TestFitTspec:
     def test_closed_window(self):
         fit = fit_tspec(Trace((0, 1, 2)), F(2))
@@ -353,6 +377,21 @@ class TestFitTspec:
         count, pair = max_window_count(Trace((0, 1, 2)), F(2), WindowMode.CLOSED)
         assert count == 3
         assert pair == (1, 3)
+
+    @pytest.mark.parametrize(
+        "arrivals, tau, mode",
+        [
+            ((), F(5), WindowMode.CLOSED),
+            ((), F(5), WindowMode.OPEN),
+            ((4, 4, 4, 4), F(1), WindowMode.CLOSED),  # every packet on one tick
+            ((4, 4, 4, 4), F(1), WindowMode.OPEN),
+            ((0, 3, 6, 6, 9, 12), F(3), WindowMode.OPEN),  # integer tau, open
+            ((0, 3, 6, 6, 9, 12), F(3), WindowMode.CLOSED),
+        ],
+    )
+    def test_max_window_count_edges_match_reference(self, arrivals, tau, mode):
+        trace = Trace(arrivals)
+        assert max_window_count(trace, tau, mode) == reference.max_window(trace, tau, mode)
 
 
 class TestBoundedReports:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,22 @@ class TestLcg64:
         rng = Lcg64(3)
         draws = [rng.randint(2, 5) for _ in range(200)]
         assert set(draws) == {2, 3, 4, 5}
+
+    def test_interleaved_draws_are_pinned(self):
+        # randint advances the state itself; the sequence must not change
+        rng = Lcg64(2718281828)
+        draws = []
+        for k in range(1000):
+            if k % 3 == 0:
+                draws.append(rng.randint(-k, 7 * k + 3))
+            elif k % 3 == 1:
+                draws.append(rng.next_u32())
+            else:
+                draws.append(rng.choice("abcdefg"))
+        assert draws[:6] == [1, 410444360, "e", 3, 2575887862, "e"]
+        assert hashlib.sha256(repr(draws).encode()).hexdigest() == (
+            "2af4027378d2011e0536f56255998088d2599aa4f316f3b69b046d958740b61f"
+        )
 
 
 class TestGenPeriodic:

@@ -104,6 +104,28 @@ def test_reference_routes_stay_independent():
     assert problems == []
 
 
+def test_suite_uses_reference_routes_only_to_compare():
+    # the routes its differential properties check a fast path against; any
+    # other reference route in the suite would be brute force doing
+    # production work
+    tree = ast.parse((ROOT / "src" / "maxplus_tc" / "suite.py").read_text(encoding="utf-8"))
+    imported = sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "reference"
+        for alias in node.names
+    )
+    assert imported == ["aggregate_eq1", "check_lambda_nu_via_convolution", "check_tspec_pairwise"]
+    # the package is reached only as "from .module import name"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.startswith("maxplus_tc")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            assert not (node.module or "").startswith("maxplus_tc")
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 1 and node.module is not None
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 

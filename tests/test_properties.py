@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxplus_tc import (
     LambdaNuModel,
+    SigmaRhoModel,
     Trace,
     TSpecModel,
     WindowMode,
@@ -19,6 +20,7 @@ from maxplus_tc import (
     report_to_json,
     superpose_lambda_nu,
 )
+from maxplus_tc.conformance import fit_sigma_rho
 
 F = Fraction
 
@@ -30,6 +32,9 @@ positive_rationals = st.builds(
 )
 burst_rationals = st.builds(
     F, st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=6)
+)
+bit_rates = st.builds(
+    F, st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=8)
 )
 
 
@@ -176,3 +181,32 @@ class TestMergeInvariants:
         models = [fit_lambda_nu(t, lam=F(1, 5)).model for t in trace_list]
         merged = merge_traces(trace_list)
         assert check_lambda_nu(merged, superpose_lambda_nu(models)).conforms
+
+
+@st.composite
+def bit_traces(draw):
+    """Traces with lengths, sometimes moved past the int64 range."""
+    trace = draw(traces(max_packets=20, with_lengths=True))
+    if draw(st.booleans()):
+        trace = Trace(tuple(a + 2**63 for a in trace.arrivals), lengths=trace.lengths)
+    return trace
+
+
+class TestFitSigmaRho:
+    @given(bit_traces(), bit_rates, st.fractions(min_value=0, max_value=1))
+    @example(Trace((), lengths=()), F(3, 8), F(1))
+    @example(Trace((0, 0, 4), lengths=(5, 7, 9)), F(7, 8), F(1, 2))  # first tick 0
+    @example(Trace((6, 6, 6), lengths=(100, 1, 30)), F(1, 3), F(1, 100))  # one tick
+    @example(Trace((2**63, 2**63 + 9), lengths=(40, 400)), F(500, 7), F(1))
+    @settings(max_examples=300)
+    def test_least_burst_matches_reference(self, trace, rho, cut):
+        fit = fit_sigma_rho(trace, rho=rho)
+        assert fit.model == SigmaRhoModel(reference.sigma_for_rate(trace, rho), rho)
+        report = reference.check_sigma_rho_pairwise(trace, fit.model)
+        assert report.conforms
+        # the tight windows are those of the largest excess; the binding
+        # pair is the first of them in (t, s) order
+        assert fit.binding_pair == min(report.tight_pairs, key=lambda w: (w[1], w[0]))
+        if fit.model.sigma > 0 and cut > 0:
+            smaller = SigmaRhoModel(fit.model.sigma * (1 - cut), rho)
+            assert not reference.check_sigma_rho_pairwise(trace, smaller).conforms
