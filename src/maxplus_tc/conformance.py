@@ -434,12 +434,15 @@ def fit_sigma_rho(trace: Trace, *, rho: RationalLike) -> FitResult:
     :func:`check_sigma_rho`'s keys at sigma = 0, divided by q; a one-point
     window never has a negative excess, so sigma >= 0.  The binding pair is
     the first window in (t, s) order with that excess, labelled by its end
-    ticks like the check's witness.
+    ticks like the check's witness; an empty trace fits sigma = 0 and has
+    none.
     """
     rho = Fraction(rho)
     if rho <= 0:
         raise ValueError(f"rate must be positive, got {rho}")
-    if trace.lengths is None and trace.num_packets > 0:
+    if trace.num_packets == 0:
+        return FitResult(SigmaRhoModel(sigma=Fraction(0), rho=rho), None)
+    if trace.lengths is None:
         raise MissingLengthsError("bit-domain fit needs per-packet lengths")
     points, at, cum = _breakpoints(trace)
     starts, ends = _window_keys(points, at, cum, rho.denominator, rho.numerator)

@@ -38,9 +38,7 @@ class Lcg64:
         irrelevant at the ranges used here and keeps draws portable)."""
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        # next_u32 inlined: the suite draws ~10^5 times per run
-        self.state = state = (_LCG_A * self.state + _LCG_C) & _MASK64
-        return lo + (state >> 32) % (hi - lo + 1)
+        return lo + self.next_u32() % (hi - lo + 1)
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]

@@ -330,7 +330,7 @@ class TestFitSigmaRho:
     def test_empty_trace_needs_no_lengths(self):
         fit = fit_sigma_rho(Trace(()), rho=F(1, 2))
         assert fit.model == SigmaRhoModel(sigma=F(0), rho=F(1, 2))
-        assert fit.binding_pair == (0, 0)
+        assert fit.binding_pair is None
 
     def test_missing_lengths(self):
         with pytest.raises(MissingLengthsError):
