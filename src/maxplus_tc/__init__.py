@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "aggregation": "PacketOrigin merge_traces merge_traces_with_provenance",
     "algebra": "CurveReduction curve_to_lambda_nu map_lambda_nu_to_tspec map_tspec_to_lambda_nu "
-               "maxplus_convolve minplus_convolve superpose_indirect superpose_lambda_nu "
-               "superpose_sigma_rho superpose_tspec",
+               "superpose_indirect superpose_lambda_nu superpose_sigma_rho superpose_tspec",
     "conformance": "ConformanceReport FitResult Witness check_lambda_nu check_sigma_rho "
                    "check_tspec fit_lambda_nu fit_result_to_json fit_tspec max_window_count "
                    "report_to_json",
@@ -30,7 +29,7 @@ _EXPORTS = {
               "InfeasibleFitError MissingLengthsError TrafficModelError UnboundedFitError",
     "generators": "Lcg64 gen_extremal_lambda_nu gen_jittered gen_periodic gen_tspec_extremal",
     "models": "IndirectInputs LambdaNuModel MappingVariant MaxPlusCurve SigmaRhoModel TSpecModel "
-              "WindowMode model_from_json model_to_json variant_from_json variant_to_json",
+              "WindowMode model_from_json model_to_json",
     "rational": "ceil_div parse_rational rational_from_json rational_to_json",
     "reference": "aggregate_eq1 check_lambda_nu_via_convolution check_tspec_pairwise",
     "suite": "PROPERTY_NAMES PropertyReport SuiteConfig SuiteSummary run_property "

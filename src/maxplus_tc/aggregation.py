@@ -9,19 +9,16 @@ order, so no step makes a Python call per packet.  Its twins in
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import chain, repeat
-from typing import NamedTuple, Sequence
 
 from .errors import InconsistentInputError
 from .trace import Trace
 
-
-class PacketOrigin(NamedTuple):
-    """Provenance of one aggregate packet: which input flow it came from
-    (0-based) and its 1-based index within that flow."""
-
-    flow: int
-    index: int
+PacketOrigin = namedtuple("PacketOrigin", "flow index")
+PacketOrigin.__doc__ = """Provenance of one aggregate packet: which input flow it came from
+(0-based) and its 1-based index within that flow."""
 
 
 def merge_traces_with_provenance(

@@ -1,4 +1,4 @@
-"""Model-level calculus: convolutions, mappings, and superposition.
+"""Model-level calculus: mappings, curve reduction and superposition.
 
 Everything here is pure arithmetic on exact rationals.  The superposition
 operators answer the same question for each model family: given envelopes for
@@ -19,12 +19,12 @@ Two routes exist for the packet-domain rate/burst family:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import ceil
-from typing import Sequence
 
-from .errors import DegenerateCurveError, MissingLengthsError
+from ._record import Record
+from .errors import DegenerateCurveError
 from .models import (
     IndirectInputs,
     LambdaNuModel,
@@ -34,51 +34,6 @@ from .models import (
     TSpecModel,
     WindowMode,
 )
-from .rational import RationalLike
-from .trace import Trace
-
-
-def maxplus_convolve(
-    f: Sequence[RationalLike], g: Sequence[RationalLike], n: int
-) -> Fraction:
-    """(f (max,+) g)(n) = max over m in 0..n of f(m) + g(n - m).
-
-    Both sequences must be defined on 0..n.
-    """
-    if n < 0 or n >= len(f) or n >= len(g):
-        raise IndexError(f"index {n} beyond sequence horizon")
-    return max(Fraction(f[m]) + Fraction(g[n - m]) for m in range(n + 1))
-
-
-def minplus_convolve(trace: Trace, model: SigmaRhoModel, t: RationalLike) -> Fraction:
-    """(A (min,+) alpha)(t) with A the trace's cumulative traffic and
-    alpha the affine curve ``rho * t + sigma``.
-
-    Returns the exact infimum of ``A(s) + rho*(t - s) + sigma`` over real
-    s in [0, t].  A is a right-continuous step function, so the infimum is
-    attained at s = t or approached just before a breakpoint 0 < s <= t
-    (s = 0 never beats the first breakpoint, or s = t when there is none).
-    One walk over the arrivals up to t carries the left limit A(s-).
-    """
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if trace.lengths is None and trace.num_packets > 0:
-        raise MissingLengthsError("cumulative traffic needs per-packet lengths")
-    p, q = model.rho.numerator, model.rho.denominator
-    low = None  # smallest q*A(s-) - p*s over the breakpoints walked
-    total = prev = 0
-    for tick, bits in zip(trace.arrivals, trace.lengths or ()):
-        if tick > t:
-            break
-        if tick != prev:
-            key = q * total - p * tick
-            low = key if low is None or key < low else low
-            prev = tick
-        total += bits
-    if low is not None:  # the best breakpoint against s = t
-        total = min(Fraction(total), Fraction(low, q) + model.rho * t)
-    return total + model.sigma
 
 
 def map_lambda_nu_to_tspec(
@@ -172,13 +127,15 @@ def superpose_indirect(inputs: IndirectInputs) -> LambdaNuModel:
     return LambdaNuModel(lam=lam, nu=nu)
 
 
-@dataclass(frozen=True)
-class CurveReduction:
+class CurveReduction(Record):
     """Rate/burst envelope extracted from a general arrival curve, valid on
     the finite horizon it was computed over."""
 
-    model: LambdaNuModel
-    horizon: int
+    __slots__ = ("model", "horizon")
+
+    def __init__(self, model: LambdaNuModel, horizon: int):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "horizon", horizon)
 
 
 def curve_to_lambda_nu(curve: MaxPlusCurve) -> CurveReduction:

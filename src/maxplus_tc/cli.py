@@ -18,7 +18,6 @@ import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 
 from .errors import FormatError, TrafficModelError
 
@@ -122,7 +121,8 @@ def _write_out(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _load_json(path: str):
@@ -264,7 +264,8 @@ def _cmd_merge(args) -> int:
     merged, origins = merge_traces_with_provenance(traces)
     _write_out(args.out, write_trace_csv(merged))
     if args.provenance:
-        Path(args.provenance).write_text(_json_text({"packets": origins}) + "\n", encoding="utf-8")
+        with open(args.provenance, "w", encoding="utf-8") as fh:
+            fh.write(_json_text({"packets": origins}) + "\n")
     return 0
 
 
@@ -338,7 +339,8 @@ def _cmd_generate(args) -> int:
         )
     _write_out(args.out, write_trace_csv(trace))
     if fitted is not None and args.model_out:
-        Path(args.model_out).write_text(_json_text(model_to_json(fitted)) + "\n", encoding="utf-8")
+        with open(args.model_out, "w", encoding="utf-8") as fh:
+            fh.write(_json_text(model_to_json(fitted)) + "\n")
     return 0
 
 

@@ -32,58 +32,64 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, and_, eq, ge, itemgetter, ne, sub
 
+from ._record import Record
 from .errors import InfeasibleFitError, MissingLengthsError, UnboundedFitError
 from .models import LambdaNuModel, SigmaRhoModel, TSpecModel, WindowMode, model_to_json
 from .rational import RationalLike, rational_to_json
 from .trace import Trace
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """One concrete constraint violation: the pair (m, n), the bound the
     model required, and the value the trace actually achieved."""
 
-    m: int
-    n: int
-    required: Fraction
-    actual: Fraction
+    __slots__ = ("m", "n", "required", "actual")
+
+    def __init__(self, m: int, n: int, required: Fraction, actual: Fraction):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "required", required)
+        object.__setattr__(self, "actual", actual)
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
+class ConformanceReport(Record):
     """``tight_pairs`` lists the first of the ``tight_count`` tight pairs in
     (m, n) order; ``truncated`` says whether some were left out."""
 
-    conforms: bool
-    witness: Witness | None
-    tight_pairs: tuple[tuple[int, int], ...]
-    tight_count: int
-    checked_pairs: int
+    __slots__ = ("conforms", "witness", "tight_pairs", "tight_count", "checked_pairs")
 
-    def __post_init__(self):
-        if self.conforms != (self.witness is None):
+    def __init__(self, conforms: bool, witness: Witness | None,
+                 tight_pairs: tuple[tuple[int, int], ...], tight_count: int, checked_pairs: int):
+        if conforms != (witness is None):
             raise ValueError("conforms must hold exactly when there is no witness")
+        object.__setattr__(self, "conforms", conforms)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "tight_pairs", tight_pairs)
+        object.__setattr__(self, "tight_count", tight_count)
+        object.__setattr__(self, "checked_pairs", checked_pairs)
 
     @property
     def truncated(self) -> bool:
         return len(self.tight_pairs) < self.tight_count
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Tightest model of a family that a trace conforms to.
 
     ``binding_pair`` is the packet pair (window) that forbids tightening the
     fitted parameter any further; None when nothing constrains it.
     """
 
-    model: LambdaNuModel | TSpecModel | SigmaRhoModel
-    binding_pair: tuple[int, int] | None
+    __slots__ = ("model", "binding_pair")
+
+    def __init__(self, model: LambdaNuModel | TSpecModel | SigmaRhoModel,
+                 binding_pair: tuple[int, int] | None):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "binding_pair", binding_pair)
 
 
 def report_to_json(report: ConformanceReport) -> dict:
@@ -275,10 +281,10 @@ def check_tspec(
 def max_window_count(trace: Trace, tau: RationalLike, window_mode: WindowMode) -> tuple[int, tuple[int, int] | None]:
     """Largest number of packets any window of length tau can hold, plus the
     earliest window (as a packet pair) achieving it.  (0, None) when empty."""
+    probe = TSpecModel(tau=Fraction(tau), k_max=1, window_mode=window_mode)
     arrivals = trace.arrivals
     if not arrivals:
         return 0, None
-    probe = TSpecModel(tau=Fraction(tau), k_max=1, window_mode=window_mode)
     max_gap = probe.max_gap_in_window()
     # packets i..j never shrink: they grow by packet j when it shares a
     # window with packet i, else slide one place.  So j - i + 1 is the most

@@ -20,11 +20,12 @@ finite horizon.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 
+from ._record import Record
 from .errors import FormatError, InconsistentInputError
-from .rational import rational_from_json, rational_to_json
+from .rational import RationalLike, rational_from_json, rational_to_json
 
 
 class WindowMode(enum.Enum):
@@ -34,21 +35,20 @@ class WindowMode(enum.Enum):
     OPEN = "open"
 
 
-@dataclass(frozen=True)
-class LambdaNuModel:
+class LambdaNuModel(Record):
     """Packet-rate envelope: rate ``lam`` (packets/tick, > 0) and burst
     allowance ``nu`` (packets, >= 0)."""
 
-    lam: Fraction
-    nu: Fraction
+    __slots__ = ("lam", "nu")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
-        object.__setattr__(self, "nu", Fraction(self.nu))
-        if self.lam <= 0:
-            raise ValueError(f"rate must be positive, got {self.lam}")
-        if self.nu < 0:
-            raise ValueError(f"burst allowance must be nonnegative, got {self.nu}")
+    def __init__(self, lam: RationalLike, nu: RationalLike):
+        lam, nu = Fraction(lam), Fraction(nu)
+        if lam <= 0:
+            raise ValueError(f"rate must be positive, got {lam}")
+        if nu < 0:
+            raise ValueError(f"burst allowance must be nonnegative, got {nu}")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "nu", nu)
 
     def min_spacing(self, gap: int) -> Fraction:
         """Required inter-arrival time for packets ``gap`` indices apart."""
@@ -56,22 +56,23 @@ class LambdaNuModel:
         return excess / self.lam if excess > 0 else Fraction(0)
 
 
-@dataclass(frozen=True)
-class TSpecModel:
+class TSpecModel(Record):
     """TSN/DetNet traffic specification (tau > 0 ticks, k_max >= 1 packets)."""
 
-    tau: Fraction
-    k_max: int
-    window_mode: WindowMode = WindowMode.CLOSED
+    __slots__ = ("tau", "k_max", "window_mode")
 
-    def __post_init__(self):
-        object.__setattr__(self, "tau", Fraction(self.tau))
-        if self.tau <= 0:
-            raise ValueError(f"interval must be positive, got {self.tau}")
-        if not isinstance(self.k_max, int) or isinstance(self.k_max, bool) or self.k_max < 1:
-            raise ValueError(f"max packet count must be an integer >= 1, got {self.k_max!r}")
-        if not isinstance(self.window_mode, WindowMode):
-            raise ValueError(f"window_mode must be a WindowMode, got {self.window_mode!r}")
+    def __init__(self, tau: RationalLike, k_max: int,
+                 window_mode: WindowMode = WindowMode.CLOSED):
+        tau = Fraction(tau)
+        if tau <= 0:
+            raise ValueError(f"interval must be positive, got {tau}")
+        if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
+            raise ValueError(f"max packet count must be an integer >= 1, got {k_max!r}")
+        if not isinstance(window_mode, WindowMode):
+            raise ValueError(f"window_mode must be a WindowMode, got {window_mode!r}")
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "window_mode", window_mode)
 
     def max_gap_in_window(self) -> int:
         """Largest integer tick gap that still fits inside one window."""
@@ -83,36 +84,33 @@ class TSpecModel:
         return int(self.tau)
 
 
-@dataclass(frozen=True)
-class SigmaRhoModel:
+class SigmaRhoModel(Record):
     """Bit-domain envelope: burst ``sigma`` (bits, >= 0) and sustained rate
     ``rho`` (bits/tick, > 0)."""
 
-    sigma: Fraction
-    rho: Fraction
+    __slots__ = ("sigma", "rho")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", Fraction(self.sigma))
-        object.__setattr__(self, "rho", Fraction(self.rho))
-        if self.sigma < 0:
-            raise ValueError(f"burst must be nonnegative, got {self.sigma}")
-        if self.rho <= 0:
-            raise ValueError(f"rate must be positive, got {self.rho}")
+    def __init__(self, sigma: RationalLike, rho: RationalLike):
+        sigma, rho = Fraction(sigma), Fraction(rho)
+        if sigma < 0:
+            raise ValueError(f"burst must be nonnegative, got {sigma}")
+        if rho <= 0:
+            raise ValueError(f"rate must be positive, got {rho}")
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "rho", rho)
 
 
-@dataclass(frozen=True)
-class MaxPlusCurve:
+class MaxPlusCurve(Record):
     """Lower-bound curve on inter-arrival times over packet-count gaps.
 
     ``values[d]`` is the minimum time between packets d indices apart,
     for d = 0..horizon.  Must start at 0 and be nondecreasing.
     """
 
-    values: tuple[Fraction, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        values = tuple(Fraction(v) for v in self.values)
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: Iterable[RationalLike]):
+        values = tuple(Fraction(v) for v in values)
         if len(values) < 2:
             raise ValueError("curve needs a horizon of at least 1 (two values)")
         if values[0] != 0:
@@ -123,6 +121,7 @@ class MaxPlusCurve:
                     f"curve must be nondecreasing: value {values[d]} at {d} "
                     f"after {values[d - 1]}"
                 )
+        object.__setattr__(self, "values", values)
 
     @property
     def horizon(self) -> int:
@@ -140,39 +139,38 @@ class MappingVariant(enum.Enum):
     B = "b"
 
 
-@dataclass(frozen=True)
-class IndirectInputs:
+class IndirectInputs(Record):
     """Inputs for the length-based (bit-domain detour) superposition.
 
     ``max_lengths[i]`` is the maximum packet length of flow i in bits;
     ``min_length`` is the minimum packet length over all flows.
     """
 
-    models: tuple[LambdaNuModel, ...]
-    max_lengths: tuple[Fraction, ...]
-    min_length: Fraction
+    __slots__ = ("models", "max_lengths", "min_length")
 
-    def __post_init__(self):
-        models = tuple(self.models)
-        max_lengths = tuple(Fraction(l) for l in self.max_lengths)
-        object.__setattr__(self, "models", models)
-        object.__setattr__(self, "max_lengths", max_lengths)
-        object.__setattr__(self, "min_length", Fraction(self.min_length))
+    def __init__(self, models: Iterable[LambdaNuModel], max_lengths: Iterable[RationalLike],
+                 min_length: RationalLike):
+        models = tuple(models)
+        max_lengths = tuple(Fraction(l) for l in max_lengths)
+        min_length = Fraction(min_length)
         if len(models) < 2:
             raise InconsistentInputError("need at least two flows to superpose")
         if len(max_lengths) != len(models):
             raise InconsistentInputError(
                 f"{len(max_lengths)} max lengths for {len(models)} flows"
             )
-        if self.min_length <= 0:
+        if min_length <= 0:
             raise InconsistentInputError("minimum packet length must be positive")
         for i, l in enumerate(max_lengths):
             if l <= 0:
                 raise InconsistentInputError(f"max length of flow {i} must be positive")
-            if self.min_length > l:
+            if min_length > l:
                 raise InconsistentInputError(
-                    f"minimum length {self.min_length} exceeds max length {l} of flow {i}"
+                    f"minimum length {min_length} exceeds max length {l} of flow {i}"
                 )
+        object.__setattr__(self, "models", models)
+        object.__setattr__(self, "max_lengths", max_lengths)
+        object.__setattr__(self, "min_length", min_length)
 
 
 Model = LambdaNuModel | TSpecModel | SigmaRhoModel | MaxPlusCurve
@@ -243,19 +241,3 @@ def model_from_json(obj: object) -> Model:
         raise FormatError(str(exc)) from None
     raise FormatError(f"unknown model type {tag!r}")
 
-
-def variant_to_json(variant: MappingVariant, j: int) -> dict:
-    return {"variant": variant.value, "j": j}
-
-
-def variant_from_json(obj: object) -> tuple[MappingVariant, int]:
-    if not isinstance(obj, dict):
-        raise FormatError("mapping variant must be a JSON object")
-    try:
-        variant = MappingVariant(obj["variant"])
-        j = obj["j"]
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad mapping variant: {exc}") from None
-    if not isinstance(j, int) or isinstance(j, bool) or j < 1:
-        raise FormatError(f"j must be an integer >= 1, got {j!r}")
-    return variant, j

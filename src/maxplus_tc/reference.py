@@ -13,10 +13,11 @@ randomized validation suite.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
+from io import TextIOBase
 from itertools import product
 from operator import itemgetter
-from typing import Sequence, TextIO
 
 from .aggregation import PacketOrigin
 from .conformance import ConformanceReport, FitResult, Witness
@@ -34,7 +35,7 @@ def _report(witness: Witness | None, tight: list, checked: int) -> ConformanceRe
 # Trace CSV
 
 
-def read_trace_csv_by_rows(source: str | TextIO) -> Trace:
+def read_trace_csv_by_rows(source: str | TextIOBase) -> Trace:
     """Reference for :func:`~maxplus_tc.read_trace_csv`: each row on its own,
     in file order, split, checked and converted by ``int()``.  The first row
     that breaks the format is the one reported; the range rules (ticks
@@ -271,22 +272,6 @@ def sigma_for_rate(trace: Trace, rho: Fraction) -> Fraction:
     one-point windows have no negative excess, so the result is >= 0."""
     p, q = rho.numerator, rho.denominator
     return Fraction(max(q * bits - p * (t - s) for s, t, bits in _windows(trace)), q)
-
-
-def minplus_value(trace: Trace, model: SigmaRhoModel, t: RationalLike) -> Fraction:
-    """Reference for :func:`~maxplus_tc.minplus_convolve`: the infimum of
-    ``A(s) + rho*(t - s) + sigma`` over real s in [0, t], by interval
-    decomposition.  On each interval where A is constant the value falls
-    toward the right end."""
-    t = Fraction(t)
-
-    def cum(x: Fraction) -> int:
-        return sum(b for a, b in zip(trace.arrivals, trace.lengths or ()) if a <= x)
-
-    critical = sorted({Fraction(0), t, *(Fraction(a) for a in trace.arrivals if a <= t)})
-    values = [cum(t), cum(Fraction(0)) + model.rho * t]  # the endpoints s = t and s = 0
-    values.extend(cum(left) + model.rho * (t - right) for left, right in zip(critical, critical[1:]))
-    return min(values) + model.sigma
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ side of a differential property, never to build a trial's inputs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
+from ._record import Record
 from .aggregation import merge_traces
 from .algebra import (
     curve_to_lambda_nu,
@@ -76,39 +76,45 @@ _MASK64 = (1 << 64) - 1
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    seed: int = DEFAULT_SEED
-    trials: int = 200
-    max_flows: int = 5
-    max_packets: int = 500
+class SuiteConfig(Record):
+    __slots__ = ("seed", "trials", "max_flows", "max_packets")
 
-    def __post_init__(self):
-        if self.trials < 0:
-            raise ValueError(f"trials must be >= 0, got {self.trials}")
-        if self.max_flows < 2:
-            raise ValueError(f"max_flows must be >= 2, got {self.max_flows}")
-        if self.max_packets < 1:
-            raise ValueError(f"max_packets must be >= 1, got {self.max_packets}")
+    def __init__(self, seed: int = DEFAULT_SEED, trials: int = 200, max_flows: int = 5,
+                 max_packets: int = 500):
+        if trials < 0:
+            raise ValueError(f"trials must be >= 0, got {trials}")
+        if max_flows < 2:
+            raise ValueError(f"max_flows must be >= 2, got {max_flows}")
+        if max_packets < 1:
+            raise ValueError(f"max_packets must be >= 1, got {max_packets}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "max_flows", max_flows)
+        object.__setattr__(self, "max_packets", max_packets)
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    name: str
-    trials: int
-    failures: tuple[dict, ...]
-    elapsed: float  # seconds; excluded from the machine summary
+class PropertyReport(Record):
+    __slots__ = ("name", "trials", "failures", "elapsed")
+
+    def __init__(self, name: str, trials: int, failures: tuple[dict, ...], elapsed: float):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "elapsed", elapsed)  # seconds; not in the machine summary
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class SuiteSummary:
-    config: SuiteConfig
-    properties: tuple[PropertyReport, ...]
-    elapsed: float
+class SuiteSummary(Record):
+    __slots__ = ("config", "properties", "elapsed")
+
+    def __init__(self, config: SuiteConfig, properties: tuple[PropertyReport, ...],
+                 elapsed: float):
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "properties", properties)
+        object.__setattr__(self, "elapsed", elapsed)
 
     @property
     def failures_total(self) -> int:

@@ -16,28 +16,32 @@ operators on the case inputs, never hard-coded:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .algebra import superpose_indirect, superpose_lambda_nu
 from .models import IndirectInputs, LambdaNuModel
 from .rational import RationalLike, rational_to_json
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Record):
     """Inter-arrival lower bound ``coeff * (n - offset)+``, with ``coeff``
     a rational multiple of the base period."""
 
-    coeff: Fraction
-    offset: int
+    __slots__ = ("coeff", "offset")
+
+    def __init__(self, coeff: Fraction, offset: int):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    case_id: int
-    direct_curve: CurveSpec
-    indirect_curve: CurveSpec | None
+class Table1Row(Record):
+    __slots__ = ("case_id", "direct_curve", "indirect_curve")
+
+    def __init__(self, case_id: int, direct_curve: CurveSpec, indirect_curve: CurveSpec | None):
+        object.__setattr__(self, "case_id", case_id)
+        object.__setattr__(self, "direct_curve", direct_curve)
+        object.__setattr__(self, "indirect_curve", indirect_curve)
 
 
 def _curve_of(model: LambdaNuModel, period: Fraction) -> CurveSpec:

@@ -10,12 +10,13 @@ length, enabling the cumulative (bit-domain) view.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
+from io import TextIOBase
 from itertools import chain, repeat
 from operator import le
-from typing import TextIO
 
+from ._record import Record
 from .errors import FormatError, MissingLengthsError
 from .rational import RationalLike
 
@@ -23,20 +24,17 @@ CSV_HEADER_TICKS = "arrival_ticks"
 CSV_HEADER_LENGTHS = "length_bits"
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """Finite, nondecreasing sequence of packet arrival ticks.
 
     ``arrivals[i]`` is the arrival tick of packet ``i + 1``.  When ``lengths``
     is present it has one positive entry per packet, in bits.
     """
 
-    arrivals: tuple[int, ...]
-    lengths: tuple[int, ...] | None = None
+    __slots__ = ("arrivals", "lengths")
 
-    def __post_init__(self):
-        arrivals = tuple(map(int, self.arrivals))
-        object.__setattr__(self, "arrivals", arrivals)
+    def __init__(self, arrivals: Iterable[int], lengths: Iterable[int] | None = None):
+        arrivals = tuple(map(int, arrivals))
         # a(0) = 0 and a nondecreasing is one condition, 0 <= a(1) <= a(2) <= ...;
         # the first packet that breaks it is looked up only on failure
         if not all(map(le, chain((0,), arrivals), arrivals)):
@@ -50,9 +48,8 @@ class Trace:
             raise ValueError(
                 f"arrival ticks must be nondecreasing: packet {n} at {a} after {prev}"
             )
-        if self.lengths is not None:
-            lengths = tuple(map(int, self.lengths))
-            object.__setattr__(self, "lengths", lengths)
+        if lengths is not None:
+            lengths = tuple(map(int, lengths))
             if len(lengths) != len(arrivals):
                 raise ValueError(
                     f"{len(lengths)} lengths for {len(arrivals)} packets"
@@ -60,6 +57,8 @@ class Trace:
             if min(lengths, default=1) <= 0:
                 n, l = next((n, l) for n, l in enumerate(lengths, start=1) if l <= 0)
                 raise ValueError(f"length {l} of packet {n} is not positive")
+        object.__setattr__(self, "arrivals", arrivals)
+        object.__setattr__(self, "lengths", lengths)
 
     @property
     def num_packets(self) -> int:
@@ -101,7 +100,7 @@ def cumulative(trace: Trace, t: RationalLike) -> int:
     return total
 
 
-def read_trace_csv(source: str | TextIO) -> Trace:
+def read_trace_csv(source: str | TextIOBase) -> Trace:
     """Read a trace from CSV text or a file path.
 
     Format: optional header ``arrival_ticks[,length_bits]``, then one packet

@@ -10,15 +10,11 @@ from maxplus_tc import (
     MappingVariant,
     MaxPlusCurve,
     SigmaRhoModel,
-    Trace,
     TSpecModel,
     WindowMode,
     curve_to_lambda_nu,
     map_lambda_nu_to_tspec,
     map_tspec_to_lambda_nu,
-    maxplus_convolve,
-    minplus_convolve,
-    reference,
     superpose_indirect,
     superpose_lambda_nu,
     superpose_sigma_rho,
@@ -26,97 +22,6 @@ from maxplus_tc import (
 )
 
 F = Fraction
-
-
-class TestMaxplusConvolve:
-    def test_enumerated(self):
-        assert maxplus_convolve((0, 1, 3), (0, 0, 2), 2) == 3
-
-    def test_zero_curve_is_identity_on_nondecreasing(self):
-        f = (0, 2, 5, 9)
-        zeros = (0, 0, 0, 0)
-        for n in range(4):
-            assert maxplus_convolve(f, zeros, n) == f[n]
-
-    def test_two_point(self):
-        assert maxplus_convolve((0, 5), (0, 5), 1) == 5
-
-    def test_horizon_error(self):
-        with pytest.raises(IndexError):
-            maxplus_convolve((0, 1), (0, 1), 2)
-
-
-class TestMinplusConvolve:
-    def test_empty_trace(self):
-        value = minplus_convolve(Trace(()), SigmaRhoModel(sigma=F(100), rho=F(10)), 5)
-        assert value == 100
-
-    def test_single_point(self):
-        trace = Trace((0,), lengths=(100,))
-        assert minplus_convolve(trace, SigmaRhoModel(sigma=F(0), rho=F(10)), 0) == 100
-
-    def test_two_packets(self):
-        trace = Trace((0, 10), lengths=(100, 100))
-        assert minplus_convolve(trace, SigmaRhoModel(sigma=F(100), rho=F(10)), 10) == 200
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            minplus_convolve(Trace(()), SigmaRhoModel(F(1), F(1)), -1)
-
-    def test_matches_oracle_randomized(self):
-        rng = Lcg64(88)
-        for _ in range(80):
-            count = rng.randint(0, 12)
-            arrivals = []
-            tick = 0
-            for _ in range(count):
-                arrivals.append(tick)
-                tick += rng.randint(0, 9)
-            trace = Trace(
-                tuple(arrivals),
-                lengths=tuple(rng.randint(1, 200) for _ in range(count)),
-            )
-            model = SigmaRhoModel(
-                sigma=F(rng.randint(0, 500), rng.randint(1, 2)),
-                rho=F(rng.randint(1, 90), rng.randint(1, 3)),
-            )
-            t = F(rng.randint(0, 60), rng.randint(1, 2))
-            assert minplus_convolve(trace, model, t) == reference.minplus_value(
-                trace, model, t
-            )
-
-    def test_periodic_trace_of_1e5_packets(self):
-        # N packets of L bits every P ticks, at t = (N - 1) * P.  Just before
-        # breakpoint s = k*P the value is k*L + rho*(t - s) + sigma: at half
-        # the mean rate the first breakpoint wins (N*L/2); above it the last.
-        n, period, bits = 10**5, 7, 100
-        trace = Trace(tuple(k * period for k in range(n)), lengths=(bits,) * n)
-        t = (n - 1) * period
-        slow = SigmaRhoModel(sigma=F(5), rho=F(bits, 2 * period))
-        assert minplus_convolve(trace, slow, t) == 5 + F(n * bits, 2)
-        fast = SigmaRhoModel(sigma=F(5), rho=F(2 * bits, period))
-        half = t + F(1, 2)  # rho/2 short of a full packet past the last one
-        assert minplus_convolve(trace, fast, half) == 5 + (n - 1) * bits + F(bits, period)
-
-    def test_bounds_cumulative_iff_conforming(self):
-        from maxplus_tc import check_sigma_rho, cumulative
-
-        rng = Lcg64(89)
-        for _ in range(60):
-            count = rng.randint(0, 10)
-            arrivals = sorted(rng.randint(0, 40) for _ in range(count))
-            trace = Trace(
-                tuple(arrivals),
-                lengths=tuple(rng.randint(1, 300) for _ in range(count)),
-            )
-            model = SigmaRhoModel(
-                sigma=F(rng.randint(0, 400)), rho=F(rng.randint(1, 60))
-            )
-            bounded = all(
-                cumulative(trace, t) <= minplus_convolve(trace, model, t)
-                for t in {0, *trace.arrivals}
-            )
-            assert bounded == check_sigma_rho(trace, model).conforms
 
 
 class TestMappings:
@@ -165,25 +70,6 @@ class TestMappings:
             )
             assert back.lam == (model.nu + 1) * model.lam
             assert back.nu == model.nu
-
-
-class TestVariantWireFormat:
-    def test_roundtrip(self):
-        from maxplus_tc import variant_from_json, variant_to_json
-
-        obj = variant_to_json(MappingVariant.B, 3)
-        assert obj == {"variant": "b", "j": 3}
-        assert variant_from_json(obj) == (MappingVariant.B, 3)
-
-    def test_rejects_bad_values(self):
-        from maxplus_tc import FormatError, variant_from_json
-
-        with pytest.raises(FormatError):
-            variant_from_json({"variant": "c", "j": 1})
-        with pytest.raises(FormatError):
-            variant_from_json({"variant": "a", "j": 0})
-        with pytest.raises(FormatError):
-            variant_from_json({"variant": "a"})
 
 
 class TestSuperposeLambdaNu:

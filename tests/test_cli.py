@@ -591,12 +591,16 @@ def test_cli_import_does_not_load_numpy():
 # the maxplus_tc submodules each subcommand loads, besides cli and errors: neither
 # check nor fit loads suite, reference, table1, generators, algebra or aggregation
 SUBCOMMAND_MODULES = {
-    "check": {"conformance", "models", "rational", "trace"},
-    "fit": {"conformance", "models", "rational", "trace"},
-    "map": {"algebra", "models", "rational", "trace"},
-    "merge": {"aggregation", "rational", "trace"},
-    "generate": {"conformance", "generators", "models", "rational", "trace"},
+    "check": {"_record", "conformance", "models", "rational", "trace"},
+    "fit": {"_record", "conformance", "models", "rational", "trace"},
+    "map": {"_record", "algebra", "models", "rational"},
+    "merge": {"_record", "aggregation", "rational", "trace"},
+    "generate": {"_record", "conformance", "generators", "models", "rational", "trace"},
 }
+# stdlib modules no subcommand's start-up may load: dataclasses compiles each
+# record's methods with exec and imports inspect, ast and dis; typing and
+# pathlib cost import time for what collections.abc, io and open() give
+STARTUP_SKIPS = {"dataclasses", "inspect", "typing", "pathlib"}
 
 
 @pytest.mark.parametrize("sub", sorted(SUBCOMMAND_MODULES))
@@ -607,7 +611,7 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, lam_nu_model, sub):
         "check": ["--trace", trace, "--model", lam_nu_model],
         "fit": ["--trace", trace, "--burst", "0"],
         "map": ["--model", lam_nu_model],
-        "merge": ["--traces", trace, trace, "--out", out],
+        "merge": ["--traces", trace, trace, "--out", out, "--provenance", out + ".json"],
         "generate": ["--kind", "periodic", "--period", "3", "--count", "2", "--out", out],
     }[sub]
     code = (
@@ -615,17 +619,21 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, lam_nu_model, sub):
         "from maxplus_tc import cli\n"
         f"assert cli.run({argv!r}) == 0\n"
         "print(*sorted(m for m in sys.modules if m.startswith('maxplus_tc')))\n"
+        f"print(*sorted({sorted(STARTUP_SKIPS)!r} & sys.modules.keys()))\n"
     )
     src = str(Path(maxplus_tc.__file__).resolve().parents[1])
+    # -S: a .pth file in site-packages that imports one of STARTUP_SKIPS
+    # would hide a regression
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    loaded = set(proc.stdout.splitlines()[-1].split())
-    assert loaded == {"maxplus_tc", "maxplus_tc.cli", "maxplus_tc.errors"} | {
+    modules, skipped = proc.stdout.splitlines()[-2:]
+    assert set(modules.split()) == {"maxplus_tc", "maxplus_tc.cli", "maxplus_tc.errors"} | {
         f"maxplus_tc.{name}" for name in SUBCOMMAND_MODULES[sub]
     }
+    assert skipped == ""
 
 
 def _indented(obj) -> str:

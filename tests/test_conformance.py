@@ -393,6 +393,12 @@ class TestFitTspec:
         trace = Trace(arrivals)
         assert max_window_count(trace, tau, mode) == reference.max_window(trace, tau, mode)
 
+    @pytest.mark.parametrize("arrivals", [(), (1,)])
+    @pytest.mark.parametrize("tau", [F(-3), F(0)])
+    def test_max_window_count_rejects_tau_for_every_trace(self, arrivals, tau):
+        with pytest.raises(ValueError, match="^interval must be positive"):
+            max_window_count(Trace(arrivals), tau, WindowMode.CLOSED)
+
 
 class TestBoundedReports:
     """Every cap keeps the full reference count and lists its prefix."""

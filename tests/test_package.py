@@ -25,13 +25,12 @@ EXPORTED = [
     "fit_lambda_nu", "fit_result_to_json", "fit_tspec", "gen_extremal_lambda_nu",
     "gen_jittered", "gen_periodic", "gen_tspec_extremal", "interarrival",
     "map_lambda_nu_to_tspec", "map_tspec_to_lambda_nu", "max_window_count",
-    "maxplus_convolve", "merge_traces", "merge_traces_with_provenance",
-    "minplus_convolve", "model_from_json", "model_to_json", "parse_rational",
-    "rational_from_json", "rational_to_json", "read_trace_csv",
-    "render_table1_text", "report_to_json", "reproduce_table1", "run_property",
-    "run_property_suite", "superpose_indirect", "superpose_lambda_nu",
-    "superpose_sigma_rho", "superpose_tspec", "table1_to_json",
-    "variant_from_json", "variant_to_json", "write_trace_csv",
+    "merge_traces", "merge_traces_with_provenance", "model_from_json",
+    "model_to_json", "parse_rational", "rational_from_json", "rational_to_json",
+    "read_trace_csv", "render_table1_text", "report_to_json", "reproduce_table1",
+    "run_property", "run_property_suite", "superpose_indirect",
+    "superpose_lambda_nu", "superpose_sigma_rho", "superpose_tspec",
+    "table1_to_json", "write_trace_csv",
 ]
 
 # production helpers whose result a reference route would share with the
@@ -84,7 +83,8 @@ def test_exports_load_their_module_on_first_use():
         capture_output=True, text=True, check=True,
     )
     assert proc.stdout.splitlines() == [
-        "[]", "['maxplus_tc.errors', 'maxplus_tc.rational', 'maxplus_tc.trace']"
+        "[]",
+        "['maxplus_tc._record', 'maxplus_tc.errors', 'maxplus_tc.rational', 'maxplus_tc.trace']",
     ]
 
 
@@ -149,3 +149,18 @@ def test_no_unused_imports():
     paths = sorted((ROOT / "src" / "maxplus_tc").glob("*.py"))
     paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     assert [line for path in paths for line in _unused_imports(path)] == []
+
+
+def test_no_module_imports_dataclasses():
+    # a frozen dataclass compiles its methods with exec at every import, and
+    # the module pulls in inspect, ast and dis: records derive from _record
+    imported = []
+    for path in sorted((ROOT / "src" / "maxplus_tc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((path.name, node.module))
+    assert [(name, module) for name, module in imported
+            if module.partition(".")[0] == "dataclasses"] == []
+    assert len(imported) > 20  # the walk saw the package's imports
