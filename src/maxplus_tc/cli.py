@@ -43,11 +43,11 @@ def _emit_error(kind: str, message: str) -> None:
 def _json_text(obj, indent: str = "") -> str:
     """The text ``json.dumps`` writes with an indent of 2, byte for byte, for
     the values the CLI emits: dicts with str keys, lists, tuples, ints, strs,
-    bools and None.  A NamedTuple is written as the dict of its fields.
+    bools and None.
 
     The stdlib's C encoder has no indent support, so an indented
     ``json.dumps`` runs in pure Python; here a list of same-shape flat int
-    rows (tight pairs, provenance records) is rendered by one %-template.
+    rows (tight pairs) is rendered by one %-template.
     """
     if obj is None:
         return "null"
@@ -60,8 +60,6 @@ def _json_text(obj, indent: str = "") -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     inner = indent + "  "
-    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
-        obj = obj._asdict()
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -84,26 +82,15 @@ def _json_text(obj, indent: str = "") -> str:
 
 
 def _int_rows(items, indent: str) -> str | None:
-    """The items of a list, at ``indent``, if they are all flat int lists or
-    tuples of one length, or all flat int NamedTuples of one type (written
-    as objects keyed by its fields): one template join with no Python call
-    per value.  None for any other list."""
-    kinds = set(map(type, items))
-    if kinds <= {list, tuple}:
-        if len(set(map(len, items))) != 1:
-            return None
-        opening, closing = "[", "]"
-        fields = ["%d"] * len(items[0])
-    elif len(kinds) == 1 and isinstance(items[0], tuple) and hasattr(items[0], "_fields"):
-        opening, closing = "{", "}"
-        fields = [encode_basestring_ascii(key) + ": %d" for key in items[0]._fields]
-    else:
+    """The items of a list, at ``indent``, if all are flat int lists or tuples
+    of one length, by one template join; None for any other list."""
+    if not set(map(type, items)) <= {list, tuple} or len(set(map(len, items))) != 1:
         return None
     values = tuple(chain.from_iterable(items))
     if set(map(type, values)) != {int}:  # also rules out bools and empty rows
         return None
     inner = indent + "  "
-    row = f"{opening}\n{inner}" + f",\n{inner}".join(fields) + f"\n{indent}{closing}"
+    row = f"[\n{inner}" + f",\n{inner}".join(["%d"] * len(items[0])) + f"\n{indent}]"
     return f",\n{indent}".join([row] * len(items)) % values
 
 
@@ -257,15 +244,19 @@ def _cmd_superpose(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    from .aggregation import merge_traces_with_provenance
+    from .aggregation import _merge, _origins
     from .trace import read_trace_csv, write_trace_csv
 
     traces = [read_trace_csv(path) for path in args.traces]
-    merged, origins = merge_traces_with_provenance(traces)
+    merged, order = _merge(traces)
     _write_out(args.out, write_trace_csv(merged))
-    if args.provenance:
+    if args.provenance:  # in the layout of json.dumps(..., indent=2)
+        values = tuple(chain.from_iterable(_origins(traces, order)))
+        text = ",\n    ".join(['{\n      "flow": %d,\n      "index": %d\n    }'] * len(order))
+        text = f'{{\n  "packets": [\n    {text}\n  ]\n}}\n' if order else '{\n  "packets": []\n}\n'
+        text %= values  # one template; rebinding frees each stage as the next is made
         with open(args.provenance, "w", encoding="utf-8") as fh:
-            fh.write(_json_text({"packets": origins}) + "\n")
+            fh.write(text)
     return 0
 
 
@@ -502,3 +493,7 @@ def run(argv: list[str]) -> int:
 def main() -> None:
     gc.disable()  # exit frees by reference counting; the collector only re-walks packets
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

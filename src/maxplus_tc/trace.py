@@ -28,13 +28,14 @@ class Trace(Record):
     """Finite, nondecreasing sequence of packet arrival ticks.
 
     ``arrivals[i]`` is the arrival tick of packet ``i + 1``.  When ``lengths``
-    is present it has one positive entry per packet, in bits.
+    is present it has one positive entry per packet, in bits.  Values are
+    ints: a str is read by int(), and any other value must equal an int.
     """
 
     __slots__ = ("arrivals", "lengths")
 
     def __init__(self, arrivals: Iterable[int], lengths: Iterable[int] | None = None):
-        arrivals = tuple(map(int, arrivals))
+        arrivals = _int_column(arrivals, "arrival tick {} at packet {}")
         # a(0) = 0 and a nondecreasing is one condition, 0 <= a(1) <= a(2) <= ...;
         # the first packet that breaks it is looked up only on failure
         if not all(map(le, chain((0,), arrivals), arrivals)):
@@ -49,7 +50,7 @@ class Trace(Record):
                 f"arrival ticks must be nondecreasing: packet {n} at {a} after {prev}"
             )
         if lengths is not None:
-            lengths = tuple(map(int, lengths))
+            lengths = _int_column(lengths, "length {} of packet {}")
             if len(lengths) != len(arrivals):
                 raise ValueError(
                     f"{len(lengths)} lengths for {len(arrivals)} packets"
@@ -74,6 +75,18 @@ class Trace(Record):
         if not 1 <= n <= len(self.arrivals):
             raise IndexError(f"packet index {n} out of range 0..{len(self.arrivals)}")
         return self.arrivals[n - 1]
+
+
+def _int_column(values: Iterable[int], naming: str) -> tuple[int, ...]:
+    """The values as a tuple of ints, with no Python code per value when all are ints."""
+    column = values if type(values) is tuple else tuple(values)
+    if set(map(type, column)) <= {int}:
+        return column
+    ints = tuple(map(int, column))
+    for n, (value, i) in enumerate(zip(column, ints), start=1):
+        if i != value and not isinstance(value, str):
+            raise ValueError(naming.format(value, n) + " is not an integer")
+    return ints
 
 
 def interarrival(trace: Trace, m: int, n: int) -> int:
@@ -101,41 +114,44 @@ def cumulative(trace: Trace, t: RationalLike) -> int:
 
 
 def read_trace_csv(source: str | TextIOBase) -> Trace:
-    """Read a trace from CSV text or a file path.
+    """Read a trace from a text stream, line by line, or from a file path,
+    whole by one ``read()`` with universal newlines (CRLF and CR end rows).
 
     Format: optional header ``arrival_ticks[,length_bits]``, then one packet
     per line.  Ticks are nonnegative base-10 integers and must be
     nondecreasing; lengths, when the column is present, are positive
-    base-10 integers.  Spaces around fields, blank lines and CRLF line ends
-    are accepted.  Rows have as many columns as the first, or two when the
-    header names lengths.  A file with no packet rows is the empty trace,
-    with lengths when its header names them.
+    base-10 integers.  Spaces around fields and blank lines are accepted.
+    Rows have as many columns as the first, or two when the header names
+    lengths.  A file with no packet rows is the empty trace, with lengths
+    when its header names them.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            return read_trace_csv(fh)
-    rows = list(filter(None, map(str.strip, source)))
-    width = 1
-    if rows and rows[0].split(",")[0].strip() == CSV_HEADER_TICKS:
-        header_cols = [c.strip() for c in rows[0].split(",")]
-        if header_cols not in ([CSV_HEADER_TICKS], [CSV_HEADER_TICKS, CSV_HEADER_LENGTHS]):
-            raise FormatError(f"unrecognized trace header {rows[0]!r}")
-        width = len(header_cols)  # a header naming lengths binds the rows
-        del rows[0]
-    if rows and width == 1:
-        width = rows[0].count(",") + 1
-    count = len(rows)
-    # each stage is dropped once the next holds the data: the row list, the
-    # joined text and the integers are never all alive at once.  The rows
-    # split back from the text, unless one holds a "\n" of its own (a stream
-    # that ends lines at "\r" only): then the list is kept
-    body = "\n".join(rows)
-    if body.count("\n") < count:
+            text = fh.read().strip()  # universal newlines: every row ends at "\n"
         rows = None
-    values = _bulk_integers(body, count, width)
-    if values is None:
-        values = _row_integers(body.split("\n") if rows is None else rows, width)
-    del body, rows
+    else:
+        # the caller's newline mode ends the rows; where it is "\r" only, a row
+        # can hold a "\n", and the rows then do not split back from the text
+        rows = list(filter(None, map(str.strip, source)))
+        text = "\n".join(rows)
+        if text.count("\n") < len(rows):
+            rows = None
+    head = rows[0] if rows else text.partition("\n")[0]
+    header_cols = [c.strip() for c in head.split(",")]
+    header = len(header_cols) if header_cols[0] == CSV_HEADER_TICKS else 0
+    if header and header_cols not in ([CSV_HEADER_TICKS], [CSV_HEADER_TICKS, CSV_HEADER_LENGTHS]):
+        raise FormatError(f"unrecognized trace header {head.strip()!r}")
+    # the text is split into rows only when its bulk decode fails; its
+    # stripped, non-blank rows are then decoded in bulk once more
+    parsed = None if rows else _bulk_integers(text, header, len(head) + 1 if header else 0)
+    if parsed is None and not rows:
+        text = "\n".join(filter(None, map(str.strip, text.split("\n"))))
+        parsed = _bulk_integers(text, header, len(head.strip()) + 1 if header else 0)
+    if parsed is None:
+        rows = rows or list(filter(None, map(str.strip, text.split("\n"))))
+        parsed = _row_integers(rows[1:] if header else rows, header)
+    values, width = parsed
+    del text, rows, parsed  # each stage is dropped once the next holds the data
     arrivals, lengths = (values[::2], values[1::2]) if width == 2 else (values, None)
     del values
     try:
@@ -148,32 +164,29 @@ def read_trace_csv(source: str | TextIOBase) -> Trace:
 _NOT_SEPARATOR = str.maketrans("", "", "0123456789- \t\r\v\f")
 
 
-def _bulk_integers(body: str, count: int, width: int) -> list[int] | None:
-    """Every field of the ``count`` rows joined in ``body``, in file order,
-    or None when some row breaks the format or holds a field the JSON
-    decoder refuses."""
-    if width > 2:
-        return None
+def _bulk_integers(text: str, header: int, start: int) -> tuple[list[int], int] | None:
+    """The fields of the rows from offset ``start`` of ``text``, and their width, or None."""
     # every other character (non-ASCII, "_", "+", a letter) stays in the
     # skeleton and fails the comparison
-    if body.translate(_NOT_SEPARATOR) != "\n".join(repeat("," * (width - 1), count)):
+    skeleton = text[start:].translate(_NOT_SEPARATOR)
+    sep = "," if header == 2 else skeleton.partition("\n")[0]
+    if sep not in ("", ",") or skeleton != "\n".join(repeat(sep, skeleton.count("\n") + 1)):
         return None
-    fields = body.replace("\n", ",")
     # Each field is now digits, "-" and padding between separators, and the
     # rows have the right width.  On such text the JSON number grammar
     # -?(0|[1-9][0-9]*), padded by space, tab or CR, is a subset of what int()
     # takes, with the same value: the decoder returns int()'s integers or
     # raises.  What it refuses and int() may still take ("007", "\v"
-    # padding) is left to the row loop, which reads it as int() does.
+    # padding, a blank row) is left to the row loop, which reads it as int() does.
     try:
-        return json.loads(f"[{fields}]")
+        return json.loads("[%s]" % text[start:].replace("\n", ",")), len(sep) + 1
     except ValueError:
         return None
 
 
-def _row_integers(rows: list[str], width: int) -> list[int]:
-    """The fields row by row, raising for the first row, in file order, that
-    breaks the format."""
+def _row_integers(rows: list[str], header: int) -> tuple[list[int], int]:
+    """The fields and their width, row by row; raises for the first bad row."""
+    width = 2 if header == 2 else rows[0].count(",") + 1 if rows else 1
     values: list[int] = []
     for lineno, row in enumerate(rows, start=1):
         cols = row.split(",")
@@ -189,20 +202,17 @@ def _row_integers(rows: list[str], width: int) -> list[int]:
         try:
             values.extend(map(int, cols))
         except ValueError:
-            raise _field_error(lineno, row) from None
-    return values
-
-
-def _field_error(lineno: int, row: str) -> FormatError:
-    """The error for a row whose fields int() rejects, naming the first bad
-    field without its padding ("1 , x" names 'x', not ' x')."""
-    for field in row.split(","):
-        try:
-            int(field.strip())
-        except ValueError as exc:
-            return FormatError(f"row {lineno}: {exc}")
-    # str.strip() drops the separators 0x1c-0x1f around a field, int() does not
-    return FormatError(f"row {lineno}: fields must be ASCII base-10 integers, got {row!r}")
+            # name the first bad field without its padding ("1 , x" names 'x')
+            for field in cols:
+                try:
+                    int(field.strip())
+                except ValueError as exc:
+                    raise FormatError(f"row {lineno}: {exc}") from None
+            # str.strip() drops the separators 0x1c-0x1f around a field, int() does not
+            raise FormatError(
+                f"row {lineno}: fields must be ASCII base-10 integers, got {row!r}"
+            ) from None
+    return values, width
 
 
 def write_trace_csv(trace: Trace) -> str:

@@ -8,11 +8,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import maxplus_tc
-from maxplus_tc import PacketOrigin, cli
+from maxplus_tc import cli, reference
 from maxplus_tc.cli import _json_text, run
 
 
@@ -864,20 +864,38 @@ class TestJsonText:
     def test_matches_stdlib(self, value):
         assert _json_text(value) == json.dumps(value, indent=2)
 
-    @given(
-        st.lists(st.builds(PacketOrigin, ints, ints), max_size=6),
-        st.one_of(st.none(), st.booleans(), st.integers(min_value=0, max_value=5)),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_records_are_objects(self, origins, odd):
-        """A list of NamedTuples is written as the list of their dicts, by
-        the template or, when a field is no int, value by value."""
-        if origins and odd is not None:
-            origins[0] = PacketOrigin(odd, origins[0].index)
-        as_dicts = [o._asdict() for o in origins]
-        assert _json_text(origins) == json.dumps(as_dicts, indent=2)
-        sidecar = {"packets": as_dicts}
-        assert _json_text({"packets": tuple(origins)}) == json.dumps(sidecar, indent=2)
+
+@st.composite
+def merge_flows(draw):
+    """One to six flows, some empty, with ties within and across flows and
+    ticks past 2**63; lengths on every flow or on none."""
+    ticks = st.one_of(st.integers(0, 6), st.integers(2**63 - 2, 2**63 + 2))
+    with_lengths = draw(st.booleans())
+    flows = []
+    for _ in range(draw(st.integers(1, 6))):
+        arrivals = sorted(draw(st.lists(ticks, max_size=6)))
+        lengths = [draw(st.integers(1, 2**64)) for _ in arrivals] if with_lengths else None
+        flows.append(maxplus_tc.Trace(arrivals, lengths=lengths))
+    return flows
+
+
+class TestMergeOutputs:
+    """``merge``'s aggregate CSV and ``--provenance`` file, byte for byte,
+    against the reference merge and ``json.dumps``."""
+
+    @given(merge_flows())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_match_the_reference_merge(self, tmp_path, flows):
+        paths = [
+            _write(tmp_path / f"{i}.csv", maxplus_tc.write_trace_csv(t)) for i, t in enumerate(flows)
+        ]
+        out, prov = tmp_path / "agg.csv", tmp_path / "prov.json"
+        assert run(["merge", "--traces", *paths, "--out", str(out), "--provenance", str(prov)]) == 0
+        merged, origins = reference.merge_with_provenance_by_tuples(flows)
+        packets = [{"flow": o.flow, "index": o.index} for o in origins]
+        assert prov.read_text() == json.dumps({"packets": packets}, indent=2) + "\n"
+        assert out.read_text() == maxplus_tc.write_trace_csv(merged)
 
 
 class TestEntryPoint:
@@ -927,3 +945,23 @@ class TestEntryPoint:
         code, out, err = self._main(args, tmp_path)
         assert (code, out, err) == self._run(args, capsys)
         assert code == 3 and json.loads(err)["error"]["kind"] == "io"
+
+    def test_module_run_exits_with_the_verdict(self, tmp_path, lam_nu_model):
+        """``python -m maxplus_tc.cli`` runs ``main()``: a violating check
+        exits 1 with its report, and no arguments exit 2 with a usage error."""
+        src = str(Path(maxplus_tc.__file__).resolve().parents[1])
+        trace = _write(tmp_path / "t.csv", "arrival_ticks\n0\n1\n2\n")
+
+        def module_run(*args):
+            proc = subprocess.run(
+                [sys.executable, "-m", "maxplus_tc.cli", *args],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            )
+            return proc.returncode, proc.stdout, proc.stderr
+
+        code, out, err = module_run("check", "--trace", trace, "--model", lam_nu_model)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["conforms"] is False and json.loads(out)["witness"] is not None
+        code, out, err = module_run()
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["kind"] == "usage"

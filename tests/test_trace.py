@@ -5,7 +5,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from maxplus_tc import (
@@ -61,6 +61,21 @@ class TestTraceConstruction:
         t = Trace(["0", 5.0, 7], lengths=[1, "2", 3])
         assert t.arrivals == (0, 5, 7) and t.lengths == (1, 2, 3)
         assert {type(v) for v in t.arrivals + t.lengths} == {int}
+
+    @pytest.mark.parametrize(
+        "arrivals, lengths, message",
+        [
+            ([1.5, 2.9], None, "arrival tick 1.5 at packet 1 is not an integer"),
+            ([0, Fraction(7, 2)], None, "arrival tick 7/2 at packet 2 is not an integer"),
+            (["3", 4.25], None, "arrival tick 4.25 at packet 2 is not an integer"),
+            ([1, 2], [8, 1e-9], "length 1e-09 of packet 2 is not an integer"),
+            ((1,), (Fraction(3, 2),), "length 3/2 of packet 1 is not an integer"),
+        ],
+    )
+    def test_non_integral_values_rejected(self, arrivals, lengths, message):
+        with pytest.raises(ValueError) as info:
+            Trace(arrivals, lengths=lengths)
+        assert str(info.value) == message
 
     def test_length_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -315,6 +330,7 @@ PADDING = " \t\r\v\f\x1c\x1d\x1e\x1f"
 HEADERS = [None, "arrival_ticks", "arrival_ticks,length_bits", " arrival_ticks\t,  length_bits "]
 ODD_HEADERS = [
     "arrival_ticks,foo", "arrival_ticks,length_bits,x", "arrival_ticks,", "length_bits,arrival_ticks",
+    " arrival_ticks , foo\t",
 ]
 ODD_FIELDS = [
     "", "-", "--1", "-0", "00", "1_0", "+5", "\u0661", "\uff11", "x", "1.5", "1e3", "1 2",
@@ -345,7 +361,8 @@ def csv_texts(draw):
         ticks.sort()
     lengths = draw(st.lists(values, min_size=n, max_size=n))
     header = draw(st.sampled_from(ODD_HEADERS if spoiled() else HEADERS))
-    lines = [] if header is None else [header]
+    lines = draw(st.lists(st.text(PADDING, max_size=2), max_size=2))  # leading blank lines
+    lines += [] if header is None else [header]
     for tick, bits in zip(ticks, lengths):
         row_width = draw(st.sampled_from([1, 2, 3])) if spoiled() else width
         fields = []
@@ -358,17 +375,22 @@ def csv_texts(draw):
         lines.append(",".join(fields))
         if spoiled():
             lines.append(draw(st.text(PADDING, max_size=2)))  # a blank line
-    end = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
-def _read_outcome(read, text, newline="\n"):
-    """The trace read from the text, or the message of the error raised."""
-    source = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
+def _outcome(read, source):
+    """The trace read from the source, or the message of the error raised."""
     try:
         return read(source)
     except FormatError as exc:
         return str(exc)
+
+
+def _read_outcome(read, text, newline="\n"):
+    """The outcome of reading the text as a stream with this newline mode."""
+    source = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline=newline)
+    return _outcome(read, source)
 
 
 class TestReaderMatchesReference:
@@ -377,6 +399,38 @@ class TestReaderMatchesReference:
     def test_same_trace_or_same_message(self, text):
         expected = _read_outcome(reference.read_trace_csv_by_rows, text)
         assert _read_outcome(read_trace_csv, text) == expected
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_texts())
+    def test_same_from_a_path(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        expected = _outcome(reference.read_trace_csv_by_rows, str(path))
+        assert _outcome(read_trace_csv, str(path)) == expected
+
+    @pytest.mark.parametrize(
+        "text, trace",
+        [
+            ("arrival_ticks,length_bits\r\n1,5\r\n2,6\r\n", Trace((1, 2), lengths=(5, 6))),
+            ("arrival_ticks\r1\r2\r", Trace((1, 2))),
+            ("1,5\n2,6", Trace((1, 2), lengths=(5, 6))),
+            ("\n \n\t\narrival_ticks\n7\n", Trace((7,))),
+            ("arrival_ticks,length_bits\n", Trace((), lengths=())),
+            ("arrival_ticks", Trace(())),
+            ("arrival_ticks\n1,5\n2,6\n", Trace((1, 2), lengths=(5, 6))),
+            ("arrival_ticks\n\n 1,5\n", Trace((1,), lengths=(5,))),
+            ("arrival_ticks,length_bits \n\n10,5\n", Trace((10,), lengths=(5,))),
+            ("1\n\n2\n \n3\n\n", Trace((1, 2, 3))),
+            ("\x1c1\x1c\n2\n", Trace((1, 2))),
+            ("", Trace(())),
+        ],
+    )
+    def test_path_line_ends_blank_lines_and_headers(self, tmp_path, text, trace):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode())
+        assert read_trace_csv(str(path)) == trace
+        assert reference.read_trace_csv_by_rows(str(path)) == trace
 
     @pytest.mark.parametrize("odd", ODD_FIELDS + ["007", "0"] + [f"{c}7{c}" for c in PADDING])
     def test_one_odd_field_in_a_clean_file(self, odd):
@@ -411,12 +465,13 @@ class TestReaderCost:
         assert len(trace) == 10**5
         assert peak < 12 * 2**20
 
-    def test_no_python_code_per_row(self):
+    @staticmethod
+    def _line_events(source_of):
+        """The lines run while reading 10**3 and 10**4 rows, each given to
+        the reader as ``source_of(text)`` returns it."""
         # every Python frame a row might start runs lines, so equal line
-        # counts also mean no frame per row.  The text is read from memory:
-        # a file's UTF-8 decoder runs one Python frame per 8 KiB chunk it
-        # decodes, whatever the rows.  The collector is off, as in the
-        # command line, so that no gc callback (hypothesis installs one)
+        # counts also mean no frame per row.  The collector is off, as in
+        # the command line, so that no gc callback (hypothesis installs one)
         # runs at a random point
         def count(rows):
             seen = []
@@ -425,7 +480,7 @@ class TestReaderCost:
                 seen.append(kind)
                 return record  # trace the lines of each frame
 
-            source = io.StringIO(_two_column_text(rows))
+            source = source_of(_two_column_text(rows))
             gc.disable()
             sys.settrace(record)
             try:
@@ -436,7 +491,25 @@ class TestReaderCost:
             assert len(trace) == rows
             return seen.count("line")
 
-        assert count(10**3) == count(10**4)
+        return count(10**3), count(10**4)
+
+    def test_no_python_code_per_row(self):
+        first, second = self._line_events(io.StringIO)
+        assert first == second
+
+    @pytest.mark.parametrize("blank_row", ["", "\n \t"], ids=["clean", "blank row"])
+    def test_no_python_code_per_row_from_a_path(self, tmp_path, blank_row):
+        # a path is read by one read(), so its UTF-8 decoder runs one Python
+        # frame whatever the rows.  A blank row fails the first bulk decode
+        # and is dropped before the second
+        def write(text):
+            path = tmp_path / f"{len(text)}.csv"
+            middle = text.index("\n", len(text) // 2)
+            path.write_text(text[:middle] + blank_row + text[middle:])
+            return str(path)
+
+        first, second = self._line_events(write)
+        assert first == second
 
 
 class TestRationalJson:
