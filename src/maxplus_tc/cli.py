@@ -120,6 +120,13 @@ def _load_json(path: str):
             raise FormatError(f"{path}: {exc}") from None
 
 
+def _only(applies: bool, args, where: str, *dests: str) -> None:
+    """Refuse the options named by ``dests`` that were given where they do nothing."""
+    given = ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
+    if given and not applies:
+        raise _UsageError(f"{', '.join(given)}: valid only {where}")
+
+
 def _report_text(report) -> str:
     lines = [f"conforms: {'yes' if report.conforms else 'no'}"]
     if report.witness is not None:
@@ -172,12 +179,13 @@ def _cmd_fit(args) -> int:
     chosen = [opt for opt in (args.rate, args.burst, args.interval) if opt is not None]
     if len(chosen) != 1:
         raise _UsageError("give exactly one of --rate, --burst, --interval")
+    _only(args.interval is not None, args, "with --interval", "mode")
     if args.rate is not None:
         result = fit_lambda_nu(trace, lam=parse_rational(args.rate))
     elif args.burst is not None:
         result = fit_lambda_nu(trace, nu=parse_rational(args.burst))
     else:
-        mode = WindowMode(args.mode)
+        mode = WindowMode(args.mode or "closed")
         result = fit_tspec(trace, parse_rational(args.interval), mode)
     _print(fit_result_to_json(result), args.format)
     return 0
@@ -190,8 +198,10 @@ def _cmd_map(args) -> int:
     )
 
     model = model_from_json(_load_json(args.model))
+    _only(isinstance(model, LambdaNuModel), args, "for a lambda_nu model", "variant", "j")
     if isinstance(model, LambdaNuModel):
-        obj = model_to_json(map_lambda_nu_to_tspec(model, MappingVariant(args.variant), args.j))
+        variant = MappingVariant(args.variant or "a")
+        obj = model_to_json(map_lambda_nu_to_tspec(model, variant, 1 if args.j is None else args.j))
     elif isinstance(model, TSpecModel):
         obj = model_to_json(map_tspec_to_lambda_nu(model))
     elif isinstance(model, MaxPlusCurve):
@@ -213,6 +223,7 @@ def _cmd_superpose(args) -> int:
     )
     from .rational import parse_rational
 
+    _only(args.indirect, args, "with --indirect", "max_lengths", "min_length")
     models = [model_from_json(_load_json(path)) for path in args.models]
     kinds = {type(m) for m in models}
     if len(kinds) != 1:
@@ -223,14 +234,8 @@ def _cmd_superpose(args) -> int:
             raise _UsageError("--indirect applies to rate/burst models only")
         if args.max_lengths is None or args.min_length is None:
             raise _UsageError("--indirect needs --max-lengths and --min-length")
-        lengths = tuple(parse_rational(l) for l in args.max_lengths)
-        result = superpose_indirect(
-            IndirectInputs(
-                models=tuple(models),
-                max_lengths=lengths,
-                min_length=parse_rational(args.min_length),
-            )
-        )
+        result = superpose_indirect(IndirectInputs(
+            models, map(parse_rational, args.max_lengths), parse_rational(args.min_length)))
     elif kind is LambdaNuModel:
         result = superpose_lambda_nu(models)
     elif kind is TSpecModel:
@@ -346,22 +351,14 @@ def _cmd_table1(args) -> int:
 def _cmd_suite(args) -> int:
     from .suite import DEFAULT_SEED, SuiteConfig, run_property_suite
 
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError:
-                raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    if seed is None:
-        seed = DEFAULT_SEED
-    cfg = SuiteConfig(
-        seed=seed,
-        trials=args.trials,
-        max_flows=args.max_flows,
-        max_packets=args.max_packets,
-    )
+    seed, env = args.seed, os.environ.get(SEED_ENV_VAR)
+    if seed is None and env is not None:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+    cfg = SuiteConfig(seed=DEFAULT_SEED if seed is None else seed, trials=args.trials,
+                      max_flows=args.max_flows, max_packets=args.max_packets)
     summary = run_property_suite(cfg)
     if args.format == "text":
         sys.stdout.write(summary.render_text())
@@ -409,14 +406,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--rate", help="fix the packet rate, fit the burst allowance")
     p.add_argument("--burst", help="fix the burst allowance, fit the packet rate")
     p.add_argument("--interval", help="fit the packet budget for windows of this length")
-    p.add_argument("--mode", choices=("closed", "open"), default="closed")
+    p.add_argument("--mode", choices=("closed", "open"), help="--interval window; default closed")
     _add_format(p)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("map", help="map a model into the other family")
     p.add_argument("--model", required=True)
-    p.add_argument("--variant", choices=("a", "b"), default="a")
-    p.add_argument("--j", type=int, default=1, help="window multiple (>= 1)")
+    p.add_argument("--variant", choices=("a", "b"), help="lambda_nu models; default a")
+    p.add_argument("--j", type=int, help="window multiple (>= 1) for lambda_nu models; default 1")
     _add_format(p)
     p.set_defaults(handler=_cmd_map)
 

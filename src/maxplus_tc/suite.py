@@ -11,10 +11,14 @@ A failure never aborts the run; it is recorded as a serialized
 counterexample in the property's report and reflected in the exit status of
 the CLI wrapper.
 
-Trials pay only for what they read: a check read for its verdict passes
-``max_tight=0`` and lists no tight pairs, and a failure record that shows
-the report recomputes it in full.  Reference routes serve only as the slow
-side of a differential property, never to build a trial's inputs.
+An invariant the hypothesis tests share is one public predicate (None when
+it holds, else the failure record) that the property and the test feed
+their own draws.  :func:`merge_conforms_to_sum` is the superposition
+property of each family in ``_FAMILIES``; ``MaxPlusCurve`` is to be one
+more entry there.  A verdict is read at ``max_tight=0``
+(:func:`_violation`), and only a failure recomputes the report in full.
+Reference routes serve only as the slow side of a differential property,
+never to build a trial's inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .algebra import (
     superpose_tspec,
 )
 from .conformance import (
-    ConformanceReport,
     check_lambda_nu,
     check_sigma_rho,
     check_tspec,
@@ -57,6 +60,7 @@ from .models import (
     LambdaNuModel,
     MappingVariant,
     MaxPlusCurve,
+    SigmaRhoModel,
     TSpecModel,
     WindowMode,
     model_to_json,
@@ -198,9 +202,7 @@ def _shift(trace: Trace, by: int) -> Trace:
 
 def _thin(rng: Lcg64, trace: Trace, keep_percent: int = 75) -> Trace:
     kept = [i for i in range(trace.num_packets) if rng.randint(0, 99) < keep_percent]
-    lengths = None
-    if trace.lengths is not None:
-        lengths = tuple(trace.lengths[i] for i in kept)
+    lengths = None if trace.lengths is None else tuple(trace.lengths[i] for i in kept)
     return Trace(arrivals=tuple(trace.arrivals[i] for i in kept), lengths=lengths)
 
 
@@ -252,15 +254,73 @@ def _arbitrary_trace(rng: Lcg64, max_packets: int, with_lengths: bool = False) -
     return Trace(arrivals=tuple(arrivals), lengths=lengths)
 
 
-def _report_mismatch(
-    context: dict, fast_name: str, fast: ConformanceReport, slow_name: str, slow: ConformanceReport
-) -> dict | None:
-    """None when a fast checker's report equals its reference's, else the
-    failure record: ``context`` plus both reports."""
-    fast_json, slow_json = report_to_json(fast), report_to_json(slow)
+def _report_mismatch(trace: Trace, model, key: str, fast_name: str, fast,
+                     slow_name: str, slow) -> dict | None:
+    """None when checker ``fast`` reports on ``trace`` and ``model`` as its
+    reference ``slow`` does, else the failure record with both reports."""
+    fast_json, slow_json = report_to_json(fast(trace, model)), report_to_json(slow(trace, model))
     if fast_json == slow_json:
         return None
-    return {**context, fast_name: fast_json, slow_name: slow_json}
+    return {"trace": _trace_summary(trace), key: model_to_json(model),
+            fast_name: fast_json, slow_name: slow_json}
+
+
+def _violation(check, trace: Trace, model, context: Callable[[], dict]) -> dict | None:
+    """None when ``trace`` conforms to ``model`` (read at ``max_tight=0``), else
+    the failure record: ``context()`` plus the full report."""
+    if check(trace, model, max_tight=0).conforms:
+        return None
+    return {**context(), "report": report_to_json(check(trace, model))}
+
+
+# the superposition operator and the checker of each model family
+_FAMILIES = {
+    LambdaNuModel: (superpose_lambda_nu, check_lambda_nu),
+    TSpecModel: (superpose_tspec, check_tspec),
+    SigmaRhoModel: (superpose_sigma_rho, check_sigma_rho),
+}
+
+
+def merge_conforms_to_sum(models: list, traces: list[Trace]) -> dict | None:
+    """The superposition property: flows that conform to their models (all
+    of one family) merge into a trace that conforms to the models' sum.
+    None when it holds, else the failure record."""
+    superpose, check = _FAMILIES[type(models[0])]
+    aggregate = superpose(models)
+    return _violation(check, merge_traces(traces), aggregate, lambda: {
+        "models": [model_to_json(m) for m in models],
+        "aggregate": model_to_json(aggregate),
+        "traces": [_trace_summary(t) for t in traces],
+    })
+
+
+def lambda_nu_routes_agree(trace: Trace, model: LambdaNuModel) -> dict | None:
+    """None when the pairwise check and the max-plus route agree, else the failure."""
+    return _report_mismatch(trace, model, "model", "pairwise", check_lambda_nu,
+                            "maxplus_route", check_lambda_nu_via_convolution)
+
+
+def tspec_routes_agree(trace: Trace, tspec: TSpecModel) -> dict | None:
+    """None when the window scan and the pairwise check agree, else the failure."""
+    return _report_mismatch(trace, tspec, "tspec", "window_scan", check_tspec,
+                            "pairwise", check_tspec_pairwise)
+
+
+def merge_order_insensitive(traces: list[Trace]) -> dict | None:
+    """None when merging the flows rotated, and (for three or more) the
+    first two merged first, gives the same ticks, else the failure record."""
+    merged = merge_traces(traces)
+    others = {"rotated": merge_traces(traces[1:] + traces[:1])}
+    if len(traces) > 2:
+        others["nested"] = merge_traces([merge_traces(traces[:2]), *traces[2:]])
+    for name, other in others.items():
+        if other.arrivals != merged.arrivals:
+            return {
+                "traces": [_trace_summary(t) for t in traces],
+                "merged": list(merged.arrivals[:60]),
+                name: list(other.arrivals[:60]),
+            }
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -269,28 +329,14 @@ def _report_mismatch(
 
 def _prop_pairwise_equals_maxplus_route(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
     trace = _arbitrary_trace(rng, min(cfg.max_packets, 120))
-    model = _rand_rate_burst(rng)
-    return _report_mismatch(
-        {"trace": _trace_summary(trace), "model": model_to_json(model)},
-        "pairwise", check_lambda_nu(trace, model),
-        "maxplus_route", check_lambda_nu_via_convolution(trace, model),
-    )
+    return lambda_nu_routes_agree(trace, _rand_rate_burst(rng))
 
 
 def _prop_merge_conforms_to_direct_sum(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
     flows = rng.randint(2, cfg.max_flows)
     models = [_rand_rate_burst(rng) for _ in range(flows)]
     traces = [_conforming_rate_burst_trace(rng, m, cfg.max_packets) for m in models]
-    merged = merge_traces(traces)
-    aggregate = superpose_lambda_nu(models)
-    if check_lambda_nu(merged, aggregate, max_tight=0).conforms:
-        return None
-    return {
-        "models": [model_to_json(m) for m in models],
-        "traces": [_trace_summary(t) for t in traces],
-        "aggregate": model_to_json(aggregate),
-        "report": report_to_json(check_lambda_nu(merged, aggregate)),
-    }
+    return merge_conforms_to_sum(models, traces)
 
 
 def _prop_aligned_merge_attains_burst_bound(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
@@ -318,15 +364,15 @@ def _prop_rate_burst_maps_into_tspec(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
     for j in range(1, 6):
         for variant in (MappingVariant.A, MappingVariant.B):
             tspec = map_lambda_nu_to_tspec(model, variant, j)
-            if not check_tspec(trace, tspec, max_tight=0).conforms:
-                return {
-                    "model": model_to_json(model),
-                    "j": j,
-                    "variant": variant.value,
-                    "tspec": model_to_json(tspec),
-                    "trace": _trace_summary(trace),
-                    "report": report_to_json(check_tspec(trace, tspec)),
-                }
+            failure = _violation(check_tspec, trace, tspec, lambda: {
+                "model": model_to_json(model),
+                "j": j,
+                "variant": variant.value,
+                "tspec": model_to_json(tspec),
+                "trace": _trace_summary(trace),
+            })
+            if failure is not None:
+                return failure
     return None
 
 
@@ -334,14 +380,11 @@ def _prop_tspec_maps_into_rate_burst(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
     tspec = _rand_tspec(rng)
     trace = _conforming_tspec_trace(rng, tspec, min(cfg.max_packets, 400))
     model = map_tspec_to_lambda_nu(tspec)
-    if check_lambda_nu(trace, model, max_tight=0).conforms:
-        return None
-    return {
+    return _violation(check_lambda_nu, trace, model, lambda: {
         "tspec": model_to_json(tspec),
         "model": model_to_json(model),
         "trace": _trace_summary(trace),
-        "report": report_to_json(check_lambda_nu(trace, model)),
-    }
+    })
 
 
 def _prop_merge_conforms_to_tspec_sum(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
@@ -349,37 +392,18 @@ def _prop_merge_conforms_to_tspec_sum(rng: Lcg64, cfg: SuiteConfig) -> dict | No
     tspecs = [_rand_tspec(rng) for _ in range(flows)]
     per_flow = max(1, min(cfg.max_packets, 400) // flows)
     traces = [_conforming_tspec_trace(rng, t, per_flow) for t in tspecs]
-    merged = merge_traces(traces)
-    aggregate = superpose_tspec(tspecs)
-    if check_tspec(merged, aggregate, max_tight=0).conforms:
-        return None
-    return {
-        "tspecs": [model_to_json(t) for t in tspecs],
-        "aggregate": model_to_json(aggregate),
-        "traces": [_trace_summary(t) for t in traces],
-        "report": report_to_json(check_tspec(merged, aggregate)),
-    }
+    return merge_conforms_to_sum(tspecs, traces)
 
 
 def _prop_merge_conforms_to_bit_sum(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
     flows = rng.randint(2, cfg.max_flows)
-    models = []
-    traces = []
+    models, traces = [], []
     for _ in range(flows):
         trace = _arbitrary_trace(rng, min(cfg.max_packets, 80), with_lengths=True)
         rho = Fraction(rng.randint(1, 500), rng.randint(1, 8))
         models.append(fit_sigma_rho(trace, rho=rho).model)
         traces.append(trace)
-    merged = merge_traces(traces)
-    aggregate = superpose_sigma_rho(models)
-    if check_sigma_rho(merged, aggregate, max_tight=0).conforms:
-        return None
-    return {
-        "models": [model_to_json(m) for m in models],
-        "aggregate": model_to_json(aggregate),
-        "traces": [_trace_summary(t) for t in traces],
-        "report": report_to_json(check_sigma_rho(merged, aggregate)),
-    }
+    return merge_conforms_to_sum(models, traces)
 
 
 def _prop_composition_formula_matches_merge(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
@@ -501,12 +525,7 @@ def _prop_fitted_envelopes_are_tight(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
 
 def _prop_window_scan_equals_pairwise_windows(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
     trace = _arbitrary_trace(rng, min(cfg.max_packets, 120))
-    tspec = _rand_tspec(rng)
-    return _report_mismatch(
-        {"trace": _trace_summary(trace), "tspec": model_to_json(tspec)},
-        "window_scan", check_tspec(trace, tspec),
-        "pairwise", check_tspec_pairwise(trace, tspec),
-    )
+    return tspec_routes_agree(trace, _rand_tspec(rng))
 
 
 def _prop_looser_models_stay_conforming(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
@@ -556,24 +575,7 @@ def _prop_mapping_roundtrip_scales_rate(rng: Lcg64, cfg: SuiteConfig) -> dict | 
 
 def _prop_merge_is_order_insensitive(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
     flows = rng.randint(2, 3)
-    traces = [_arbitrary_trace(rng, 40) for _ in range(flows)]
-    merged = merge_traces(traces)
-    rotated = merge_traces(traces[1:] + traces[:1])
-    if merged.arrivals != rotated.arrivals:
-        return {
-            "traces": [_trace_summary(t) for t in traces],
-            "merged": list(merged.arrivals[:60]),
-            "rotated": list(rotated.arrivals[:60]),
-        }
-    if flows == 3:
-        nested = merge_traces([merge_traces(traces[:2]), traces[2]])
-        if nested.arrivals != merged.arrivals:
-            return {
-                "traces": [_trace_summary(t) for t in traces],
-                "merged": list(merged.arrivals[:60]),
-                "nested": list(nested.arrivals[:60]),
-            }
-    return None
+    return merge_order_insensitive([_arbitrary_trace(rng, 40) for _ in range(flows)])
 
 
 def _prop_generators_pass_their_checkers(rng: Lcg64, cfg: SuiteConfig) -> dict | None:

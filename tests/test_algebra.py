@@ -240,17 +240,3 @@ class TestCurveReduction:
     def test_degenerate_curve(self):
         with pytest.raises(DegenerateCurveError):
             curve_to_lambda_nu(MaxPlusCurve((F(0), F(0), F(0))))
-
-    def test_envelope_never_exceeds_curve(self):
-        rng = Lcg64(404)
-        for _ in range(100):
-            horizon = rng.randint(1, 40)
-            values = [F(0)]
-            for _ in range(horizon):
-                values.append(values[-1] + F(rng.randint(0, 10), rng.randint(1, 4)))
-            if values[-1] == 0:
-                values[-1] = F(1)
-            curve = MaxPlusCurve(tuple(values))
-            model = curve_to_lambda_nu(curve).model
-            for d in range(horizon + 1):
-                assert model.min_spacing(d) <= curve.values[d]

@@ -313,6 +313,27 @@ class TestSuperpose:
         assert run(["superpose", "--models", a, b, "--indirect"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("superpose --models M M --max-lengths 1500 64 --min-length 64",
+     "--max-lengths, --min-length: valid only with --indirect"),
+    ("superpose --models M M --min-length 64", "--min-length: valid only with --indirect"),
+    ("fit --trace T --rate 1/10 --mode closed", "--mode: valid only with --interval"),
+    ("map --model S --variant a", "--variant: valid only for a lambda_nu model"),
+    ("map --model C --j 1 --variant b", "--variant, --j: valid only for a lambda_nu model"),
+])
+def test_option_that_does_nothing_is_refused(tmp_path, lam_nu_model, capsys, argv, message):
+    files = {
+        "M": lam_nu_model,
+        "T": _write(tmp_path / "t.csv", "0\n10\n"),
+        "S": _write(tmp_path / "s.json", json.dumps({"type": "tspec", "tau": 2, "k_max": 2})),
+        "C": _write(tmp_path / "c.json", json.dumps({"type": "maxplus_curve", "values": [0, 1]})),
+    }
+    assert run([files.get(word, word) for word in argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"kind": "usage", "message": message}}
+
+
 class TestMergeGenerate:
     def test_merge_with_provenance(self, tmp_path, capsys):
         t1 = _write(tmp_path / "a.csv", "1\n3\n5\n")

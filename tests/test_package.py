@@ -164,3 +164,10 @@ def test_no_module_imports_dataclasses():
     assert [(name, module) for name, module in imported
             if module.partition(".")[0] == "dataclasses"] == []
     assert len(imported) > 20  # the walk saw the package's imports
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, demo], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout.strip(), done.stderr

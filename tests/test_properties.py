@@ -1,4 +1,4 @@
-"""Invariant checks driven by hypothesis."""
+"""Invariant checks driven by hypothesis, calling the suite's predicates where it has one."""
 
 from fractions import Fraction
 
@@ -14,13 +14,14 @@ from maxplus_tc import (
     check_lambda_nu,
     check_tspec,
     cumulative,
+    fit_lambda_nu,
     interarrival,
     merge_traces,
     reference,
-    report_to_json,
-    superpose_lambda_nu,
 )
 from maxplus_tc.conformance import fit_sigma_rho
+from maxplus_tc.suite import (lambda_nu_routes_agree, merge_conforms_to_sum,
+                              merge_order_insensitive, tspec_routes_agree)
 
 F = Fraction
 
@@ -94,10 +95,7 @@ class TestCheckerInvariants:
     @given(traces(), positive_rationals, burst_rationals)
     @settings(max_examples=60)
     def test_matches_bruteforce(self, trace, lam, nu):
-        model = LambdaNuModel(lam, nu)
-        assert report_to_json(check_lambda_nu(trace, model)) == report_to_json(
-            reference.check_lambda_nu_via_convolution(trace, model)
-        )
+        assert lambda_nu_routes_agree(trace, LambdaNuModel(lam, nu)) is None
 
     @given(
         traces(),
@@ -136,10 +134,7 @@ class TestCheckerInvariants:
     )
     @settings(max_examples=60)
     def test_window_scan_equals_pairwise(self, trace, tau, k, mode):
-        tspec = TSpecModel(tau, k, mode)
-        assert report_to_json(check_tspec(trace, tspec)) == report_to_json(
-            reference.check_tspec_pairwise(trace, tspec)
-        )
+        assert tspec_routes_agree(trace, TSpecModel(tau, k, mode)) is None
 
     @given(traces(max_packets=12), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60)
@@ -156,8 +151,7 @@ class TestMergeInvariants:
     @given(st.lists(traces(max_packets=10), min_size=2, max_size=4))
     @settings(max_examples=60)
     def test_tick_sequence_permutation_invariant(self, trace_list):
-        base = merge_traces(trace_list).arrivals
-        assert merge_traces(trace_list[::-1]).arrivals == base
+        assert merge_order_insensitive(trace_list) is None
 
     @given(
         st.lists(traces(max_packets=8), min_size=2, max_size=3),
@@ -176,11 +170,8 @@ class TestMergeInvariants:
     @given(st.lists(traces(max_packets=8), min_size=2, max_size=4))
     @settings(max_examples=40)
     def test_aggregate_of_fitted_flows_conforms_to_sum(self, trace_list):
-        from maxplus_tc import fit_lambda_nu
-
         models = [fit_lambda_nu(t, lam=F(1, 5)).model for t in trace_list]
-        merged = merge_traces(trace_list)
-        assert check_lambda_nu(merged, superpose_lambda_nu(models)).conforms
+        assert merge_conforms_to_sum(models, trace_list) is None
 
 
 @st.composite

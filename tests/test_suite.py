@@ -1,16 +1,28 @@
 import hashlib
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from maxplus_tc import (
     PROPERTY_NAMES,
+    LambdaNuModel,
+    SigmaRhoModel,
     SuiteConfig,
+    Trace,
+    TSpecModel,
+    check_lambda_nu,
+    check_sigma_rho,
+    check_tspec,
+    merge_traces,
+    model_from_json,
+    model_to_json,
+    report_to_json,
     run_property,
     run_property_suite,
 )
 from maxplus_tc.generators import Lcg64
-from maxplus_tc.suite import PROPERTIES, _property_seed
+from maxplus_tc.suite import PROPERTIES, _property_seed, merge_conforms_to_sum
 
 
 class TestSuite:
@@ -66,6 +78,24 @@ class TestSuite:
             SuiteConfig(max_flows=1)
         with pytest.raises(ValueError):
             SuiteConfig(max_packets=0)
+
+    @pytest.mark.parametrize("model, check, traces", [
+        (LambdaNuModel(F(1, 10), 0), check_lambda_nu, [Trace((0, 0, 10)), Trace((0, 20))]),
+        (TSpecModel(F(10), 1), check_tspec, [Trace((0, 5, 20)), Trace((3, 30))]),
+        (SigmaRhoModel(100, 10), check_sigma_rho,
+         [Trace((0, 0, 10), lengths=(100, 100, 100)), Trace((0,), lengths=(100,))]),
+    ])
+    def test_superposition_failure_record(self, model, check, traces):
+        # flows that break their models: the record shows the full report,
+        # tight pairs listed, though the verdict was read at max_tight=0
+        record = merge_conforms_to_sum([model, model], traces)
+        assert list(record) == ["models", "aggregate", "traces", "report"]
+        assert record["models"] == [model_to_json(model)] * 2
+        report = record["report"]
+        assert report["conforms"] is False and report["witness"] is not None
+        assert report["tight_pairs"] and report["truncated"] is False
+        aggregate = model_from_json(record["aggregate"])
+        assert report == report_to_json(check(merge_traces(traces), aggregate))
 
     def test_trials_and_draws_are_pinned(self):
         # A passing run's summary names only properties and trial counts,
