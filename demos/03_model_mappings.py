@@ -60,9 +60,9 @@ print("\nround trip:", start.lam, "->", roundtrip.lam, "=", f"(nu+1) = {start.nu
 # General curves reduce to the envelope family too: the tightest rate/burst
 # pair dominated by the curve on its horizon.
 curve = MaxPlusCurve(tuple(F(max(n - 2, 0)) for n in range(11)))
-reduction = curve_to_lambda_nu(curve)
-print("\ncurve (n-2)+ on horizon 10 reduces to rate", reduction.model.lam, "burst", reduction.model.nu)
+reduced = curve_to_lambda_nu(curve)
+print("\ncurve (n-2)+ on horizon 10 reduces to rate", reduced.lam, "burst", reduced.nu)
 print(
     "envelope stays below the curve:",
-    all(reduction.model.min_spacing(d) <= curve.values[d] for d in range(11)),
+    all(reduced.min_spacing(d) <= curve.values[d] for d in range(11)),
 )

@@ -11,7 +11,6 @@ component envelopes into one the merged trace provably satisfies.
 from fractions import Fraction as F
 
 from maxplus_tc import (
-    IndirectInputs,
     LambdaNuModel,
     aggregate_eq1,
     check_lambda_nu,
@@ -59,12 +58,7 @@ print("\naligned twin merge, fitted burst at the summed rate:", fit.model.nu)
 
 # The length-based detour derives the same kind of bound through the bit
 # domain; it needs packet-length information and is never tighter.
-inputs = IndirectInputs(
-    models=tuple(models),
-    max_lengths=(F(1), F(1), F(2)),
-    min_length=F(1),
-)
-detour = superpose_indirect(inputs)
+detour = superpose_indirect(models, max_lengths=(F(1), F(1), F(2)), min_length=F(1))
 print("\nlength-detour envelope: rate", detour.lam, "burst", detour.nu)
 print(
     "direct is the better claim: rate",

@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 # the exported names of each submodule
 _EXPORTS = {
     "aggregation": "PacketOrigin merge_traces merge_traces_with_provenance",
-    "algebra": "CurveReduction curve_to_lambda_nu map_lambda_nu_to_tspec map_tspec_to_lambda_nu "
+    "algebra": "curve_to_lambda_nu map_lambda_nu_to_tspec map_tspec_to_lambda_nu "
                "superpose_indirect superpose_lambda_nu superpose_sigma_rho superpose_tspec",
     "conformance": "ConformanceReport FitResult Witness check_lambda_nu check_sigma_rho "
                    "check_tspec fit_lambda_nu fit_result_to_json fit_tspec max_window_count "
@@ -28,7 +28,7 @@ _EXPORTS = {
     "errors": "DegenerateCurveError FormatError GridError InconsistentInputError "
               "InfeasibleFitError MissingLengthsError TrafficModelError UnboundedFitError",
     "generators": "Lcg64 gen_extremal_lambda_nu gen_jittered gen_periodic gen_tspec_extremal",
-    "models": "IndirectInputs LambdaNuModel MappingVariant MaxPlusCurve SigmaRhoModel TSpecModel "
+    "models": "LambdaNuModel MappingVariant MaxPlusCurve SigmaRhoModel TSpecModel "
               "WindowMode model_from_json model_to_json",
     "rational": "ceil_div parse_rational rational_from_json rational_to_json",
     "reference": "aggregate_eq1 check_lambda_nu_via_convolution check_tspec_pairwise",

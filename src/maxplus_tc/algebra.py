@@ -19,21 +19,15 @@ Two routes exist for the packet-domain rate/burst family:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import ceil
 
-from ._record import Record
-from .errors import DegenerateCurveError
+from .errors import DegenerateCurveError, InconsistentInputError
 from .models import (
-    IndirectInputs,
-    LambdaNuModel,
-    MappingVariant,
-    MaxPlusCurve,
-    SigmaRhoModel,
-    TSpecModel,
-    WindowMode,
+    LambdaNuModel, MappingVariant, MaxPlusCurve, SigmaRhoModel, TSpecModel, WindowMode,
 )
+from .rational import RationalLike
 
 
 def map_lambda_nu_to_tspec(
@@ -108,44 +102,56 @@ def superpose_sigma_rho(models: Sequence[SigmaRhoModel]) -> SigmaRhoModel:
     )
 
 
-def superpose_indirect(inputs: IndirectInputs) -> LambdaNuModel:
+# the superposition operator of each model family
+SUPERPOSE = {
+    LambdaNuModel: superpose_lambda_nu,
+    TSpecModel: superpose_tspec,
+    SigmaRhoModel: superpose_sigma_rho,
+}
+
+
+def superpose_indirect(
+    models: Sequence[LambdaNuModel], max_lengths: Iterable[RationalLike], min_length: RationalLike
+) -> LambdaNuModel:
     """Aggregate envelope via the bit-domain detour.
 
-    Each flow's packet envelope is widened to a bit envelope using its
-    maximum packet length, the bit envelopes are summed, and the sum is
-    read back as a packet envelope at the minimum packet length.  Length
-    ratios >= 1 inflate both parameters, so this never beats
-    :func:`superpose_lambda_nu`.
+    Each flow's packet envelope is widened to a bit envelope at its maximum
+    packet length ``max_lengths[i]`` (bits), the bit envelopes are summed,
+    and the sum is read back as a packet envelope at ``min_length``, the
+    smallest packet length of any flow.  Length ratios >= 1 inflate both
+    parameters, so this never beats :func:`superpose_lambda_nu`.  Inputs
+    that do not fit together raise :class:`InconsistentInputError`.
     """
-    l_min = inputs.min_length
-    lam = Fraction(0)
-    nu = Fraction(0)
-    for model, l_i in zip(inputs.models, inputs.max_lengths):
-        ratio = l_i / l_min
+    max_lengths = [Fraction(l) for l in max_lengths]
+    min_length = Fraction(min_length)
+    if len(models) < 2:
+        raise InconsistentInputError("need at least two flows to superpose")
+    if len(max_lengths) != len(models):
+        raise InconsistentInputError(f"{len(max_lengths)} max lengths for {len(models)} flows")
+    if min_length <= 0:
+        raise InconsistentInputError("minimum packet length must be positive")
+    lam = nu = Fraction(0)
+    for i, (model, l) in enumerate(zip(models, max_lengths)):
+        if l <= 0:
+            raise InconsistentInputError(f"max length of flow {i} must be positive")
+        if min_length > l:
+            raise InconsistentInputError(
+                f"minimum length {min_length} exceeds max length {l} of flow {i}"
+            )
+        ratio = l / min_length
         lam += ratio * model.lam
         nu += (model.nu + 1) * ratio
     return LambdaNuModel(lam=lam, nu=nu)
 
 
-class CurveReduction(Record):
-    """Rate/burst envelope extracted from a general arrival curve, valid on
-    the finite horizon it was computed over."""
-
-    __slots__ = ("model", "horizon")
-
-    def __init__(self, model: LambdaNuModel, horizon: int):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "horizon", horizon)
-
-
-def curve_to_lambda_nu(curve: MaxPlusCurve) -> CurveReduction:
+def curve_to_lambda_nu(curve: MaxPlusCurve) -> LambdaNuModel:
     """Reduce a general inter-arrival lower-bound curve to the tightest
     rate/burst envelope dominated by it on the curve's horizon.
 
     The rate is the largest r with ``r * curve(d) <= d`` for every d in the
     horizon; the burst allowance then absorbs whatever the linear bound
     gives away.  By construction ``(d - nu)+ / lam <= curve(d)`` for all
-    d up to the horizon.
+    d up to ``curve.horizon``; beyond it the envelope promises nothing.
     """
     h = curve.horizon
     lam: Fraction | None = None
@@ -160,4 +166,4 @@ def curve_to_lambda_nu(curve: MaxPlusCurve) -> CurveReduction:
             "curve is zero everywhere on its horizon; no finite rate bounds it"
         )
     nu = max(d - lam * curve.values[d] for d in range(h + 1))
-    return CurveReduction(model=LambdaNuModel(lam=lam, nu=nu), horizon=h)
+    return LambdaNuModel(lam=lam, nu=nu)

@@ -145,23 +145,18 @@ def _report_text(report) -> str:
 
 
 def _cmd_check(args) -> int:
-    from .conformance import check_lambda_nu, check_sigma_rho, check_tspec, report_to_json
-    from .models import LambdaNuModel, SigmaRhoModel, TSpecModel, model_from_json
+    from .conformance import CHECKERS, report_to_json
+    from .models import model_from_json
     from .trace import read_trace_csv
 
     trace = read_trace_csv(args.trace)
     model = model_from_json(_load_json(args.model))
     max_tight = MAX_TIGHT_ALL if args.max_tight is None else args.max_tight
-    if isinstance(model, LambdaNuModel):
-        report = check_lambda_nu(trace, model, max_tight=max_tight)
-    elif isinstance(model, TSpecModel):
-        report = check_tspec(trace, model, max_tight=max_tight)
-    elif isinstance(model, SigmaRhoModel):
-        report = check_sigma_rho(trace, model, max_tight=max_tight)
-    else:
+    if type(model) not in CHECKERS:
         raise _UsageError(
             "a max-plus curve is not directly checkable; map it to a rate/burst model first"
         )
+    report = CHECKERS[type(model)](trace, model, max_tight=max_tight)
     if args.max_tight is None and report.truncated:
         raise _UsageError(f"--max-tight all lists at most {MAX_TIGHT_ALL} tight pairs, not "
                           f"{report.tight_count}; give a count K to list the first K")
@@ -205,9 +200,8 @@ def _cmd_map(args) -> int:
     elif isinstance(model, TSpecModel):
         obj = model_to_json(map_tspec_to_lambda_nu(model))
     elif isinstance(model, MaxPlusCurve):
-        reduction = curve_to_lambda_nu(model)
-        obj = model_to_json(reduction.model)
-        obj["horizon"] = reduction.horizon
+        obj = model_to_json(curve_to_lambda_nu(model))
+        obj["horizon"] = model.horizon
     else:
         raise _UsageError(f"no mapping defined for model type {type(model).__name__}")
     _print(obj, args.format)
@@ -215,12 +209,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_superpose(args) -> int:
-    from .algebra import (
-        superpose_indirect, superpose_lambda_nu, superpose_sigma_rho, superpose_tspec,
-    )
-    from .models import (
-        IndirectInputs, LambdaNuModel, SigmaRhoModel, TSpecModel, model_from_json, model_to_json,
-    )
+    from .algebra import SUPERPOSE, superpose_indirect
+    from .models import LambdaNuModel, model_from_json, model_to_json
     from .rational import parse_rational
 
     _only(args.indirect, args, "with --indirect", "max_lengths", "min_length")
@@ -234,14 +224,10 @@ def _cmd_superpose(args) -> int:
             raise _UsageError("--indirect applies to rate/burst models only")
         if args.max_lengths is None or args.min_length is None:
             raise _UsageError("--indirect needs --max-lengths and --min-length")
-        result = superpose_indirect(IndirectInputs(
-            models, map(parse_rational, args.max_lengths), parse_rational(args.min_length)))
-    elif kind is LambdaNuModel:
-        result = superpose_lambda_nu(models)
-    elif kind is TSpecModel:
-        result = superpose_tspec(models)
-    elif kind is SigmaRhoModel:
-        result = superpose_sigma_rho(models)
+        result = superpose_indirect(
+            models, map(parse_rational, args.max_lengths), parse_rational(args.min_length))
+    elif kind in SUPERPOSE:
+        result = SUPERPOSE[kind](models)
     else:
         raise _UsageError("max-plus curves cannot be superposed directly; reduce them first")
     _print(model_to_json(result), args.format)
@@ -272,6 +258,13 @@ _GENERATE_PARAMS = {
     **dict.fromkeys(("period", "phase", "count", "k_max", "jitter", "seed"), (int,)),
     **dict.fromkeys(("rate", "burst", "interval"), (str, int)),
 }
+# the options each generator kind reads, besides --count and --out
+_GENERATE_READS = {
+    "periodic": ("period", "phase"),
+    "extremal": ("rate", "burst"),
+    "tspec-bursts": ("interval", "k_max", "mode"),
+    "jittered": ("period", "jitter", "seed", "model_out"),
+}
 
 
 def _generate_params(args) -> dict:
@@ -280,6 +273,9 @@ def _generate_params(args) -> dict:
         loaded = _load_json(args.config)
         if not isinstance(loaded, dict):
             raise FormatError("generator config must be a JSON object")
+        unknown = sorted(loaded.keys() - _GENERATE_PARAMS.keys())
+        if unknown:
+            raise FormatError(f"generator config has unknown keys: {', '.join(map(repr, unknown))}")
         params.update(loaded)
     for key, types in _GENERATE_PARAMS.items():
         value = getattr(args, key)
@@ -301,8 +297,14 @@ def _cmd_generate(args) -> int:
 
     params = _generate_params(args)
     kind = params.get("kind")
+    reads = _GENERATE_READS.get(kind)
+    if reads is None:
+        raise _UsageError(
+            "pick --kind periodic|extremal|tspec-bursts|jittered (or set it in --config)"
+        )
+    unread = [dest for dest in dict.fromkeys(chain(*_GENERATE_READS.values())) if dest not in reads]
+    _only(False, args, f"with a --kind that reads them, not {kind}", *unread)
     count = params.get("count", 0)
-    fitted = None
 
     def need(key):
         if key not in params:
@@ -325,16 +327,12 @@ def _cmd_generate(args) -> int:
             window_mode=WindowMode(params.get("mode", "closed")),
         )
         trace = gen_tspec_extremal(tspec, count)
-    elif kind == "jittered":
+    else:
         trace, fitted = gen_jittered(
             need("period"), params.get("jitter", 0), params.get("seed", 0), count
         )
-    else:
-        raise _UsageError(
-            "pick --kind periodic|extremal|tspec-bursts|jittered (or set it in --config)"
-        )
     _write_out(args.out, write_trace_csv(trace))
-    if fitted is not None and args.model_out:
+    if args.model_out:  # given only with --kind jittered
         with open(args.model_out, "w", encoding="utf-8") as fh:
             fh.write(_json_text(model_to_json(fitted)) + "\n")
     return 0

@@ -368,6 +368,14 @@ def check_sigma_rho(
     return _report(witness, total, windows, b * (b + 1) // 2, max_tight)
 
 
+# the checker of each model family
+CHECKERS = {
+    LambdaNuModel: check_lambda_nu,
+    TSpecModel: check_tspec,
+    SigmaRhoModel: check_sigma_rho,
+}
+
+
 # ---------------------------------------------------------------------------
 # Tightest-envelope fitting
 

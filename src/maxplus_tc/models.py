@@ -24,7 +24,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 
 from ._record import Record
-from .errors import FormatError, InconsistentInputError
+from .errors import FormatError
 from .rational import RationalLike, rational_from_json, rational_to_json
 
 
@@ -137,40 +137,6 @@ class MappingVariant(enum.Enum):
 
     A = "a"
     B = "b"
-
-
-class IndirectInputs(Record):
-    """Inputs for the length-based (bit-domain detour) superposition.
-
-    ``max_lengths[i]`` is the maximum packet length of flow i in bits;
-    ``min_length`` is the minimum packet length over all flows.
-    """
-
-    __slots__ = ("models", "max_lengths", "min_length")
-
-    def __init__(self, models: Iterable[LambdaNuModel], max_lengths: Iterable[RationalLike],
-                 min_length: RationalLike):
-        models = tuple(models)
-        max_lengths = tuple(Fraction(l) for l in max_lengths)
-        min_length = Fraction(min_length)
-        if len(models) < 2:
-            raise InconsistentInputError("need at least two flows to superpose")
-        if len(max_lengths) != len(models):
-            raise InconsistentInputError(
-                f"{len(max_lengths)} max lengths for {len(models)} flows"
-            )
-        if min_length <= 0:
-            raise InconsistentInputError("minimum packet length must be positive")
-        for i, l in enumerate(max_lengths):
-            if l <= 0:
-                raise InconsistentInputError(f"max length of flow {i} must be positive")
-            if min_length > l:
-                raise InconsistentInputError(
-                    f"minimum length {min_length} exceeds max length {l} of flow {i}"
-                )
-        object.__setattr__(self, "models", models)
-        object.__setattr__(self, "max_lengths", max_lengths)
-        object.__setattr__(self, "min_length", min_length)
 
 
 Model = LambdaNuModel | TSpecModel | SigmaRhoModel | MaxPlusCurve

@@ -14,9 +14,10 @@ the CLI wrapper.
 An invariant the hypothesis tests share is one public predicate (None when
 it holds, else the failure record) that the property and the test feed
 their own draws.  :func:`merge_conforms_to_sum` is the superposition
-property of each family in ``_FAMILIES``; ``MaxPlusCurve`` is to be one
-more entry there.  A verdict is read at ``max_tight=0``
-(:func:`_violation`), and only a failure recomputes the report in full.
+property of each family in ``algebra.SUPERPOSE`` and ``conformance.CHECKERS``;
+``MaxPlusCurve`` is to be one more entry in each.  A verdict is read at
+``max_tight=0`` (:func:`_violation`), and only a failure recomputes the
+report in full.
 Reference routes serve only as the slow side of a differential property,
 never to build a trial's inputs.
 """
@@ -30,17 +31,16 @@ from fractions import Fraction
 from ._record import Record
 from .aggregation import merge_traces
 from .algebra import (
+    SUPERPOSE,
     curve_to_lambda_nu,
     map_lambda_nu_to_tspec,
     map_tspec_to_lambda_nu,
     superpose_indirect,
     superpose_lambda_nu,
-    superpose_sigma_rho,
-    superpose_tspec,
 )
 from .conformance import (
+    CHECKERS,
     check_lambda_nu,
-    check_sigma_rho,
     check_tspec,
     fit_lambda_nu,
     fit_sigma_rho,
@@ -56,11 +56,9 @@ from .generators import (
     gen_tspec_extremal,
 )
 from .models import (
-    IndirectInputs,
     LambdaNuModel,
     MappingVariant,
     MaxPlusCurve,
-    SigmaRhoModel,
     TSpecModel,
     WindowMode,
     model_to_json,
@@ -273,21 +271,12 @@ def _violation(check, trace: Trace, model, context: Callable[[], dict]) -> dict 
     return {**context(), "report": report_to_json(check(trace, model))}
 
 
-# the superposition operator and the checker of each model family
-_FAMILIES = {
-    LambdaNuModel: (superpose_lambda_nu, check_lambda_nu),
-    TSpecModel: (superpose_tspec, check_tspec),
-    SigmaRhoModel: (superpose_sigma_rho, check_sigma_rho),
-}
-
-
 def merge_conforms_to_sum(models: list, traces: list[Trace]) -> dict | None:
     """The superposition property: flows that conform to their models (all
     of one family) merge into a trace that conforms to the models' sum.
     None when it holds, else the failure record."""
-    superpose, check = _FAMILIES[type(models[0])]
-    aggregate = superpose(models)
-    return _violation(check, merge_traces(traces), aggregate, lambda: {
+    aggregate = SUPERPOSE[type(models[0])](models)
+    return _violation(CHECKERS[type(models[0])], merge_traces(traces), aggregate, lambda: {
         "models": [model_to_json(m) for m in models],
         "aggregate": model_to_json(aggregate),
         "traces": [_trace_summary(t) for t in traces],
@@ -433,11 +422,8 @@ def _prop_length_detour_never_beats_direct(rng: Lcg64, cfg: SuiteConfig) -> dict
     models = [_rand_rate_burst(rng) for _ in range(flows)]
     l_min = Fraction(rng.randint(1, 50), rng.randint(1, 4))
     lengths = [l_min + Fraction(rng.randint(0, 60), rng.randint(1, 4)) for _ in range(flows)]
-    inputs = IndirectInputs(
-        models=tuple(models), max_lengths=tuple(lengths), min_length=l_min
-    )
     direct = superpose_lambda_nu(models)
-    indirect = superpose_indirect(inputs)
+    indirect = superpose_indirect(models, lengths, l_min)
     if indirect.lam >= direct.lam and indirect.nu > direct.nu:
         return None
     return {
@@ -458,8 +444,7 @@ def _prop_curve_reduction_stays_below_curve(rng: Lcg64, cfg: SuiteConfig) -> dic
     if values[-1] == 0:
         values[-1] = Fraction(rng.randint(1, 12), rng.randint(1, 4))
     curve = MaxPlusCurve(values=tuple(values))
-    reduction = curve_to_lambda_nu(curve)
-    model = reduction.model
+    model = curve_to_lambda_nu(curve)
     for d in range(horizon + 1):
         if model.min_spacing(d) > curve.values[d]:
             return {

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .algebra import superpose_indirect, superpose_lambda_nu
-from .models import IndirectInputs, LambdaNuModel
+from .models import LambdaNuModel
 from .rational import RationalLike, rational_to_json
 
 
@@ -77,12 +77,7 @@ def reproduce_table1(period: RationalLike = 1) -> list[Table1Row]:
         direct = _curve_of(superpose_lambda_nu(flows), period)
         indirect = None
         if lengths is not None:
-            inputs = IndirectInputs(
-                models=tuple(flows),
-                max_lengths=tuple(lengths),
-                min_length=length,
-            )
-            indirect = _curve_of(superpose_indirect(inputs), period)
+            indirect = _curve_of(superpose_indirect(flows, lengths, length), period)
         rows.append(Table1Row(case_id=case_id, direct_curve=direct, indirect_curve=indirect))
     return rows
 

@@ -4,7 +4,6 @@ import pytest
 
 from maxplus_tc import (
     DegenerateCurveError,
-    IndirectInputs,
     LambdaNuModel,
     Lcg64,
     MappingVariant,
@@ -160,40 +159,35 @@ class TestSuperposeSigmaRho:
 class TestSuperposeIndirect:
     def test_equal_everything(self):
         result = superpose_indirect(
-            IndirectInputs(
-                models=(LambdaNuModel(F(1, 10), F(0)), LambdaNuModel(F(1, 10), F(0))),
-                max_lengths=(F(1), F(1)),
-                min_length=F(1),
-            )
+            (LambdaNuModel(F(1, 10), F(0)), LambdaNuModel(F(1, 10), F(0))),
+            max_lengths=(F(1), F(1)),
+            min_length=F(1),
         )
         assert (result.lam, result.nu) == (F(2, 10), F(2))
 
     def test_different_periods(self):
         result = superpose_indirect(
-            IndirectInputs(
-                models=(LambdaNuModel(F(1, 10), F(0)), LambdaNuModel(F(1, 20), F(0))),
-                max_lengths=(F(1), F(1)),
-                min_length=F(1),
-            )
+            (LambdaNuModel(F(1, 10), F(0)), LambdaNuModel(F(1, 20), F(0))),
+            max_lengths=(F(1), F(1)),
+            min_length=F(1),
         )
         assert (result.lam, result.nu) == (F(3, 20), F(2))
 
     def test_different_lengths(self):
         result = superpose_indirect(
-            IndirectInputs(
-                models=(LambdaNuModel(F(1, 10), F(0)), LambdaNuModel(F(1, 20), F(0))),
-                max_lengths=(F(1), F(2)),
-                min_length=F(1),
-            )
+            (LambdaNuModel(F(1, 10), F(0)), LambdaNuModel(F(1, 20), F(0))),
+            max_lengths=(F(1), F(2)),
+            min_length=F(1),
         )
         assert (result.lam, result.nu) == (F(2, 10), F(3))
 
     def test_length_bound_validated(self):
         from maxplus_tc import InconsistentInputError
 
-        with pytest.raises(InconsistentInputError):
-            IndirectInputs(
-                models=(LambdaNuModel(F(1), F(0)), LambdaNuModel(F(1), F(0))),
+        message = "^minimum length 3/2 exceeds max length 1 of flow 0$"
+        with pytest.raises(InconsistentInputError, match=message):
+            superpose_indirect(
+                (LambdaNuModel(F(1), F(0)), LambdaNuModel(F(1), F(0))),
                 max_lengths=(F(1), F(2)),
                 min_length=F(3, 2),
             )
@@ -214,9 +208,7 @@ class TestSuperposeIndirect:
                 l_min + F(rng.randint(0, 50), rng.randint(1, 4)) for _ in range(count)
             )
             direct = superpose_lambda_nu(models)
-            indirect = superpose_indirect(
-                IndirectInputs(models=models, max_lengths=lengths, min_length=l_min)
-            )
+            indirect = superpose_indirect(models, max_lengths=lengths, min_length=l_min)
             assert indirect.lam >= direct.lam
             assert indirect.nu > direct.nu
 
@@ -224,18 +216,14 @@ class TestSuperposeIndirect:
 class TestCurveReduction:
     def test_piecewise_linear_curve(self):
         values = tuple(F(max(n - 2, 0)) for n in range(11))
-        reduction = curve_to_lambda_nu(MaxPlusCurve(values))
-        assert (reduction.model.lam, reduction.model.nu) == (F(5, 4), F(2))
-        assert reduction.horizon == 10
+        assert curve_to_lambda_nu(MaxPlusCurve(values)) == LambdaNuModel(F(5, 4), F(2))
 
     def test_linear_curve(self):
         values = tuple(F(n, 2) for n in range(8))
-        reduction = curve_to_lambda_nu(MaxPlusCurve(values))
-        assert (reduction.model.lam, reduction.model.nu) == (F(2), F(0))
+        assert curve_to_lambda_nu(MaxPlusCurve(values)) == LambdaNuModel(F(2), F(0))
 
     def test_three_point_curve(self):
-        reduction = curve_to_lambda_nu(MaxPlusCurve((F(0), F(0), F(1))))
-        assert (reduction.model.lam, reduction.model.nu) == (F(2), F(1))
+        assert curve_to_lambda_nu(MaxPlusCurve((F(0), F(0), F(1)))) == LambdaNuModel(F(2), F(1))
 
     def test_degenerate_curve(self):
         with pytest.raises(DegenerateCurveError):

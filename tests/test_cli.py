@@ -312,6 +312,20 @@ class TestSuperpose:
         b = _write(tmp_path / "b.json", json.dumps({"type": "lambda_nu", "lambda": 1, "nu": 0}))
         assert run(["superpose", "--models", a, b, "--indirect"]) == 2
 
+    @pytest.mark.parametrize("models, lengths, message", [
+        (1, "1 --min-length 1", "need at least two flows to superpose"),
+        (2, "1 --min-length 1", "1 max lengths for 2 flows"),
+        (2, "1 1 --min-length 0", "minimum packet length must be positive"),
+        (2, "1 0 --min-length 1", "max length of flow 1 must be positive"),
+        (2, "1 2 --min-length 3/2", "minimum length 3/2 exceeds max length 1 of flow 0"),
+    ])
+    def test_indirect_refusal_exits_one(self, lam_nu_model, capsys, models, lengths, message):
+        argv = ["superpose", "--models", *[lam_nu_model] * models, "--indirect", "--max-lengths"]
+        assert run(argv + lengths.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {"kind": "domain", "message": message}}
+
 
 @pytest.mark.parametrize("argv, message", [
     ("superpose --models M M --max-lengths 1500 64 --min-length 64",
@@ -320,6 +334,18 @@ class TestSuperpose:
     ("fit --trace T --rate 1/10 --mode closed", "--mode: valid only with --interval"),
     ("map --model S --variant a", "--variant: valid only for a lambda_nu model"),
     ("map --model C --j 1 --variant b", "--variant, --j: valid only for a lambda_nu model"),
+    ("generate --kind periodic --period 10 --count 2 --rate 1/3 --jitter 2 --model-out O",
+     "--rate, --jitter, --model-out: valid only with a --kind that reads them, not periodic"),
+    ("generate --kind extremal --rate 1 --count 2 --phase 3 --period 10",
+     "--period, --phase: valid only with a --kind that reads them, not extremal"),
+    ("generate --kind tspec-bursts --interval 10 --k-max 2 --count 2 --seed 1",
+     "--seed: valid only with a --kind that reads them, not tspec-bursts"),
+    ("generate --kind jittered --period 10 --count 2 --mode open --burst 0",
+     "--burst, --mode: valid only with a --kind that reads them, not jittered"),
+    ("generate --kind extremal --rate 1 --count 2 --model-out O",
+     "--model-out: valid only with a --kind that reads them, not extremal"),
+    ("generate --config G --interval 5",
+     "--interval: valid only with a --kind that reads them, not periodic"),
 ])
 def test_option_that_does_nothing_is_refused(tmp_path, lam_nu_model, capsys, argv, message):
     files = {
@@ -327,11 +353,14 @@ def test_option_that_does_nothing_is_refused(tmp_path, lam_nu_model, capsys, arg
         "T": _write(tmp_path / "t.csv", "0\n10\n"),
         "S": _write(tmp_path / "s.json", json.dumps({"type": "tspec", "tau": 2, "k_max": 2})),
         "C": _write(tmp_path / "c.json", json.dumps({"type": "maxplus_curve", "values": [0, 1]})),
+        "G": _write(tmp_path / "g.json", json.dumps({"kind": "periodic", "period": 10})),
+        "O": str(tmp_path / "fitted.json"),
     }
     assert run([files.get(word, word) for word in argv.split()]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": {"kind": "usage", "message": message}}
+    assert not (tmp_path / "fitted.json").exists()
 
 
 class TestMergeGenerate:
@@ -498,6 +527,25 @@ class TestGenerateConfigTypes:
         assert error["kind"] == "io"
         assert repr(key) in error["message"]
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"bogus": 1}, "generator config has unknown keys: 'bogus'"),
+        ({"out": "-", "model_out": "m.json"},
+         "generator config has unknown keys: 'model_out', 'out'"),
+    ])
+    def test_unknown_key_exits_three(self, tmp_path, capsys, extra, message):
+        config = {"kind": "periodic", "period": 10, "count": 3, **extra}
+        cfg = _write(tmp_path / "cfg.json", json.dumps(config))
+        assert run(["generate", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {"kind": "io", "message": message}}
+
+    def test_key_of_another_kind_is_accepted(self, tmp_path, capsys):
+        config = {"kind": "periodic", "period": 10, "count": 2, "rate": "1/3", "seed": 4}
+        cfg = _write(tmp_path / "cfg.json", json.dumps(config))
+        assert run(["generate", "--config", cfg]) == 0
+        assert capsys.readouterr().out == "arrival_ticks\n0\n10\n"
+
 
 class TestTextFormat:
     """``--format text`` of check is a summary of the report; that of fit,
@@ -615,8 +663,10 @@ SUBCOMMAND_MODULES = {
     "check": {"_record", "conformance", "models", "rational", "trace"},
     "fit": {"_record", "conformance", "models", "rational", "trace"},
     "map": {"_record", "algebra", "models", "rational"},
+    "superpose": {"_record", "algebra", "models", "rational"},
     "merge": {"_record", "aggregation", "rational", "trace"},
     "generate": {"_record", "conformance", "generators", "models", "rational", "trace"},
+    "table1": {"_record", "algebra", "models", "rational", "table1"},
 }
 # stdlib modules no subcommand's start-up may load: dataclasses compiles each
 # record's methods with exec and imports inspect, ast and dis; typing and
@@ -632,8 +682,10 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, lam_nu_model, sub):
         "check": ["--trace", trace, "--model", lam_nu_model],
         "fit": ["--trace", trace, "--burst", "0"],
         "map": ["--model", lam_nu_model],
+        "superpose": ["--models", lam_nu_model, lam_nu_model],
         "merge": ["--traces", trace, trace, "--out", out, "--provenance", out + ".json"],
         "generate": ["--kind", "periodic", "--period", "3", "--count", "2", "--out", out],
+        "table1": [],
     }[sub]
     code = (
         "import sys\n"
@@ -655,6 +707,15 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, lam_nu_model, sub):
         f"maxplus_tc.{name}" for name in SUBCOMMAND_MODULES[sub]
     }
     assert skipped == ""
+
+
+def test_every_checked_family_is_superposed():
+    # `check` and `superpose` dispatch through these tables: a new model
+    # family goes into both or neither
+    from maxplus_tc.algebra import SUPERPOSE
+    from maxplus_tc.conformance import CHECKERS
+
+    assert CHECKERS.keys() == SUPERPOSE.keys()
 
 
 def _indented(obj) -> str:

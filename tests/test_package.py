@@ -13,9 +13,9 @@ import maxplus_tc
 from maxplus_tc import reference
 
 EXPORTED = [
-    "ConformanceReport", "CurveReduction", "CurveSpec", "DegenerateCurveError",
+    "ConformanceReport", "CurveSpec", "DegenerateCurveError",
     "FitResult", "FormatError", "GridError", "InconsistentInputError",
-    "IndirectInputs", "InfeasibleFitError", "LambdaNuModel", "Lcg64",
+    "InfeasibleFitError", "LambdaNuModel", "Lcg64",
     "MappingVariant", "MaxPlusCurve", "MissingLengthsError", "PROPERTY_NAMES",
     "PacketOrigin", "PropertyReport", "SigmaRhoModel", "SuiteConfig",
     "SuiteSummary", "TSpecModel", "Table1Row", "Trace", "TrafficModelError",

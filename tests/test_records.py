@@ -30,11 +30,6 @@ RECORDS = [
      "SigmaRhoModel(sigma=Fraction(100, 1), rho=Fraction(21, 2))"),
     (mt.MaxPlusCurve, dict(values=(F(0), F(1, 2), F(3))), dict(values=(F(0), F(1))),
      "MaxPlusCurve(values=(Fraction(0, 1), Fraction(1, 2), Fraction(3, 1)))"),
-    (mt.IndirectInputs, dict(models=(LN, LN), max_lengths=(F(1500), F(64)), min_length=F(64)),
-     dict(min_length=F(32)),
-     "IndirectInputs(models=(LambdaNuModel(lam=Fraction(1, 10), nu=Fraction(2, 1)), "
-     "LambdaNuModel(lam=Fraction(1, 10), nu=Fraction(2, 1))), "
-     "max_lengths=(Fraction(1500, 1), Fraction(64, 1)), min_length=Fraction(64, 1))"),
     (mt.Witness, dict(m=1, n=3, required=F(20), actual=F(10)), dict(m=2),
      "Witness(m=1, n=3, required=Fraction(20, 1), actual=Fraction(10, 1))"),
     (mt.ConformanceReport,
@@ -45,8 +40,6 @@ RECORDS = [
     (mt.FitResult, dict(model=LN, binding_pair=(1, 3)), dict(binding_pair=None),
      "FitResult(model=LambdaNuModel(lam=Fraction(1, 10), nu=Fraction(2, 1)), "
      "binding_pair=(1, 3))"),
-    (mt.CurveReduction, dict(model=LN, horizon=4), dict(horizon=5),
-     "CurveReduction(model=LambdaNuModel(lam=Fraction(1, 10), nu=Fraction(2, 1)), horizon=4)"),
     (mt.SuiteConfig, dict(seed=7, trials=3, max_flows=2, max_packets=10), dict(seed=8),
      "SuiteConfig(seed=7, trials=3, max_flows=2, max_packets=10)"),
     (mt.PropertyReport,

@@ -4,7 +4,6 @@ import pytest
 
 from maxplus_tc import (
     CurveSpec,
-    IndirectInputs,
     LambdaNuModel,
     render_table1_text,
     reproduce_table1,
@@ -46,11 +45,7 @@ class TestTable:
             LambdaNuModel(lam=1 / (2 * tau), nu=F(0)),
         ]
         direct = superpose_lambda_nu(flows)
-        indirect = superpose_indirect(
-            IndirectInputs(
-                models=tuple(flows), max_lengths=(F(1), F(2)), min_length=F(1)
-            )
-        )
+        indirect = superpose_indirect(flows, max_lengths=(F(1), F(2)), min_length=F(1))
         row = reproduce_table1()[3]
         assert row.direct_curve == CurveSpec(1 / direct.lam, int(direct.nu))
         assert row.indirect_curve == CurveSpec(1 / indirect.lam, int(indirect.nu))
