@@ -6,23 +6,87 @@ import pytest
 
 from maxplus_tc import (
     PROPERTY_NAMES,
+    FitResult,
     LambdaNuModel,
     SigmaRhoModel,
     SuiteConfig,
     Trace,
     TSpecModel,
+    aggregate_eq1,
     check_lambda_nu,
+    check_lambda_nu_via_convolution,
     check_sigma_rho,
     check_tspec,
+    check_tspec_pairwise,
+    curve_to_lambda_nu,
+    fit_lambda_nu,
+    gen_tspec_extremal,
+    map_lambda_nu_to_tspec,
+    map_tspec_to_lambda_nu,
     merge_traces,
     model_from_json,
     model_to_json,
     report_to_json,
     run_property,
     run_property_suite,
+    superpose_indirect,
+    superpose_lambda_nu,
+    superpose_tspec,
 )
+from maxplus_tc import suite
 from maxplus_tc.generators import Lcg64
 from maxplus_tc.suite import PROPERTIES, _property_seed, merge_conforms_to_sum
+
+
+def _half_rate(model):
+    return LambdaNuModel(model.lam / 2, model.nu)
+
+
+def _one_packet_less(tspec):
+    return TSpecModel(tspec.tau, max(1, tspec.k_max - 1), tspec.window_mode)
+
+
+def _one_packet_more(tspec):
+    return TSpecModel(tspec.tau, tspec.k_max + 1, tspec.window_mode)
+
+
+def _no_slack(models):
+    return LambdaNuModel(sum(m.lam for m in models), sum(m.nu for m in models))
+
+
+def _drop_last(trace):
+    lengths = None if trace.lengths is None else trace.lengths[:-1]
+    return Trace(trace.arrivals[:-1], lengths)
+
+
+def _loose_burst_fit(trace, *, lam=None, nu=None):
+    fit = fit_lambda_nu(trace, lam=lam, nu=nu)
+    if lam is None:
+        return fit
+    return FitResult(LambdaNuModel(fit.model.lam, fit.model.nu + 1), fit.binding_pair)
+
+
+# operators the suite checks, each broken a little: a packet, a slack term or
+# half the rate off, or a merge that loses a packet of its first flow
+WEAKENED = {
+    "check_lambda_nu_via_convolution":
+        lambda t, m: check_lambda_nu_via_convolution(t, LambdaNuModel(m.lam, m.nu + 1)),
+    "check_tspec_pairwise": lambda t, s: check_tspec_pairwise(t, _one_packet_more(s)),
+    "superpose_lambda_nu": _no_slack,
+    "superpose_indirect": lambda ms, ls, l: _half_rate(superpose_indirect(ms, ls, l)),
+    "map_lambda_nu_to_tspec": lambda m, v, j: _one_packet_less(map_lambda_nu_to_tspec(m, v, j)),
+    "map_tspec_to_lambda_nu": lambda s: _half_rate(map_tspec_to_lambda_nu(s)),
+    "curve_to_lambda_nu": lambda c: _half_rate(curve_to_lambda_nu(c)),
+    "aggregate_eq1": lambda ts, n: aggregate_eq1(ts, n) + (n > 0),
+    "merge_traces": lambda ts: merge_traces([_drop_last(ts[0]), *ts[1:]]),
+    "fit_lambda_nu": _loose_burst_fit,
+    "gen_tspec_extremal": lambda s, count: gen_tspec_extremal(_one_packet_more(s), count),
+}
+WEAKENED_SUMS = {
+    LambdaNuModel: lambda ms: _half_rate(superpose_lambda_nu(ms)),
+    TSpecModel: lambda ts: _one_packet_less(superpose_tspec(ts)),
+    SigmaRhoModel: lambda ms: SigmaRhoModel(sum(m.sigma for m in ms) / 2, sum(m.rho for m in ms)),
+}
 
 
 class TestSuite:
@@ -110,4 +174,21 @@ class TestSuite:
                 digest.update(repr((outcome, rng.state)).encode())
         assert digest.hexdigest() == (
             "4d595b2695fc734cabd9888e7d89baaaca98c6e64958e7c8bb3ec462af9a8e89"
+        )
+
+    def test_failure_records_are_pinned(self, monkeypatch):
+        # every property fails under the weakened operators; the digest pins
+        # how each failure record shows its traces, models, reports,
+        # rationals and enums
+        for name, weak in WEAKENED.items():
+            monkeypatch.setattr(suite, name, weak)
+        for family, weak in WEAKENED_SUMS.items():
+            monkeypatch.setitem(suite.SUPERPOSE, family, weak)
+        summary = run_property_suite(SuiteConfig(seed=7, trials=30, max_packets=100))
+        assert [len(p.failures) for p in summary.properties] == [
+            17, 10, 25, 4, 25, 4, 4, 25, 13, 25, 12, 25, 11, 25, 25, 25,
+        ]
+        text = json.dumps(summary.to_json_dict(), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e817a63afb49c70c0e77ccd2c63ea6d2f38a3cf058ecc83d71a9e529a070ae49"
         )
