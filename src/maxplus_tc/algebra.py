@@ -66,10 +66,7 @@ def map_tspec_to_lambda_nu(tspec: TSpecModel) -> LambdaNuModel:
 
 def superpose_lambda_nu(models: Sequence[LambdaNuModel]) -> LambdaNuModel:
     """Envelope of the aggregate of rate/burst-constrained flows:
-    rates add, burst allowances add plus one per extra flow.
-
-    A single model is returned unchanged, so folds compose uniformly.
-    """
+    rates add, burst allowances add plus one per extra flow."""
     if not models:
         raise ValueError("need at least one model")
     lam = sum((m.lam for m in models), Fraction(0))
@@ -83,8 +80,8 @@ def superpose_tspec(tspecs: Sequence[TSpecModel]) -> TSpecModel:
     All inputs closed gives a closed result; any open input degrades the
     result to open (the conservative, stricter-window claim).
     """
-    if len(tspecs) < 2:
-        raise ValueError("need at least two TSpecs to superpose")
+    if not tspecs:
+        raise ValueError("need at least one model")
     inv_tau = sum((1 / t.tau for t in tspecs), Fraction(0))
     k = sum(t.k_max for t in tspecs)
     modes = {t.window_mode for t in tspecs}
@@ -102,7 +99,8 @@ def superpose_sigma_rho(models: Sequence[SigmaRhoModel]) -> SigmaRhoModel:
     )
 
 
-# the superposition operator of each model family
+# the superposition operator of each model family; each needs at least one
+# model and returns a single model unchanged, so folds compose uniformly
 SUPERPOSE = {
     LambdaNuModel: superpose_lambda_nu,
     TSpecModel: superpose_tspec,

@@ -167,7 +167,6 @@ def _cmd_check(args) -> int:
 def _cmd_fit(args) -> int:
     from .conformance import fit_lambda_nu, fit_result_to_json, fit_tspec
     from .models import WindowMode
-    from .rational import parse_rational
     from .trace import read_trace_csv
 
     trace = read_trace_csv(args.trace)
@@ -176,12 +175,11 @@ def _cmd_fit(args) -> int:
         raise _UsageError("give exactly one of --rate, --burst, --interval")
     _only(args.interval is not None, args, "with --interval", "mode")
     if args.rate is not None:
-        result = fit_lambda_nu(trace, lam=parse_rational(args.rate))
+        result = fit_lambda_nu(trace, lam=args.rate)
     elif args.burst is not None:
-        result = fit_lambda_nu(trace, nu=parse_rational(args.burst))
+        result = fit_lambda_nu(trace, nu=args.burst)
     else:
-        mode = WindowMode(args.mode or "closed")
-        result = fit_tspec(trace, parse_rational(args.interval), mode)
+        result = fit_tspec(trace, args.interval, WindowMode(args.mode or "closed"))
     _print(fit_result_to_json(result), args.format)
     return 0
 
@@ -211,7 +209,6 @@ def _cmd_map(args) -> int:
 def _cmd_superpose(args) -> int:
     from .algebra import SUPERPOSE, superpose_indirect
     from .models import LambdaNuModel, model_from_json, model_to_json
-    from .rational import parse_rational
 
     _only(args.indirect, args, "with --indirect", "max_lengths", "min_length")
     models = [model_from_json(_load_json(path)) for path in args.models]
@@ -224,8 +221,7 @@ def _cmd_superpose(args) -> int:
             raise _UsageError("--indirect applies to rate/burst models only")
         if args.max_lengths is None or args.min_length is None:
             raise _UsageError("--indirect needs --max-lengths and --min-length")
-        result = superpose_indirect(
-            models, map(parse_rational, args.max_lengths), parse_rational(args.min_length))
+        result = superpose_indirect(models, args.max_lengths, args.min_length)
     elif kind in SUPERPOSE:
         result = SUPERPOSE[kind](models)
     else:
@@ -252,7 +248,8 @@ def _cmd_merge(args) -> int:
 
 
 # generator parameters and the JSON types a config may give them: those
-# their flags take (a rational is a string, as on the command line, or an int)
+# their flags take (a rational is a string, as on the command line, or an int;
+# a flag's rational is parsed already, and its str() parses back to itself)
 _GENERATE_PARAMS = {
     **dict.fromkeys(("kind", "mode"), (str,)),
     **dict.fromkeys(("period", "phase", "count", "k_max", "jitter", "seed"), (int,)),
@@ -381,6 +378,16 @@ def _max_tight(text: str) -> int | None:
     raise argparse.ArgumentTypeError(f"expected a nonnegative integer or 'all', got {text!r}")
 
 
+def _rational(text: str):
+    """A rational option, ``N`` or ``N/D``; argparse names the option it fails."""
+    from .rational import parse_rational
+
+    try:
+        return parse_rational(text)
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_format(parser) -> None:
     parser.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -401,9 +408,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit the tightest model to a trace")
     p.add_argument("--trace", required=True)
-    p.add_argument("--rate", help="fix the packet rate, fit the burst allowance")
-    p.add_argument("--burst", help="fix the burst allowance, fit the packet rate")
-    p.add_argument("--interval", help="fit the packet budget for windows of this length")
+    p.add_argument("--rate", type=_rational, help="fix the packet rate, fit the burst allowance")
+    p.add_argument("--burst", type=_rational, help="fix the burst allowance, fit the packet rate")
+    p.add_argument("--interval", type=_rational,
+                   help="fit the packet budget for windows of this length")
     p.add_argument("--mode", choices=("closed", "open"), help="--interval window; default closed")
     _add_format(p)
     p.set_defaults(handler=_cmd_fit)
@@ -419,8 +427,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--indirect", action="store_true",
                    help="use the packet-length detour (rate/burst models only)")
-    p.add_argument("--max-lengths", nargs="+", dest="max_lengths")
-    p.add_argument("--min-length", dest="min_length")
+    p.add_argument("--max-lengths", nargs="+", type=_rational, dest="max_lengths")
+    p.add_argument("--min-length", type=_rational, dest="min_length")
     _add_format(p)
     p.set_defaults(handler=_cmd_superpose)
 
@@ -436,9 +444,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--period", type=int)
     p.add_argument("--phase", type=int)
     p.add_argument("--count", type=int)
-    p.add_argument("--rate")
-    p.add_argument("--burst")
-    p.add_argument("--interval")
+    p.add_argument("--rate", type=_rational)
+    p.add_argument("--burst", type=_rational)
+    p.add_argument("--interval", type=_rational)
     p.add_argument("--k-max", type=int, dest="k_max")
     p.add_argument("--mode", choices=("closed", "open"))
     p.add_argument("--jitter", type=int)

@@ -11,21 +11,25 @@ A failure never aborts the run; it is recorded as a serialized
 counterexample in the property's report and reflected in the exit status of
 the CLI wrapper.
 
-An invariant the hypothesis tests share is one public predicate (None when
-it holds, else the failure record) that the property and the test feed
-their own draws.  :func:`merge_conforms_to_sum` is the superposition
-property of each family in ``algebra.SUPERPOSE`` and ``conformance.CHECKERS``;
-``MaxPlusCurve`` is to be one more entry in each.  A verdict is read at
-``max_tight=0`` (:func:`_violation`), and only a failure recomputes the
-report in full.
-Reference routes serve only as the slow side of a differential property,
-never to build a trial's inputs.
+Each property, and each public predicate for an invariant the hypothesis
+tests share (None when it holds), returns its failure record as
+``_failure(...)`` of raw values: that encoder is the one place a record
+shows a trace, a report, a model, a rational or an enum.  The property and
+the test feed a predicate their own draws.  :func:`merge_conforms_to_sum`
+is the superposition property of each family in ``algebra.SUPERPOSE`` and
+``conformance.CHECKERS``; ``MaxPlusCurve`` is to be one more entry in each.
+A verdict is read at ``max_tight=0`` (:func:`_violation`), and only a
+failure recomputes the report in full.  The differential routes compare
+reports as records, so only a mismatch is encoded.  Reference routes serve
+only as the slow side of a differential property, never to build a
+trial's inputs.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable
+from enum import Enum
 from fractions import Fraction
 
 from ._record import Record
@@ -40,6 +44,7 @@ from .algebra import (
 )
 from .conformance import (
     CHECKERS,
+    ConformanceReport,
     check_lambda_nu,
     check_tspec,
     fit_lambda_nu,
@@ -74,6 +79,7 @@ from .trace import Trace
 _MAX_FAILURES_PER_PROPERTY = 25
 _SEED_MIX = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+_SHOWN_TICKS = 60  # a failure record shows the first ticks of a trace
 
 DEFAULT_SEED = 1729
 
@@ -168,16 +174,59 @@ class SuiteSummary(Record):
 
 
 # ---------------------------------------------------------------------------
-# randomized inputs
+# failure records
 
 
-def _trace_summary(trace: Trace, limit: int = 60) -> dict:
-    out: dict = {"num_packets": trace.num_packets, "ticks": list(trace.arrivals[:limit])}
+def _trace_summary(trace: Trace) -> dict:
+    out: dict = {"num_packets": trace.num_packets, "ticks": list(trace.arrivals[:_SHOWN_TICKS])}
     if trace.lengths is not None:
-        out["lengths"] = list(trace.lengths[:limit])
-    if trace.num_packets > limit:
+        out["lengths"] = list(trace.lengths[:_SHOWN_TICKS])
+    if trace.num_packets > _SHOWN_TICKS:
         out["truncated"] = True
     return out
+
+
+def _shown(value):
+    if isinstance(value, Trace):
+        return _trace_summary(value)
+    if isinstance(value, ConformanceReport):
+        return report_to_json(value)
+    if isinstance(value, Record):
+        return model_to_json(value)
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (list, tuple)):
+        return [_shown(v) for v in value]
+    return value
+
+
+def _failure(**values) -> dict:
+    """The failure record of ``values``, in the order given: a trace as its
+    summary, a report or a model as its JSON, a rational as its string, an
+    enum as its value, and a list or tuple element by element."""
+    return {key: _shown(value) for key, value in values.items()}
+
+
+def _report_mismatch(trace: Trace, model, key: str, **routes) -> dict | None:
+    """None when the two checkers ``routes`` report alike on ``trace`` and
+    ``model``, else the failure record with both reports."""
+    reports = {name: route(trace, model) for name, route in routes.items()}
+    first, second = reports.values()
+    return None if first == second else _failure(trace=trace, **{key: model}, **reports)
+
+
+def _violation(check, trace: Trace, model, /, **context) -> dict | None:
+    """None when ``trace`` conforms to ``model`` (read at ``max_tight=0``), else
+    the failure record: ``context`` plus the full report."""
+    if check(trace, model, max_tight=0).conforms:
+        return None
+    return _failure(**context, report=check(trace, model))
+
+
+# ---------------------------------------------------------------------------
+# randomized inputs
 
 
 def _rand_rate_burst(rng: Lcg64) -> LambdaNuModel:
@@ -252,47 +301,25 @@ def _arbitrary_trace(rng: Lcg64, max_packets: int, with_lengths: bool = False) -
     return Trace(arrivals=tuple(arrivals), lengths=lengths)
 
 
-def _report_mismatch(trace: Trace, model, key: str, fast_name: str, fast,
-                     slow_name: str, slow) -> dict | None:
-    """None when checker ``fast`` reports on ``trace`` and ``model`` as its
-    reference ``slow`` does, else the failure record with both reports."""
-    fast_json, slow_json = report_to_json(fast(trace, model)), report_to_json(slow(trace, model))
-    if fast_json == slow_json:
-        return None
-    return {"trace": _trace_summary(trace), key: model_to_json(model),
-            fast_name: fast_json, slow_name: slow_json}
-
-
-def _violation(check, trace: Trace, model, context: Callable[[], dict]) -> dict | None:
-    """None when ``trace`` conforms to ``model`` (read at ``max_tight=0``), else
-    the failure record: ``context()`` plus the full report."""
-    if check(trace, model, max_tight=0).conforms:
-        return None
-    return {**context(), "report": report_to_json(check(trace, model))}
-
-
 def merge_conforms_to_sum(models: list, traces: list[Trace]) -> dict | None:
     """The superposition property: flows that conform to their models (all
     of one family) merge into a trace that conforms to the models' sum.
     None when it holds, else the failure record."""
     aggregate = SUPERPOSE[type(models[0])](models)
-    return _violation(CHECKERS[type(models[0])], merge_traces(traces), aggregate, lambda: {
-        "models": [model_to_json(m) for m in models],
-        "aggregate": model_to_json(aggregate),
-        "traces": [_trace_summary(t) for t in traces],
-    })
+    return _violation(CHECKERS[type(models[0])], merge_traces(traces), aggregate,
+                      models=models, aggregate=aggregate, traces=traces)
 
 
 def lambda_nu_routes_agree(trace: Trace, model: LambdaNuModel) -> dict | None:
     """None when the pairwise check and the max-plus route agree, else the failure."""
-    return _report_mismatch(trace, model, "model", "pairwise", check_lambda_nu,
-                            "maxplus_route", check_lambda_nu_via_convolution)
+    return _report_mismatch(trace, model, "model", pairwise=check_lambda_nu,
+                            maxplus_route=check_lambda_nu_via_convolution)
 
 
 def tspec_routes_agree(trace: Trace, tspec: TSpecModel) -> dict | None:
     """None when the window scan and the pairwise check agree, else the failure."""
-    return _report_mismatch(trace, tspec, "tspec", "window_scan", check_tspec,
-                            "pairwise", check_tspec_pairwise)
+    return _report_mismatch(trace, tspec, "tspec", window_scan=check_tspec,
+                            pairwise=check_tspec_pairwise)
 
 
 def merge_order_insensitive(traces: list[Trace]) -> dict | None:
@@ -304,11 +331,8 @@ def merge_order_insensitive(traces: list[Trace]) -> dict | None:
         others["nested"] = merge_traces([merge_traces(traces[:2]), *traces[2:]])
     for name, other in others.items():
         if other.arrivals != merged.arrivals:
-            return {
-                "traces": [_trace_summary(t) for t in traces],
-                "merged": list(merged.arrivals[:60]),
-                name: list(other.arrivals[:60]),
-            }
+            return _failure(traces=traces, merged=merged.arrivals[:_SHOWN_TICKS],
+                            **{name: other.arrivals[:_SHOWN_TICKS]})
     return None
 
 
@@ -339,12 +363,7 @@ def _prop_aligned_merge_attains_burst_bound(rng: Lcg64, cfg: SuiteConfig) -> dic
     )
     if fitted.model.nu == expected.nu == 1:
         return None
-    return {
-        "period": period,
-        "count": count,
-        "fitted_nu": str(fitted.model.nu),
-        "expected_nu": str(expected.nu),
-    }
+    return _failure(period=period, count=count, fitted_nu=fitted.model.nu, expected_nu=expected.nu)
 
 
 def _prop_rate_burst_maps_into_tspec(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
@@ -353,13 +372,8 @@ def _prop_rate_burst_maps_into_tspec(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
     for j in range(1, 6):
         for variant in (MappingVariant.A, MappingVariant.B):
             tspec = map_lambda_nu_to_tspec(model, variant, j)
-            failure = _violation(check_tspec, trace, tspec, lambda: {
-                "model": model_to_json(model),
-                "j": j,
-                "variant": variant.value,
-                "tspec": model_to_json(tspec),
-                "trace": _trace_summary(trace),
-            })
+            failure = _violation(check_tspec, trace, tspec, model=model, j=j, variant=variant,
+                                 tspec=tspec, trace=trace)
             if failure is not None:
                 return failure
     return None
@@ -369,11 +383,7 @@ def _prop_tspec_maps_into_rate_burst(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
     tspec = _rand_tspec(rng)
     trace = _conforming_tspec_trace(rng, tspec, min(cfg.max_packets, 400))
     model = map_tspec_to_lambda_nu(tspec)
-    return _violation(check_lambda_nu, trace, model, lambda: {
-        "tspec": model_to_json(tspec),
-        "model": model_to_json(model),
-        "trace": _trace_summary(trace),
-    })
+    return _violation(check_lambda_nu, trace, model, tspec=tspec, model=model, trace=trace)
 
 
 def _prop_merge_conforms_to_tspec_sum(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
@@ -408,12 +418,8 @@ def _prop_composition_formula_matches_merge(rng: Lcg64, cfg: SuiteConfig) -> dic
         via_formula = aggregate_eq1(traces, n)
         via_merge = merged.arrival(n)
         if via_formula != via_merge:
-            return {
-                "traces": [_trace_summary(t) for t in traces],
-                "n": n,
-                "composition_value": via_formula,
-                "merge_value": via_merge,
-            }
+            return _failure(traces=traces, n=n, composition_value=via_formula,
+                            merge_value=via_merge)
     return None
 
 
@@ -426,13 +432,8 @@ def _prop_length_detour_never_beats_direct(rng: Lcg64, cfg: SuiteConfig) -> dict
     indirect = superpose_indirect(models, lengths, l_min)
     if indirect.lam >= direct.lam and indirect.nu > direct.nu:
         return None
-    return {
-        "models": [model_to_json(m) for m in models],
-        "lengths": [str(l) for l in lengths],
-        "min_length": str(l_min),
-        "direct": model_to_json(direct),
-        "indirect": model_to_json(indirect),
-    }
+    return _failure(models=models, lengths=lengths, min_length=l_min, direct=direct,
+                    indirect=indirect)
 
 
 def _prop_curve_reduction_stays_below_curve(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
@@ -447,34 +448,28 @@ def _prop_curve_reduction_stays_below_curve(rng: Lcg64, cfg: SuiteConfig) -> dic
     model = curve_to_lambda_nu(curve)
     for d in range(horizon + 1):
         if model.min_spacing(d) > curve.values[d]:
-            return {
-                "curve": model_to_json(curve),
-                "model": model_to_json(model),
-                "d": d,
-                "envelope_bound": str(model.min_spacing(d)),
-                "curve_value": str(curve.values[d]),
-            }
+            return _failure(curve=curve, model=model, d=d, envelope_bound=model.min_spacing(d),
+                            curve_value=curve.values[d])
     return None
 
 
 def _prop_fitted_envelopes_are_tight(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
     trace = _arbitrary_trace(rng, min(cfg.max_packets, 120))
-    ctx: dict = {"trace": _trace_summary(trace)}
 
     lam = Fraction(rng.randint(1, 8), rng.randint(1, 64))
     fit = fit_lambda_nu(trace, lam=lam)
     if not check_lambda_nu(trace, fit.model, max_tight=0).conforms:
-        return {**ctx, "stage": "burst fit does not conform", "model": model_to_json(fit.model)}
+        return _failure(trace=trace, stage="burst fit does not conform", model=fit.model)
     if fit.model.nu > 0:
         delta = fit.model.nu / rng.randint(2, 9)
         tightened = LambdaNuModel(lam=lam, nu=fit.model.nu - delta)
         if check_lambda_nu(trace, tightened, max_tight=0).conforms:
-            return {**ctx, "stage": "burst fit not minimal", "model": model_to_json(tightened)}
+            return _failure(trace=trace, stage="burst fit not minimal", model=tightened)
         if fit.binding_pair is not None:
             m, n = fit.binding_pair
             spacing = tightened.min_spacing(n - m)
             if Fraction(trace.arrivals[n - 1] - trace.arrivals[m - 1]) >= spacing:
-                return {**ctx, "stage": "binding pair survives tightening", "pair": [m, n]}
+                return _failure(trace=trace, stage="binding pair survives tightening", pair=[m, n])
 
     nu = Fraction(rng.randint(0, 12), rng.randint(1, 3))
     try:
@@ -482,29 +477,29 @@ def _prop_fitted_envelopes_are_tight(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
     except InfeasibleFitError as exc:
         m, n = exc.pair
         if trace.arrivals[n - 1] != trace.arrivals[m - 1] or n - m <= nu:
-            return {**ctx, "stage": "bogus infeasibility", "pair": [m, n]}
+            return _failure(trace=trace, stage="bogus infeasibility", pair=[m, n])
         return None
     except UnboundedFitError:
         probe = LambdaNuModel(lam=Fraction(1, 10**6), nu=nu)
         if not check_lambda_nu(trace, probe, max_tight=0).conforms:
-            return {**ctx, "stage": "bogus unboundedness"}
+            return _failure(trace=trace, stage="bogus unboundedness")
         return None
     if not check_lambda_nu(trace, fit.model, max_tight=0).conforms:
-        return {**ctx, "stage": "rate fit does not conform", "model": model_to_json(fit.model)}
+        return _failure(trace=trace, stage="rate fit does not conform", model=fit.model)
     delta = fit.model.lam / rng.randint(2, 9)
     tightened = LambdaNuModel(lam=fit.model.lam - delta, nu=nu)
     if check_lambda_nu(trace, tightened, max_tight=0).conforms:
-        return {**ctx, "stage": "rate fit not minimal", "model": model_to_json(tightened)}
+        return _failure(trace=trace, stage="rate fit not minimal", model=tightened)
 
     tau = Fraction(rng.randint(1, 40))
     mode = rng.choice((WindowMode.CLOSED, WindowMode.OPEN))
     tfit = fit_tspec(trace, tau, mode)
     if not check_tspec(trace, tfit.model, max_tight=0).conforms:
-        return {**ctx, "stage": "window fit does not conform", "model": model_to_json(tfit.model)}
+        return _failure(trace=trace, stage="window fit does not conform", model=tfit.model)
     if tfit.model.k_max > 1:
         smaller = TSpecModel(tau=tau, k_max=tfit.model.k_max - 1, window_mode=mode)
         if check_tspec(trace, smaller, max_tight=0).conforms and trace.num_packets > 0:
-            return {**ctx, "stage": "window fit not minimal", "model": model_to_json(smaller)}
+            return _failure(trace=trace, stage="window fit not minimal", model=smaller)
     return None
 
 
@@ -521,11 +516,7 @@ def _prop_looser_models_stay_conforming(rng: Lcg64, cfg: SuiteConfig) -> dict | 
         nu=model.nu + Fraction(rng.randint(0, 8), 2),
     )
     if not check_lambda_nu(trace, looser, max_tight=0).conforms:
-        return {
-            "model": model_to_json(model),
-            "looser": model_to_json(looser),
-            "trace": _trace_summary(trace),
-        }
+        return _failure(model=model, looser=looser, trace=trace)
     tspec = _rand_tspec(rng)
     ttrace = _conforming_tspec_trace(rng, tspec, min(cfg.max_packets, 200))
     shorter = TSpecModel(
@@ -534,11 +525,7 @@ def _prop_looser_models_stay_conforming(rng: Lcg64, cfg: SuiteConfig) -> dict | 
         window_mode=tspec.window_mode,
     )
     if not check_tspec(ttrace, shorter, max_tight=0).conforms:
-        return {
-            "tspec": model_to_json(tspec),
-            "looser": model_to_json(shorter),
-            "trace": _trace_summary(ttrace),
-        }
+        return _failure(tspec=tspec, looser=shorter, trace=ttrace)
     return None
 
 
@@ -551,11 +538,7 @@ def _prop_mapping_roundtrip_scales_rate(rng: Lcg64, cfg: SuiteConfig) -> dict | 
     back = map_tspec_to_lambda_nu(tspec)
     if back.lam == (model.nu + 1) * model.lam and back.nu == model.nu:
         return None
-    return {
-        "model": model_to_json(model),
-        "tspec": model_to_json(tspec),
-        "roundtrip": model_to_json(back),
-    }
+    return _failure(model=model, tspec=tspec, roundtrip=back)
 
 
 def _prop_merge_is_order_insensitive(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
@@ -569,32 +552,28 @@ def _prop_generators_pass_their_checkers(rng: Lcg64, cfg: SuiteConfig) -> dict |
     periodic = gen_periodic(period, rng.randint(0, 100), count)
     model = LambdaNuModel(lam=Fraction(1, period), nu=Fraction(0))
     if not check_lambda_nu(periodic, model, max_tight=0).conforms:
-        return {"stage": "periodic", "period": period, "trace": _trace_summary(periodic)}
+        return _failure(stage="periodic", period=period, trace=periodic)
 
     rb = _rand_rate_burst(rng)
     extremal = gen_extremal_lambda_nu(rb, rng.randint(0, 150))
     if not check_lambda_nu(extremal, rb, max_tight=0).conforms:
-        return {"stage": "extremal", "model": model_to_json(rb), "trace": _trace_summary(extremal)}
+        return _failure(stage="extremal", model=rb, trace=extremal)
     if rb.nu.denominator == 1 and extremal.num_packets >= rb.nu + 2:
         refit = fit_lambda_nu(extremal, lam=rb.lam)
         if refit.model.nu != rb.nu:
-            return {
-                "stage": "extremal tightness",
-                "model": model_to_json(rb),
-                "fitted_nu": str(refit.model.nu),
-            }
+            return _failure(stage="extremal tightness", model=rb, fitted_nu=refit.model.nu)
 
     tspec = _rand_tspec(rng)
     bursts = gen_tspec_extremal(tspec, rng.randint(0, 200))
     if not check_tspec(bursts, tspec, max_tight=0).conforms:
-        return {"stage": "tspec bursts", "tspec": model_to_json(tspec), "trace": _trace_summary(bursts)}
+        return _failure(stage="tspec bursts", tspec=tspec, trace=bursts)
 
     period = rng.randint(1, 60)
     trace, fitted = gen_jittered(
         period, rng.randint(0, period - 1), rng.next_u32(), rng.randint(0, 200)
     )
     if not check_lambda_nu(trace, fitted, max_tight=0).conforms:
-        return {"stage": "jittered", "model": model_to_json(fitted), "trace": _trace_summary(trace)}
+        return _failure(stage="jittered", model=fitted, trace=trace)
     return None
 
 

@@ -141,10 +141,11 @@ def read_trace_csv(source: str | TextIOBase) -> Trace:
     header = len(header_cols) if header_cols[0] == CSV_HEADER_TICKS else 0
     if header and header_cols not in ([CSV_HEADER_TICKS], [CSV_HEADER_TICKS, CSV_HEADER_LENGTHS]):
         raise FormatError(f"unrecognized trace header {head.strip()!r}")
-    # the text is split into rows only when its bulk decode fails; its
-    # stripped, non-blank rows are then decoded in bulk once more
+    # the text is split into rows only when its bulk decode fails; a file's
+    # stripped, non-blank rows are then decoded in bulk once more (a stream's
+    # text is made of such rows already)
     parsed = None if rows else _bulk_integers(text, header, len(head) + 1 if header else 0)
-    if parsed is None and not rows:
+    if parsed is None and isinstance(source, str):
         text = "\n".join(filter(None, map(str.strip, text.split("\n"))))
         parsed = _bulk_integers(text, header, len(head.strip()) + 1 if header else 0)
     if parsed is None:

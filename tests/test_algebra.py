@@ -118,9 +118,14 @@ class TestSuperposeTspec:
         )
         assert (result.tau, result.k_max) == (F(3, 2), 4)
 
-    def test_singleton_rejected(self):
+    def test_single_model_unchanged(self):
+        for mode in WindowMode:
+            tspec = TSpecModel(F(7, 3), 4, mode)
+            assert superpose_tspec([tspec]) == tspec
+
+    def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            superpose_tspec([TSpecModel(F(2), 1)])
+            superpose_tspec([])
 
     def test_mixed_modes_degrade_to_open(self):
         result = superpose_tspec(

@@ -307,6 +307,17 @@ class TestSuperpose:
         b = _write(tmp_path / "b.json", json.dumps({"type": "tspec", "tau": 2, "k_max": 1}))
         assert run(["superpose", "--models", a, b]) == 2
 
+    @pytest.mark.parametrize("model", [
+        {"type": "lambda_nu", "lambda": {"num": 1, "den": 10}, "nu": {"num": 3, "den": 2}},
+        {"type": "tspec", "tau": {"num": 7, "den": 3}, "k_max": 4, "window_mode": "open"},
+        {"type": "sigma_rho", "sigma": {"num": 1500, "den": 1}, "rho": {"num": 64, "den": 5}},
+    ])
+    def test_single_model_comes_back_unchanged(self, tmp_path, capsys, model):
+        path = _write(tmp_path / "m.json", json.dumps(model))
+        assert run(["superpose", "--models", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert maxplus_tc.model_from_json(out) == maxplus_tc.model_from_json(model)
+
     def test_indirect_needs_lengths(self, tmp_path):
         a = _write(tmp_path / "a.json", json.dumps({"type": "lambda_nu", "lambda": 1, "nu": 0}))
         b = _write(tmp_path / "b.json", json.dumps({"type": "lambda_nu", "lambda": 1, "nu": 0}))
@@ -361,6 +372,27 @@ def test_option_that_does_nothing_is_refused(tmp_path, lam_nu_model, capsys, arg
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": {"kind": "usage", "message": message}}
     assert not (tmp_path / "fitted.json").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("fit --trace T --rate abc", "--rate"),
+    ("fit --trace T --rate 1/0", "--rate"),
+    ("fit --trace T --burst 1/x", "--burst"),
+    ("fit --trace T --interval x", "--interval"),
+    ("superpose --models M M --indirect --max-lengths 1 x --min-length 1", "--max-lengths"),
+    ("superpose --models M M --indirect --max-lengths 1 1 --min-length 1/0", "--min-length"),
+    ("generate --kind extremal --rate abc --count 2", "--rate"),
+    ("generate --kind extremal --rate 1 --burst 1/0 --count 2", "--burst"),
+    ("generate --kind tspec-bursts --interval x --k-max 2 --count 2", "--interval"),
+    ("generate --kind periodic --period x --count 2", "--period"),
+])
+def test_malformed_option_value_exits_two(tmp_path, lam_nu_model, capsys, argv, flag):
+    files = {"M": lam_nu_model, "T": _write(tmp_path / "t.csv", "0\n10\n")}
+    assert run([files.get(word, word) for word in argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "usage" and error["message"].startswith(f"argument {flag}")
 
 
 class TestMergeGenerate:
@@ -539,6 +571,13 @@ class TestGenerateConfigTypes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": {"kind": "io", "message": message}}
+
+    def test_malformed_rational_exits_three(self, tmp_path, capsys):
+        # a value from a file is a format error, as every --config value is
+        cfg = _write(tmp_path / "cfg.json", json.dumps({"kind": "extremal", "rate": "1/0"}))
+        assert run(["generate", "--config", cfg]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "io" and "'1/0'" in error["message"]
 
     def test_key_of_another_kind_is_accepted(self, tmp_path, capsys):
         config = {"kind": "periodic", "period": 10, "count": 2, "rate": "1/3", "seed": 4}

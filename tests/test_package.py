@@ -126,6 +126,28 @@ def test_suite_uses_reference_routes_only_to_compare():
             assert node.level == 1 and node.module is not None
 
 
+def test_suite_records_show_values_through_one_encoder():
+    # a property passes raw values to _failure, and only its encoder decides
+    # how a record shows a trace, a report or a model
+    tree = ast.parse((ROOT / "src" / "maxplus_tc" / "suite.py").read_text(encoding="utf-8"))
+    encoders = {"_shown", "_failure"}
+    problems = []
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef) or function.name in encoders:
+            continue
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+                continue
+            name = node.func.id
+            if name in {"model_to_json", "report_to_json", "_trace_summary"}:
+                problems.append(f"{function.name} calls {name} on line {node.lineno}")
+            if name == "_violation" and any(
+                isinstance(arg, ast.Lambda) for arg in [*node.args, *(k.value for k in node.keywords)]
+            ):
+                problems.append(f"{function.name} passes _violation a lambda on line {node.lineno}")
+    assert problems == []
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 

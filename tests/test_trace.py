@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import io
 import sys
@@ -20,6 +21,7 @@ from maxplus_tc import (
     reference,
     write_trace_csv,
 )
+from maxplus_tc import trace as trace_module
 
 
 class TestTraceConstruction:
@@ -510,6 +512,22 @@ class TestReaderCost:
 
         first, second = self._line_events(write)
         assert first == second
+
+    @pytest.mark.parametrize("text", ["1\n007\n9\n", "1\nx\n"])
+    def test_a_stream_is_decoded_in_bulk_once(self, monkeypatch, text):
+        # a stream's text is its stripped, non-blank rows already, so a
+        # second bulk decode of it would fail as the first did
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return bulk(*args)
+
+        bulk = trace_module._bulk_integers
+        monkeypatch.setattr(trace_module, "_bulk_integers", spy)
+        with contextlib.suppress(FormatError):  # "x" is refused, "007" read by the row loop
+            read_trace_csv(io.StringIO(text))
+        assert len(calls) == 1
 
 
 class TestRationalJson:
