@@ -35,7 +35,7 @@ _EXPORTS = {
     "suite": "PROPERTY_NAMES PropertyReport SuiteConfig SuiteSummary run_property "
              "run_property_suite",
     "table1": "CurveSpec Table1Row render_table1_text reproduce_table1 table1_to_json",
-    "trace": "Trace cumulative interarrival read_trace_csv write_trace_csv",
+    "trace": "Trace read_trace_csv write_trace_csv",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

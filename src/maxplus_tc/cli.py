@@ -116,7 +116,7 @@ def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
             raise FormatError(f"{path}: {exc}") from None
 
 
@@ -379,7 +379,7 @@ def _max_tight(text: str) -> int | None:
 
 
 def _rational(text: str):
-    """A rational option, ``N`` or ``N/D``; argparse names the option it fails."""
+    """A rational option, ``N``, ``N/D`` or ``N.D``; argparse names the option it fails."""
     from .rational import parse_rational
 
     try:

@@ -23,7 +23,8 @@ fitted burst: nu at a fixed rate (:func:`fit_lambda_nu`) and sigma at a
 fixed bit rate (:func:`fit_sigma_rho`).  Tight pairs are counted in O(N)
 however many there are: one C-level pass keeps the starts whose key plus
 the limit occurs among the end keys, and only those are grouped; listing
-them costs the pairs listed.
+them costs the pairs listed.  ``FIRST_VIOLATION`` gives the verdict alone:
+the checker's witness pair, or None, by the same passes, with no pair counted.
 The literal pairwise routes these passes are tested against live in
 :mod:`maxplus_tc.reference`.
 """
@@ -213,6 +214,11 @@ def _simultaneous(arrivals: tuple[int, ...], lag: int):
     return total, chain.from_iterable(pairs)
 
 
+def _lambda_nu_violation(trace: Trace, model: LambdaNuModel) -> tuple[int, int] | None:
+    keys, lag, limit = _excess_keys(trace.arrivals, model.lam, model.nu)
+    return _first_over(keys, keys, lag, limit)
+
+
 def check_lambda_nu(
     trace: Trace, model: LambdaNuModel, *, max_tight: int | None = None
 ) -> ConformanceReport:
@@ -231,12 +237,8 @@ def check_lambda_nu(
     pair = _first_over(keys, keys, lag, limit)
     if pair is not None:
         m, n = pair
-        witness = Witness(
-            m=m,
-            n=n,
-            required=model.min_spacing(n - m),
-            actual=Fraction(arrivals[n - 1] - arrivals[m - 1]),
-        )
+        gap = Fraction(arrivals[n - 1] - arrivals[m - 1])
+        witness = Witness(m=m, n=n, required=model.min_spacing(n - m), actual=gap)
     total, pairs = _gain_exactly(keys, keys, lag, limit)
     extra, simultaneous = _simultaneous(arrivals, lag)
     if extra:  # the first max_tight of each list hold those of their union
@@ -249,6 +251,22 @@ def check_lambda_nu(
 # TSpec (sliding window) checking
 
 
+def _tspec_runs(arrivals: tuple[int, ...], tspec: TSpecModel):
+    """``full[i]``: packets i+1 .. i+k_max (1-based) fit one window, a tight
+    pair; and the first violating pair, or None.  It ends at the first packet
+    whose k_max-th predecessor shares a window with it, and starts at that
+    window's first packet."""
+    max_gap = tspec.max_gap_in_window()
+    k = tspec.k_max
+    full = list(map(ge, map(add, arrivals, repeat(max_gap)), islice(arrivals, k - 1, None)))
+    # k+1 packets from i fit only if the k from i and the k from i+1 do
+    both = compress(count(), map(and_, full, islice(full, 1, None)))
+    j = next((i + k for i in both if arrivals[i + k] - arrivals[i] <= max_gap), None)
+    if j is None:
+        return full, None
+    return full, (bisect_left(arrivals, arrivals[j] - max_gap) + 1, j + 1)
+
+
 def check_tspec(
     trace: Trace, tspec: TSpecModel, *, max_tight: int | None = None
 ) -> ConformanceReport:
@@ -258,23 +276,16 @@ def check_tspec(
     open mode requires strictly less than tau.  Equivalent to enumerating all
     packet pairs (m, n) that fit one window and requiring n - m + 1 <= k_max:
     the tight pairs are the runs of exactly k_max packets that fit one
-    window, found by one C-level pass, and the first violation ends at the
-    first packet j whose k_max-th predecessor shares a window with it.
+    window, found by one C-level pass (:func:`_tspec_runs`) with the first
+    violation.
     """
-    arrivals = trace.arrivals
-    n_pk = len(arrivals)
-    max_gap = tspec.max_gap_in_window()
-    k = tspec.k_max
-    # full[i]: packets i+1 .. i+k (1-based) fit one window, a tight pair
-    full = list(map(ge, map(add, arrivals, repeat(max_gap)), islice(arrivals, k - 1, None)))
-    # k+1 packets from i fit only if the k from i and the k from i+1 do
-    both = compress(count(), map(and_, full, islice(full, 1, None)))
-    j = next((i + k for i in both if arrivals[i + k] - arrivals[i] <= max_gap), None)
+    n_pk = len(trace.arrivals)
+    full, pair = _tspec_runs(trace.arrivals, tspec)
     witness = None
-    if j is not None:
-        i = bisect_left(arrivals, arrivals[j] - max_gap)  # the window's first packet
-        witness = Witness(m=i + 1, n=j + 1, required=Fraction(k), actual=Fraction(j - i + 1))
-    pairs = compress(zip(count(1), count(k)), full)
+    if pair is not None:
+        m, n = pair
+        witness = Witness(m=m, n=n, required=Fraction(tspec.k_max), actual=Fraction(n - m + 1))
+    pairs = compress(zip(count(1), count(tspec.k_max)), full)
     return _report(witness, full.count(True), pairs, n_pk * (n_pk + 1) // 2, max_tight)
 
 
@@ -319,15 +330,26 @@ def _breakpoints(trace: Trace) -> tuple[list[int], list[int], list[int]]:
     return points, at, cum
 
 
-def _window_keys(
-    points: list[int], at: list[int], cum: list[int], scale: int, rate: int
-) -> tuple[list[int], list[int]]:
-    """Start and end keys of the closed windows between breakpoints: window
-    [points[i], points[j]] (1-based i <= j) has gain
-    ``ends[j] - starts[i] = scale*bits - rate*width``."""
+def _bit_keys(trace: Trace, model: SigmaRhoModel):
+    """The breakpoints with :func:`_breakpoints`' bits, then start and end keys
+    and the limit of the bit-domain bound: the closed window [points[i],
+    points[j]] (1-based i <= j) has gain ``ends[j] - starts[i] = scale*bits -
+    rate*width`` and violates iff its gain exceeds the limit."""
+    if trace.lengths is None and trace.num_packets > 0:
+        raise MissingLengthsError("bit-domain check needs per-packet lengths")
+    points, at, cum = _breakpoints(trace)
+    rho_n, rho_d = model.rho.numerator, model.rho.denominator
+    sig_n, sig_d = model.sigma.numerator, model.sigma.denominator
+    scale, rate = rho_d * sig_d, rho_n * sig_d  # bits*scale vs rate*width + sig_n*rho_d
     ends = [scale * c - rate * t for t, c in zip(points, cum)]
     starts = [e - scale * a for e, a in zip(ends, at)]
-    return starts, ends
+    return points, at, cum, starts, ends, sig_n * rho_d
+
+
+def _sigma_rho_violation(trace: Trace, model: SigmaRhoModel) -> tuple[int, int] | None:
+    points, _, _, starts, ends, limit = _bit_keys(trace, model)
+    pair = _first_over(starts, ends, 0, limit)
+    return None if pair is None else (points[pair[0] - 1], points[pair[1] - 1])
 
 
 def check_sigma_rho(
@@ -342,28 +364,16 @@ def check_sigma_rho(
     window starting at it).  Witness and tight pairs label windows by their
     endpoint ticks, not packet indices.
     """
-    if trace.lengths is None and trace.num_packets > 0:
-        raise MissingLengthsError("bit-domain check needs per-packet lengths")
-    points, at, cum = _breakpoints(trace)
+    points, at, cum, starts, ends, limit = _bit_keys(trace, model)
     b = len(points)
-    rho_n, rho_d = model.rho.numerator, model.rho.denominator
-    sig_n, sig_d = model.sigma.numerator, model.sigma.denominator
-    scale = rho_d * sig_d  # bits * scale  vs  rho_n*sig_d*dt + sig_n*rho_d
-    rate_c = rho_n * sig_d
-    burst_c = sig_n * rho_d
-    # a window violates iff its gain scale*bits - rate_c*width exceeds burst_c
-    starts, ends = _window_keys(points, at, cum, scale, rate_c)
     witness = None
-    pair = _first_over(starts, ends, 0, burst_c)
+    pair = _first_over(starts, ends, 0, limit)
     if pair is not None:
         i, j = pair
-        witness = Witness(
-            m=points[i - 1],
-            n=points[j - 1],
-            required=model.rho * (points[j - 1] - points[i - 1]) + model.sigma,
-            actual=Fraction(cum[j - 1] - cum[i - 1] + at[i - 1]),
-        )
-    total, pairs = _gain_exactly(starts, ends, 0, burst_c)
+        s, t = points[i - 1], points[j - 1]
+        bits = Fraction(cum[j - 1] - cum[i - 1] + at[i - 1])
+        witness = Witness(m=s, n=t, required=model.rho * (t - s) + model.sigma, actual=bits)
+    total, pairs = _gain_exactly(starts, ends, 0, limit)
     windows = ((points[i - 1], points[j - 1]) for i, j in pairs)
     return _report(witness, total, windows, b * (b + 1) // 2, max_tight)
 
@@ -373,6 +383,12 @@ CHECKERS = {
     LambdaNuModel: check_lambda_nu,
     TSpecModel: check_tspec,
     SigmaRhoModel: check_sigma_rho,
+}
+# the verdict alone: the checker's witness pair (m, n), or None; no pair is counted
+FIRST_VIOLATION = {
+    LambdaNuModel: _lambda_nu_violation,
+    TSpecModel: lambda trace, tspec: _tspec_runs(trace.arrivals, tspec)[1],
+    SigmaRhoModel: _sigma_rho_violation,
 }
 
 
@@ -458,8 +474,7 @@ def fit_sigma_rho(trace: Trace, *, rho: RationalLike) -> FitResult:
         return FitResult(SigmaRhoModel(sigma=Fraction(0), rho=rho), None)
     if trace.lengths is None:
         raise MissingLengthsError("bit-domain fit needs per-packet lengths")
-    points, at, cum = _breakpoints(trace)
-    starts, ends = _window_keys(points, at, cum, rho.denominator, rho.numerator)
+    points, _, _, starts, ends, _ = _bit_keys(trace, SigmaRhoModel(sigma=Fraction(0), rho=rho))
     i, j, gain = max(_gains(starts, ends, 0), key=itemgetter(2))
     return FitResult(
         SigmaRhoModel(sigma=Fraction(gain, rho.denominator), rho=rho),

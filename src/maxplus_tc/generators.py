@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .conformance import _excess_keys, _first_over, fit_lambda_nu
+from .conformance import FIRST_VIOLATION, fit_lambda_nu
 from .errors import GridError
 from .models import LambdaNuModel, TSpecModel, WindowMode
 from .rational import ceil_div
@@ -141,7 +141,7 @@ def gen_jittered(
     if count == 0:
         return trace, LambdaNuModel(lam=Fraction(1, period), nu=Fraction(0))
     fitted = fit_lambda_nu(trace, lam=Fraction(1, period)).model
-    # the verdict alone: a full report would also list every tight pair
-    keys, lag, limit = _excess_keys(trace.arrivals, fitted.lam, fitted.nu)
-    assert _first_over(keys, keys, lag, limit) is None, "fitted envelope must cover its own trace"
+    # the verdict alone: a full report would also count every tight pair
+    verdict = FIRST_VIOLATION[LambdaNuModel]
+    assert verdict(trace, fitted) is None, "fitted envelope must cover its own trace"
     return trace, fitted

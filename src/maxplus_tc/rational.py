@@ -48,7 +48,11 @@ def rational_from_json(obj: object) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"N"`` or ``"N/D"`` command-line style rationals."""
+    """Parse a command-line rational: ``"N"``, ``"N/D"`` or a decimal ``"N.D"``.
+    The exponent form (``1e5``) is refused: a few of its characters can stand
+    for an integer of any size."""
+    if "e" in text.lower():
+        raise FormatError(f"cannot parse rational {text!r}: use N, N/D or N.D, not an exponent")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

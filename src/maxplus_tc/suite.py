@@ -18,11 +18,11 @@ shows a trace, a report, a model, a rational or an enum.  The property and
 the test feed a predicate their own draws.  :func:`merge_conforms_to_sum`
 is the superposition property of each family in ``algebra.SUPERPOSE`` and
 ``conformance.CHECKERS``; ``MaxPlusCurve`` is to be one more entry in each.
-A verdict is read at ``max_tight=0`` (:func:`_violation`), and only a
-failure recomputes the report in full.  The differential routes compare
-reports as records, so only a mismatch is encoded.  Reference routes serve
-only as the slow side of a differential property, never to build a
-trial's inputs.
+A verdict is read from ``conformance.FIRST_VIOLATION`` (:func:`_conforms`),
+which counts no tight pair; only a failure computes the full report.  The
+differential routes compare reports as records, so only a mismatch is
+encoded.  Reference routes serve only as the slow side of a differential
+property, never to build a trial's inputs.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .algebra import (
 )
 from .conformance import (
     CHECKERS,
+    FIRST_VIOLATION,
     ConformanceReport,
     check_lambda_nu,
     check_tspec,
@@ -217,12 +218,17 @@ def _report_mismatch(trace: Trace, model, key: str, **routes) -> dict | None:
     return None if first == second else _failure(trace=trace, **{key: model}, **reports)
 
 
-def _violation(check, trace: Trace, model, /, **context) -> dict | None:
-    """None when ``trace`` conforms to ``model`` (read at ``max_tight=0``), else
-    the failure record: ``context`` plus the full report."""
-    if check(trace, model, max_tight=0).conforms:
+def _conforms(trace: Trace, model) -> bool:
+    """The verdict alone: no tight pair is counted."""
+    return FIRST_VIOLATION[type(model)](trace, model) is None
+
+
+def _violation(trace: Trace, model, /, **context) -> dict | None:
+    """None when ``trace`` conforms to ``model``, else the failure record:
+    ``context`` plus the full report."""
+    if _conforms(trace, model):
         return None
-    return _failure(**context, report=check(trace, model))
+    return _failure(**context, report=CHECKERS[type(model)](trace, model))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +312,8 @@ def merge_conforms_to_sum(models: list, traces: list[Trace]) -> dict | None:
     of one family) merge into a trace that conforms to the models' sum.
     None when it holds, else the failure record."""
     aggregate = SUPERPOSE[type(models[0])](models)
-    return _violation(CHECKERS[type(models[0])], merge_traces(traces), aggregate,
-                      models=models, aggregate=aggregate, traces=traces)
+    return _violation(merge_traces(traces), aggregate, models=models, aggregate=aggregate,
+                      traces=traces)
 
 
 def lambda_nu_routes_agree(trace: Trace, model: LambdaNuModel) -> dict | None:
@@ -372,7 +378,7 @@ def _prop_rate_burst_maps_into_tspec(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
     for j in range(1, 6):
         for variant in (MappingVariant.A, MappingVariant.B):
             tspec = map_lambda_nu_to_tspec(model, variant, j)
-            failure = _violation(check_tspec, trace, tspec, model=model, j=j, variant=variant,
+            failure = _violation(trace, tspec, model=model, j=j, variant=variant,
                                  tspec=tspec, trace=trace)
             if failure is not None:
                 return failure
@@ -383,7 +389,7 @@ def _prop_tspec_maps_into_rate_burst(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
     tspec = _rand_tspec(rng)
     trace = _conforming_tspec_trace(rng, tspec, min(cfg.max_packets, 400))
     model = map_tspec_to_lambda_nu(tspec)
-    return _violation(check_lambda_nu, trace, model, tspec=tspec, model=model, trace=trace)
+    return _violation(trace, model, tspec=tspec, model=model, trace=trace)
 
 
 def _prop_merge_conforms_to_tspec_sum(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
@@ -458,12 +464,12 @@ def _prop_fitted_envelopes_are_tight(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
 
     lam = Fraction(rng.randint(1, 8), rng.randint(1, 64))
     fit = fit_lambda_nu(trace, lam=lam)
-    if not check_lambda_nu(trace, fit.model, max_tight=0).conforms:
+    if not _conforms(trace, fit.model):
         return _failure(trace=trace, stage="burst fit does not conform", model=fit.model)
     if fit.model.nu > 0:
         delta = fit.model.nu / rng.randint(2, 9)
         tightened = LambdaNuModel(lam=lam, nu=fit.model.nu - delta)
-        if check_lambda_nu(trace, tightened, max_tight=0).conforms:
+        if _conforms(trace, tightened):
             return _failure(trace=trace, stage="burst fit not minimal", model=tightened)
         if fit.binding_pair is not None:
             m, n = fit.binding_pair
@@ -481,24 +487,24 @@ def _prop_fitted_envelopes_are_tight(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
         return None
     except UnboundedFitError:
         probe = LambdaNuModel(lam=Fraction(1, 10**6), nu=nu)
-        if not check_lambda_nu(trace, probe, max_tight=0).conforms:
+        if not _conforms(trace, probe):
             return _failure(trace=trace, stage="bogus unboundedness")
         return None
-    if not check_lambda_nu(trace, fit.model, max_tight=0).conforms:
+    if not _conforms(trace, fit.model):
         return _failure(trace=trace, stage="rate fit does not conform", model=fit.model)
     delta = fit.model.lam / rng.randint(2, 9)
     tightened = LambdaNuModel(lam=fit.model.lam - delta, nu=nu)
-    if check_lambda_nu(trace, tightened, max_tight=0).conforms:
+    if _conforms(trace, tightened):
         return _failure(trace=trace, stage="rate fit not minimal", model=tightened)
 
     tau = Fraction(rng.randint(1, 40))
     mode = rng.choice((WindowMode.CLOSED, WindowMode.OPEN))
     tfit = fit_tspec(trace, tau, mode)
-    if not check_tspec(trace, tfit.model, max_tight=0).conforms:
+    if not _conforms(trace, tfit.model):
         return _failure(trace=trace, stage="window fit does not conform", model=tfit.model)
     if tfit.model.k_max > 1:
         smaller = TSpecModel(tau=tau, k_max=tfit.model.k_max - 1, window_mode=mode)
-        if check_tspec(trace, smaller, max_tight=0).conforms and trace.num_packets > 0:
+        if _conforms(trace, smaller) and trace.num_packets > 0:
             return _failure(trace=trace, stage="window fit not minimal", model=smaller)
     return None
 
@@ -515,7 +521,7 @@ def _prop_looser_models_stay_conforming(rng: Lcg64, cfg: SuiteConfig) -> dict | 
         lam=model.lam * (1 + Fraction(rng.randint(0, 8), 4)),
         nu=model.nu + Fraction(rng.randint(0, 8), 2),
     )
-    if not check_lambda_nu(trace, looser, max_tight=0).conforms:
+    if not _conforms(trace, looser):
         return _failure(model=model, looser=looser, trace=trace)
     tspec = _rand_tspec(rng)
     ttrace = _conforming_tspec_trace(rng, tspec, min(cfg.max_packets, 200))
@@ -524,7 +530,7 @@ def _prop_looser_models_stay_conforming(rng: Lcg64, cfg: SuiteConfig) -> dict | 
         k_max=tspec.k_max + rng.randint(0, 3),
         window_mode=tspec.window_mode,
     )
-    if not check_tspec(ttrace, shorter, max_tight=0).conforms:
+    if not _conforms(ttrace, shorter):
         return _failure(tspec=tspec, looser=shorter, trace=ttrace)
     return None
 
@@ -551,12 +557,12 @@ def _prop_generators_pass_their_checkers(rng: Lcg64, cfg: SuiteConfig) -> dict |
     count = rng.randint(0, min(cfg.max_packets, 200))
     periodic = gen_periodic(period, rng.randint(0, 100), count)
     model = LambdaNuModel(lam=Fraction(1, period), nu=Fraction(0))
-    if not check_lambda_nu(periodic, model, max_tight=0).conforms:
+    if not _conforms(periodic, model):
         return _failure(stage="periodic", period=period, trace=periodic)
 
     rb = _rand_rate_burst(rng)
     extremal = gen_extremal_lambda_nu(rb, rng.randint(0, 150))
-    if not check_lambda_nu(extremal, rb, max_tight=0).conforms:
+    if not _conforms(extremal, rb):
         return _failure(stage="extremal", model=rb, trace=extremal)
     if rb.nu.denominator == 1 and extremal.num_packets >= rb.nu + 2:
         refit = fit_lambda_nu(extremal, lam=rb.lam)
@@ -565,14 +571,14 @@ def _prop_generators_pass_their_checkers(rng: Lcg64, cfg: SuiteConfig) -> dict |
 
     tspec = _rand_tspec(rng)
     bursts = gen_tspec_extremal(tspec, rng.randint(0, 200))
-    if not check_tspec(bursts, tspec, max_tight=0).conforms:
+    if not _conforms(bursts, tspec):
         return _failure(stage="tspec bursts", tspec=tspec, trace=bursts)
 
     period = rng.randint(1, 60)
     trace, fitted = gen_jittered(
         period, rng.randint(0, period - 1), rng.next_u32(), rng.randint(0, 200)
     )
-    if not check_lambda_nu(trace, fitted, max_tight=0).conforms:
+    if not _conforms(trace, fitted):
         return _failure(stage="jittered", model=fitted, trace=trace)
     return None
 

@@ -1,8 +1,8 @@
 """Packet traces on an integer tick grid.
 
 A trace records the arrival tick of each packet in order.  Packets are
-numbered 1..N; index 0 is a virtual origin with arrival time 0, used by the
-inter-arrival accessor but never counted as a packet.  Concurrent arrivals
+numbered 1..N; index 0 is a virtual origin with arrival time 0, read by
+:meth:`Trace.arrival` but never counted as a packet.  Concurrent arrivals
 (equal ticks) are legal.  Optionally every packet carries a positive bit
 length, enabling the cumulative (bit-domain) view.
 """
@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable
-from fractions import Fraction
 from io import TextIOBase
 from itertools import chain, repeat
 from operator import le
 
 from ._record import Record
-from .errors import FormatError, MissingLengthsError
-from .rational import RationalLike
+from .errors import FormatError
 
 CSV_HEADER_TICKS = "arrival_ticks"
 CSV_HEADER_LENGTHS = "length_bits"
@@ -87,30 +85,6 @@ def _int_column(values: Iterable[int], naming: str) -> tuple[int, ...]:
         if i != value and not isinstance(value, str):
             raise ValueError(naming.format(value, n) + " is not an integer")
     return ints
-
-
-def interarrival(trace: Trace, m: int, n: int) -> int:
-    """Elapsed ticks between the arrivals of packets m and n (0 <= m <= n)."""
-    if m < 0 or n < m or n > trace.num_packets:
-        raise IndexError(
-            f"need 0 <= m <= n <= {trace.num_packets}, got m={m}, n={n}"
-        )
-    return trace.arrival(n) - trace.arrival(m)
-
-
-def cumulative(trace: Trace, t: RationalLike) -> int:
-    """Total bits arrived up to and including time t (packets at exactly t count)."""
-    if trace.lengths is None and trace.num_packets > 0:
-        raise MissingLengthsError("cumulative traffic needs per-packet lengths")
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    total = 0
-    for tick, bits in zip(trace.arrivals, trace.lengths or ()):
-        if tick > t:
-            break
-        total += bits
-    return total
 
 
 def read_trace_csv(source: str | TextIOBase) -> Trace:

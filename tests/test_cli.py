@@ -174,6 +174,19 @@ class TestCheck:
         model = _write(tmp_path / "m.json", "{not json")
         assert run(["check", "--trace", trace, "--model", model]) == 3
 
+    @pytest.mark.parametrize("content", [
+        b'{"type": "lambda_nu", "lambda": {"num": 1' + b"0" * 5000 + b', "den": 1}, "nu": 0}',
+        b'{"type": "lambda_nu", "nu": "\xff"}',
+    ], ids=["past-digit-limit", "not-utf8"])
+    def test_unreadable_model_file_exits_three(self, tmp_path, capsys, content):
+        # json.load's plain ValueError is the file's fault, not the command line's
+        trace = _write(tmp_path / "t.csv", "0\n")
+        model = tmp_path / "m.json"
+        model.write_bytes(content)
+        assert run(["check", "--trace", trace, "--model", str(model)]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "io" and error["message"].startswith(f"{model}: ")
+
     def test_unknown_flag_exits_two(self, tmp_path, lam_nu_model, capsys):
         assert run(["check", "--trace", "x", "--model", lam_nu_model, "--bogus"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -385,6 +398,10 @@ def test_option_that_does_nothing_is_refused(tmp_path, lam_nu_model, capsys, arg
     ("generate --kind extremal --rate 1 --burst 1/0 --count 2", "--burst"),
     ("generate --kind tspec-bursts --interval x --k-max 2 --count 2", "--interval"),
     ("generate --kind periodic --period x --count 2", "--period"),
+    ("fit --trace T --rate 1e5000", "--rate"),
+    ("fit --trace T --burst 1e-50000", "--burst"),
+    ("fit --trace T --rate 1e-1", "--rate"),
+    ("generate --kind extremal --rate 2.5E1 --count 2", "--rate"),
 ])
 def test_malformed_option_value_exits_two(tmp_path, lam_nu_model, capsys, argv, flag):
     files = {"M": lam_nu_model, "T": _write(tmp_path / "t.csv", "0\n10\n")}
@@ -393,6 +410,33 @@ def test_malformed_option_value_exits_two(tmp_path, lam_nu_model, capsys, argv, 
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
     assert error["kind"] == "usage" and error["message"].startswith(f"argument {flag}")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), (" -3/4 ", Fraction(-3, 4)),
+    ("0.5", Fraction(1, 2)), ("-1.25", Fraction(-5, 4)),
+])
+def test_rational_option_forms(text, value):
+    from maxplus_tc.rational import parse_rational
+
+    assert parse_rational(text) == value
+
+
+def test_decimal_option_equals_its_fraction(tmp_path, capsys):
+    trace = _write(tmp_path / "t.csv", "0\n1\n2\n7\n")
+    outputs = []
+    for text in ("2.5", "5/2"):
+        assert run(["fit", "--trace", trace, "--interval", text]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and '"num": 5' in outputs[0]
+
+
+@pytest.mark.parametrize("text", ["1e5", "1E5", "2.5e-3", "1e5000"])
+def test_rational_exponent_form_is_refused(text):
+    from maxplus_tc.rational import parse_rational
+
+    with pytest.raises(maxplus_tc.FormatError, match="not an exponent"):
+        parse_rational(text)
 
 
 class TestMergeGenerate:
@@ -579,6 +623,12 @@ class TestGenerateConfigTypes:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["kind"] == "io" and "'1/0'" in error["message"]
 
+    def test_exponent_rational_exits_three(self, tmp_path, capsys):
+        cfg = _write(tmp_path / "cfg.json", json.dumps({"kind": "extremal", "rate": "1e3"}))
+        assert run(["generate", "--config", cfg, "--count", "2"]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "io" and "'1e3'" in error["message"]
+
     def test_key_of_another_kind_is_accepted(self, tmp_path, capsys):
         config = {"kind": "periodic", "period": 10, "count": 2, "rate": "1/3", "seed": 4}
         cfg = _write(tmp_path / "cfg.json", json.dumps(config))
@@ -703,7 +753,7 @@ SUBCOMMAND_MODULES = {
     "fit": {"_record", "conformance", "models", "rational", "trace"},
     "map": {"_record", "algebra", "models", "rational"},
     "superpose": {"_record", "algebra", "models", "rational"},
-    "merge": {"_record", "aggregation", "rational", "trace"},
+    "merge": {"_record", "aggregation", "trace"},
     "generate": {"_record", "conformance", "generators", "models", "rational", "trace"},
     "table1": {"_record", "algebra", "models", "rational", "table1"},
 }
@@ -752,9 +802,11 @@ def test_every_checked_family_is_superposed():
     # `check` and `superpose` dispatch through these tables: a new model
     # family goes into both or neither
     from maxplus_tc.algebra import SUPERPOSE
-    from maxplus_tc.conformance import CHECKERS
+    from maxplus_tc.conformance import CHECKERS, FIRST_VIOLATION
 
     assert CHECKERS.keys() == SUPERPOSE.keys()
+    # the suite reads a verdict through FIRST_VIOLATION, a failure through CHECKERS
+    assert FIRST_VIOLATION.keys() == CHECKERS.keys()
 
 
 def _indented(obj) -> str:

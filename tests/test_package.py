@@ -21,9 +21,9 @@ EXPORTED = [
     "SuiteSummary", "TSpecModel", "Table1Row", "Trace", "TrafficModelError",
     "UnboundedFitError", "WindowMode", "Witness", "aggregate_eq1", "ceil_div",
     "check_lambda_nu", "check_lambda_nu_via_convolution", "check_sigma_rho",
-    "check_tspec", "check_tspec_pairwise", "cumulative", "curve_to_lambda_nu",
+    "check_tspec", "check_tspec_pairwise", "curve_to_lambda_nu",
     "fit_lambda_nu", "fit_result_to_json", "fit_tspec", "gen_extremal_lambda_nu",
-    "gen_jittered", "gen_periodic", "gen_tspec_extremal", "interarrival",
+    "gen_jittered", "gen_periodic", "gen_tspec_extremal",
     "map_lambda_nu_to_tspec", "map_tspec_to_lambda_nu", "max_window_count",
     "merge_traces", "merge_traces_with_provenance", "model_from_json",
     "model_to_json", "parse_rational", "rational_from_json", "rational_to_json",
@@ -35,7 +35,7 @@ EXPORTED = [
 
 # production helpers whose result a reference route would share with the
 # fast path it checks
-SHARED_HELPERS = {"min_spacing", "max_gap_in_window", "cumulative"}
+SHARED_HELPERS = {"min_spacing", "max_gap_in_window"}
 
 
 def test_exported_names_are_pinned_and_resolve():
@@ -84,7 +84,7 @@ def test_exports_load_their_module_on_first_use():
     )
     assert proc.stdout.splitlines() == [
         "[]",
-        "['maxplus_tc._record', 'maxplus_tc.errors', 'maxplus_tc.rational', 'maxplus_tc.trace']",
+        "['maxplus_tc._record', 'maxplus_tc.errors', 'maxplus_tc.trace']",
     ]
 
 

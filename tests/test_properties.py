@@ -2,24 +2,24 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxplus_tc import (
     LambdaNuModel,
+    MissingLengthsError,
     SigmaRhoModel,
     Trace,
     TSpecModel,
     WindowMode,
     check_lambda_nu,
     check_tspec,
-    cumulative,
     fit_lambda_nu,
-    interarrival,
     merge_traces,
     reference,
 )
-from maxplus_tc.conformance import fit_sigma_rho
+from maxplus_tc.conformance import CHECKERS, FIRST_VIOLATION, fit_sigma_rho
 from maxplus_tc.suite import (lambda_nu_routes_agree, merge_conforms_to_sum,
                               merge_order_insensitive, tspec_routes_agree)
 
@@ -65,30 +65,6 @@ class TestRationalExactness:
     @given(rationals, positive_rationals)
     def test_multiply_divide_roundtrips(self, a, b):
         assert (a * b) / b == a
-
-
-class TestTraceInvariants:
-    @given(traces())
-    def test_interarrival_telescopes(self, trace):
-        n_pk = trace.num_packets
-        for l in range(0, min(n_pk, 6) + 1):
-            for m in range(l, min(n_pk, 8) + 1):
-                for n in range(m, n_pk + 1):
-                    assert interarrival(trace, l, n) == (
-                        interarrival(trace, l, m) + interarrival(trace, m, n)
-                    )
-
-    @given(traces(with_lengths=True))
-    def test_cumulative_nondecreasing_with_jumps_at_arrivals(self, trace):
-        horizon = (trace.arrivals[-1] if trace.num_packets else 0) + 2
-        prev = 0
-        for t in range(horizon):
-            cur = cumulative(trace, t)
-            assert cur >= prev
-            if cur > prev:
-                assert t in trace.arrivals
-            prev = cur
-        assert prev == sum(trace.lengths or ())
 
 
 class TestCheckerInvariants:
@@ -145,6 +121,55 @@ class TestCheckerInvariants:
             check_lambda_nu(trace, model).conforms
             == check_lambda_nu(shifted, model).conforms
         )
+
+
+@st.composite
+def verdict_cases(draw):
+    """A model of any family and a trace, with or without lengths; half the
+    traces put every packet on one tick."""
+    with_lengths = draw(st.booleans())
+    if draw(st.booleans()):
+        trace = draw(traces(with_lengths=with_lengths))
+    else:
+        n = draw(st.integers(min_value=0, max_value=12))
+        tick = draw(st.integers(min_value=0, max_value=10))
+        trace = Trace((tick,) * n, lengths=(64,) * n if with_lengths else None)
+    family = draw(st.sampled_from((LambdaNuModel, TSpecModel, SigmaRhoModel)))
+    if family is LambdaNuModel:
+        model = LambdaNuModel(draw(positive_rationals), draw(burst_rationals))
+    elif family is TSpecModel:
+        model = TSpecModel(draw(positive_rationals), draw(st.integers(min_value=1, max_value=6)),
+                           draw(st.sampled_from((WindowMode.CLOSED, WindowMode.OPEN))))
+    else:
+        model = SigmaRhoModel(draw(burst_rationals) * 100, draw(bit_rates))
+    return trace, model
+
+
+class TestFirstViolation:
+    @given(verdict_cases())
+    @example((Trace(()), LambdaNuModel(F(1, 3), F(0))))
+    @example((Trace(()), SigmaRhoModel(F(0), F(1))))  # no packet needs no length
+    @example((Trace((5,)), TSpecModel(F(1), 1, WindowMode.CLOSED)))
+    @example((Trace((5,), lengths=(9,)), SigmaRhoModel(F(8), F(1))))
+    @example((Trace((3, 3, 3, 3)), LambdaNuModel(F(1, 3), F(2))))
+    @example((Trace((3, 3, 3, 3)), TSpecModel(F(1), 2, WindowMode.OPEN)))
+    @example((Trace((3, 3, 3), lengths=(8, 8, 8)), SigmaRhoModel(F(16), F(1))))
+    @example((Trace((0, 4)), SigmaRhoModel(F(1), F(1))))
+    @settings(max_examples=300)
+    def test_pair_is_the_witness_pair(self, case):
+        # the verdict route answers as the full check does, and raises alike
+        trace, model = case
+        route = FIRST_VIOLATION[type(model)]
+        try:
+            report = CHECKERS[type(model)](trace, model)
+        except MissingLengthsError:
+            with pytest.raises(MissingLengthsError):
+                route(trace, model)
+            return
+        pair = route(trace, model)
+        assert (pair is None) == report.conforms
+        if pair is not None:
+            assert pair == (report.witness.m, report.witness.n)
 
 
 class TestMergeInvariants:

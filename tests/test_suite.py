@@ -33,7 +33,7 @@ from maxplus_tc import (
     superpose_lambda_nu,
     superpose_tspec,
 )
-from maxplus_tc import suite
+from maxplus_tc import conformance, suite
 from maxplus_tc.generators import Lcg64
 from maxplus_tc.suite import PROPERTIES, _property_seed, merge_conforms_to_sum
 
@@ -151,7 +151,7 @@ class TestSuite:
     ])
     def test_superposition_failure_record(self, model, check, traces):
         # flows that break their models: the record shows the full report,
-        # tight pairs listed, though the verdict was read at max_tight=0
+        # tight pairs listed, though the verdict was read without counting
         record = merge_conforms_to_sum([model, model], traces)
         assert list(record) == ["models", "aggregate", "traces", "report"]
         assert record["models"] == [model_to_json(model)] * 2
@@ -175,6 +175,23 @@ class TestSuite:
         assert digest.hexdigest() == (
             "4d595b2695fc734cabd9888e7d89baaaca98c6e64958e7c8bb3ec462af9a8e89"
         )
+
+    def test_verdict_reads_count_no_tight_pair(self, monkeypatch):
+        # a check that a property makes for its verdict alone goes through
+        # FIRST_VIOLATION, so a passing run never reaches the pair counters;
+        # the differential property compares full reports and is the control
+        calls = []
+        for name in ("_gain_exactly", "_simultaneous"):
+            counted = getattr(conformance, name)
+            monkeypatch.setattr(conformance, name,
+                                lambda *args, f=counted, n=name: calls.append(n) or f(*args))
+        cfg = SuiteConfig(seed=7, trials=40, max_packets=100)
+        for name in PROPERTY_NAMES:
+            if name != "pairwise_equals_maxplus_route":
+                assert run_property(name, cfg.seed, cfg.trials, cfg).passed
+        assert calls == []
+        assert run_property("pairwise_equals_maxplus_route", cfg.seed, 1, cfg).passed
+        assert set(calls) == {"_gain_exactly", "_simultaneous"}
 
     def test_failure_records_are_pinned(self, monkeypatch):
         # every property fails under the weakened operators; the digest pins

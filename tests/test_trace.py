@@ -11,10 +11,7 @@ from hypothesis import strategies as st
 
 from maxplus_tc import (
     FormatError,
-    MissingLengthsError,
     Trace,
-    cumulative,
-    interarrival,
     rational_from_json,
     rational_to_json,
     read_trace_csv,
@@ -93,60 +90,6 @@ class TestTraceConstruction:
         assert t.arrival(1) == 7
         with pytest.raises(IndexError):
             t.arrival(3)
-
-
-class TestInterarrival:
-    def test_middle_pair(self):
-        assert interarrival(Trace((10, 20, 30)), 1, 3) == 20
-
-    def test_same_index(self):
-        assert interarrival(Trace((10, 20, 30)), 2, 2) == 0
-
-    def test_from_origin(self):
-        assert interarrival(Trace((10, 20, 30)), 0, 1) == 10
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            interarrival(Trace((10,)), 0, 2)
-        with pytest.raises(IndexError):
-            interarrival(Trace((10, 20)), 2, 1)
-
-    def test_telescoping(self):
-        t = Trace((0, 0, 4, 9, 9, 30))
-        for l in range(0, 7):
-            for m in range(l, 7):
-                for n in range(m, 7):
-                    assert interarrival(t, l, n) == interarrival(t, l, m) + interarrival(t, m, n)
-
-
-class TestCumulative:
-    def test_at_zero(self):
-        assert cumulative(Trace((0, 10), lengths=(100, 200)), 0) == 100
-
-    def test_all_included(self):
-        assert cumulative(Trace((0, 10), lengths=(100, 200)), 10) == 300
-
-    def test_boundary_excluded(self):
-        assert cumulative(Trace((0, 10), lengths=(100, 200)), 9) == 100
-
-    def test_missing_lengths(self):
-        with pytest.raises(MissingLengthsError):
-            cumulative(Trace((0, 10)), 5)
-
-    def test_empty_trace_is_zero(self):
-        assert cumulative(Trace(()), 5) == 0
-
-    def test_rational_time(self):
-        assert cumulative(Trace((0, 10), lengths=(100, 200)), Fraction(19, 2)) == 100
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            cumulative(Trace((0,), lengths=(1,)), -1)
-
-    def test_step_function(self):
-        t = Trace((2, 2, 5), lengths=(10, 20, 30))
-        values = [cumulative(t, x) for x in range(0, 7)]
-        assert values == [0, 0, 30, 30, 30, 60, 60]
 
 
 class TestCsv:
