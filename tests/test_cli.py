@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import subprocess
@@ -19,6 +20,15 @@ from maxplus_tc.cli import _json_text, run
 def _write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def _usage_message(capsys) -> str:
+    """The message of the usage error a refused command printed, with no stdout."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error["kind"] == "usage"
+    return error["message"]
 
 
 @pytest.fixture
@@ -151,6 +161,9 @@ class TestCheck:
         )
         trace = _write(tmp_path / "t.csv", "0\n")
         assert run(["check", "--trace", trace, "--model", model]) == 2
+        assert _usage_message(capsys) == (
+            "a max-plus curve is not directly checkable; map it to a rate/burst model first"
+        )
 
     def test_missing_file_exits_three(self, tmp_path, lam_nu_model):
         assert run(["check", "--trace", str(tmp_path / "nope.csv"), "--model", lam_nu_model]) == 3
@@ -319,6 +332,7 @@ class TestSuperpose:
         a = _write(tmp_path / "a.json", json.dumps({"type": "lambda_nu", "lambda": 1, "nu": 0}))
         b = _write(tmp_path / "b.json", json.dumps({"type": "tspec", "tau": 2, "k_max": 1}))
         assert run(["superpose", "--models", a, b]) == 2
+        assert _usage_message(capsys) == "all models must be of the same type"
 
     @pytest.mark.parametrize("model", [
         {"type": "lambda_nu", "lambda": {"num": 1, "den": 10}, "nu": {"num": 3, "den": 2}},
@@ -331,10 +345,11 @@ class TestSuperpose:
         out = json.loads(capsys.readouterr().out)
         assert maxplus_tc.model_from_json(out) == maxplus_tc.model_from_json(model)
 
-    def test_indirect_needs_lengths(self, tmp_path):
+    def test_indirect_needs_lengths(self, tmp_path, capsys):
         a = _write(tmp_path / "a.json", json.dumps({"type": "lambda_nu", "lambda": 1, "nu": 0}))
         b = _write(tmp_path / "b.json", json.dumps({"type": "lambda_nu", "lambda": 1, "nu": 0}))
         assert run(["superpose", "--models", a, b, "--indirect"]) == 2
+        assert _usage_message(capsys) == "--indirect needs --max-lengths and --min-length"
 
     @pytest.mark.parametrize("models, lengths, message", [
         (1, "1 --min-length 1", "need at least two flows to superpose"),
@@ -349,6 +364,26 @@ class TestSuperpose:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err) == {"error": {"kind": "domain", "message": message}}
+
+
+# a model family a command has no operator for is a usage error naming the gap
+@pytest.mark.parametrize("argv, message", [
+    ("map --model R", "no mapping defined for model type SigmaRhoModel"),
+    ("superpose --models C C", "max-plus curves cannot be superposed directly; reduce them first"),
+    ("superpose --models S S --indirect --max-lengths 1 1 --min-length 1",
+     "--indirect applies to rate/burst models only"),
+    ("superpose --models M M --indirect --max-lengths 1 1",
+     "--indirect needs --max-lengths and --min-length"),
+])
+def test_family_refusal_is_pinned(tmp_path, lam_nu_model, capsys, argv, message):
+    files = {
+        "M": lam_nu_model,
+        "R": _write(tmp_path / "r.json", json.dumps({"type": "sigma_rho", "sigma": 3, "rho": 4})),
+        "S": _write(tmp_path / "s.json", json.dumps({"type": "tspec", "tau": 2, "k_max": 2})),
+        "C": _write(tmp_path / "c.json", json.dumps({"type": "maxplus_curve", "values": [0, 1]})),
+    }
+    assert run([files.get(word, word) for word in argv.split()]) == 2
+    assert _usage_message(capsys) == message
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -699,6 +734,16 @@ class TestTable1Cli:
         out = capsys.readouterr().out
         assert out.count("\n") == 5
         assert "not available" in out
+
+    # the sha256 of each format's stdout: a change of the rows or of either
+    # writer shows here even when the library and the CLI drift together
+    @pytest.mark.parametrize("argv, digest", [
+        ([], "1820165fbf90506cf10d520547e5907e87c105a291b983ef410ba9e9d3ff4631"),
+        (["--format", "text"], "cbe60b0eab0e689689ea407641db529d5268494c8e22898a72c239dad6128e6a"),
+    ], ids=["json", "text"])
+    def test_stdout_is_pinned(self, capsys, argv, digest):
+        assert run(["table1", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestSuiteCli:
