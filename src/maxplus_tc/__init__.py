@@ -23,18 +23,17 @@ _EXPORTS = {
     "algebra": "curve_to_lambda_nu map_lambda_nu_to_tspec map_tspec_to_lambda_nu "
                "superpose_indirect superpose_lambda_nu superpose_sigma_rho superpose_tspec",
     "conformance": "ConformanceReport FitResult Witness check_lambda_nu check_sigma_rho "
-                   "check_tspec fit_lambda_nu fit_result_to_json fit_tspec max_window_count "
-                   "report_to_json",
+                   "check_tspec fit_lambda_nu fit_result_to_json fit_tspec report_to_json",
     "errors": "DegenerateCurveError FormatError GridError InconsistentInputError "
               "InfeasibleFitError MissingLengthsError TrafficModelError UnboundedFitError",
     "generators": "Lcg64 gen_extremal_lambda_nu gen_jittered gen_periodic gen_tspec_extremal",
     "models": "LambdaNuModel MappingVariant MaxPlusCurve SigmaRhoModel TSpecModel "
               "WindowMode model_from_json model_to_json",
-    "rational": "ceil_div parse_rational rational_from_json rational_to_json",
+    "rational": "rational_from_json rational_to_json",
     "reference": "aggregate_eq1 check_lambda_nu_via_convolution check_tspec_pairwise",
     "suite": "PROPERTY_NAMES PropertyReport SuiteConfig SuiteSummary run_property "
              "run_property_suite",
-    "table1": "CurveSpec Table1Row render_table1_text reproduce_table1 table1_to_json",
+    "table1": "Table1Row render_table1_text reproduce_table1 table1_to_json",
     "trace": "Trace read_trace_csv write_trace_csv",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

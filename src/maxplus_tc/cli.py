@@ -344,14 +344,15 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .rational import parse_integer
     from .suite import DEFAULT_SEED, SuiteConfig, run_property_suite
 
     seed, env = args.seed, os.environ.get(SEED_ENV_VAR)
     if seed is None and env is not None:
         try:
-            seed = int(env)
-        except ValueError:
-            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
+            seed = parse_integer(env)
+        except FormatError:
+            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
     cfg = SuiteConfig(seed=DEFAULT_SEED if seed is None else seed, trials=args.trials,
                       max_flows=args.max_flows, max_packets=args.max_packets)
     summary = run_property_suite(cfg)
@@ -382,8 +383,19 @@ def _rational(text: str):
     """A rational option, ``N``, ``N/D`` or ``N.D``; argparse names the option it fails."""
     from .rational import parse_rational
 
+    return _option_value(parse_rational, text)
+
+
+def _integer(text: str):
+    """An integer option, ``N``; argparse names the option it fails."""
+    from .rational import parse_integer
+
+    return _option_value(parse_integer, text)
+
+
+def _option_value(parse, text: str):
     try:
-        return parse_rational(text)
+        return parse(text)
     except FormatError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -419,7 +431,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("map", help="map a model into the other family")
     p.add_argument("--model", required=True)
     p.add_argument("--variant", choices=("a", "b"), help="lambda_nu models; default a")
-    p.add_argument("--j", type=int, help="window multiple (>= 1) for lambda_nu models; default 1")
+    p.add_argument("--j", type=_integer,
+                   help="window multiple (>= 1) for lambda_nu models; default 1")
     _add_format(p)
     p.set_defaults(handler=_cmd_map)
 
@@ -441,16 +454,16 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("generate", help="generate a trace")
     p.add_argument("--kind", choices=("periodic", "extremal", "tspec-bursts", "jittered"))
     p.add_argument("--config", help="JSON file with generator parameters (flags override)")
-    p.add_argument("--period", type=int)
-    p.add_argument("--phase", type=int)
-    p.add_argument("--count", type=int)
+    p.add_argument("--period", type=_integer)
+    p.add_argument("--phase", type=_integer)
+    p.add_argument("--count", type=_integer)
     p.add_argument("--rate", type=_rational)
     p.add_argument("--burst", type=_rational)
     p.add_argument("--interval", type=_rational)
-    p.add_argument("--k-max", type=int, dest="k_max")
+    p.add_argument("--k-max", type=_integer, dest="k_max")
     p.add_argument("--mode", choices=("closed", "open"))
-    p.add_argument("--jitter", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--jitter", type=_integer)
+    p.add_argument("--seed", type=_integer)
     p.add_argument("--out", default="-")
     p.add_argument("--model-out", dest="model_out",
                    help="write the fitted model here (jittered kind)")
@@ -461,10 +474,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_table1)
 
     p = sub.add_parser("suite", help="run the randomized validation suite")
-    p.add_argument("--seed", type=int, help=f"overrides ${SEED_ENV_VAR}")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-flows", type=int, default=5, dest="max_flows")
-    p.add_argument("--max-packets", type=int, default=500, dest="max_packets")
+    p.add_argument("--seed", type=_integer, help=f"overrides ${SEED_ENV_VAR}")
+    p.add_argument("--trials", type=_integer, default=200)
+    p.add_argument("--max-flows", type=_integer, default=5, dest="max_flows")
+    p.add_argument("--max-packets", type=_integer, default=500, dest="max_packets")
     _add_format(p)
     p.set_defaults(handler=_cmd_suite)
 

@@ -31,6 +31,7 @@ The literal pairwise routes these passes are tested against live in
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from fractions import Fraction
@@ -174,8 +175,14 @@ def _report(
 ) -> ConformanceReport:
     """A report listing the first ``max_tight`` (all when None) of the
     ``total`` tight pairs that ``pairs`` iterates in (m, n) order."""
-    listed = tuple(islice(pairs, max_tight))
+    listed = tuple(_first(pairs, max_tight))
     return ConformanceReport(witness is None, witness, listed, total, checked)
+
+
+def _first(pairs, max_tight: int | None):
+    """The first ``max_tight`` of ``pairs``, all when None; no list outgrows
+    sys.maxsize, so a larger count lists all too."""
+    return islice(pairs, None if max_tight is None or max_tight > sys.maxsize else max_tight)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +250,7 @@ def check_lambda_nu(
     extra, simultaneous = _simultaneous(arrivals, lag)
     if extra:  # the first max_tight of each list hold those of their union
         total += extra
-        pairs = sorted(chain(islice(pairs, max_tight), islice(simultaneous, max_tight)))
+        pairs = sorted(chain(_first(pairs, max_tight), _first(simultaneous, max_tight)))
     return _report(witness, total, pairs, n_pk * (n_pk - 1) // 2, max_tight)
 
 
@@ -287,28 +294,6 @@ def check_tspec(
         witness = Witness(m=m, n=n, required=Fraction(tspec.k_max), actual=Fraction(n - m + 1))
     pairs = compress(zip(count(1), count(tspec.k_max)), full)
     return _report(witness, full.count(True), pairs, n_pk * (n_pk + 1) // 2, max_tight)
-
-
-def max_window_count(trace: Trace, tau: RationalLike, window_mode: WindowMode) -> tuple[int, tuple[int, int] | None]:
-    """Largest number of packets any window of length tau can hold, plus the
-    earliest window (as a packet pair) achieving it.  (0, None) when empty."""
-    probe = TSpecModel(tau=Fraction(tau), k_max=1, window_mode=window_mode)
-    arrivals = trace.arrivals
-    if not arrivals:
-        return 0, None
-    max_gap = probe.max_gap_in_window()
-    # packets i..j never shrink: they grow by packet j when it shares a
-    # window with packet i, else slide one place.  So j - i + 1 is the most
-    # packets any window up to j holds, and they last grew at the earliest
-    # busiest window (smallest end, then smallest start).
-    i = 0
-    pair = None
-    for j, a in enumerate(arrivals):
-        if a - arrivals[i] > max_gap:
-            i += 1
-        else:
-            pair = (i + 1, j + 1)
-    return len(arrivals) - i, pair
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +473,21 @@ def fit_tspec(
     """Fit the minimal packet budget for windows of length tau.
 
     The fitted k_max equals the busiest window's packet count (at least 1),
-    so the model conforms and k_max - 1 would not.
+    so the model conforms and k_max - 1 would not.  The binding pair is the
+    earliest busiest window, None for an empty trace.
     """
-    tau = Fraction(tau)
-    if tau <= 0:
-        raise ValueError(f"interval must be positive, got {tau}")
-    count, pair = max_window_count(trace, tau, window_mode)
-    return FitResult(
-        TSpecModel(tau=tau, k_max=max(1, count), window_mode=window_mode), pair
-    )
+    probe = TSpecModel(tau=tau, k_max=1, window_mode=window_mode)  # refuses tau <= 0
+    arrivals = trace.arrivals
+    max_gap = probe.max_gap_in_window()
+    # packets i..j never shrink: they grow by packet j when it shares a
+    # window with packet i, else slide one place.  So j - i + 1 is the most
+    # packets any window up to j holds, and they last grew at the earliest
+    # busiest window (smallest end, then smallest start).
+    i = 0
+    pair = None
+    for j, a in enumerate(arrivals):
+        if a - arrivals[i] > max_gap:
+            i += 1
+        else:
+            pair = (i + 1, j + 1)
+    return FitResult(TSpecModel(probe.tau, max(1, len(arrivals) - i), window_mode), pair)

@@ -13,11 +13,7 @@ class InconsistentInputError(TrafficModelError):
     """Inputs disagree with each other (mixed length presence, bad bounds)."""
 
 
-class FitError(TrafficModelError):
-    """Base class for envelope-fitting failures."""
-
-
-class InfeasibleFitError(FitError):
+class InfeasibleFitError(TrafficModelError):
     """No parameter value can make the model conform to the trace.
 
     Carries the offending packet pair as ``pair`` when one exists.
@@ -28,7 +24,7 @@ class InfeasibleFitError(FitError):
         self.pair = pair
 
 
-class UnboundedFitError(FitError):
+class UnboundedFitError(TrafficModelError):
     """No packet pair constrains the requested parameter, so there is no
     tightest value (any positive value conforms)."""
 

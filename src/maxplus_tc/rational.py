@@ -47,13 +47,32 @@ def rational_from_json(obj: object) -> Fraction:
     raise FormatError(f"not a rational: {obj!r}")
 
 
+def _ascii_number(text: str, what: str) -> str:
+    """``text`` without surrounding spaces, refused when it holds what int()
+    and Fraction() take but the trace reader does not: a character that is
+    not ASCII (such as an Arabic-Indic digit), a ``+`` or a ``_``."""
+    body = text.strip()
+    if not body.isascii() or "+" in body or "_" in body:
+        raise FormatError(f"cannot parse {what} {text!r}: use ASCII digits, with no '+' or '_'")
+    return body
+
+
+def parse_integer(text: str) -> int:
+    """Parse a command-line integer: ``"N"``, with an optional leading ``-``."""
+    try:
+        return int(_ascii_number(text, "integer"))
+    except ValueError as exc:
+        raise FormatError(f"cannot parse integer {text!r}: {exc}") from None
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a command-line rational: ``"N"``, ``"N/D"`` or a decimal ``"N.D"``.
+    """Parse a command-line rational: ``"N"``, ``"N/D"`` or a decimal ``"N.D"``,
+    with an optional leading ``-``, in ASCII as :func:`parse_integer` reads.
     The exponent form (``1e5``) is refused: a few of its characters can stand
     for an integer of any size."""
     if "e" in text.lower():
         raise FormatError(f"cannot parse rational {text!r}: use N, N/D or N.D, not an exponent")
     try:
-        return Fraction(text.strip())
+        return Fraction(_ascii_number(text, "rational"))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"cannot parse rational {text!r}: {exc}") from None

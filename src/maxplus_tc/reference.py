@@ -216,9 +216,9 @@ def check_tspec_pairwise(trace: Trace, tspec: TSpecModel) -> ConformanceReport:
 def max_window(
     trace: Trace, tau: RationalLike, window_mode: WindowMode
 ) -> tuple[int, tuple[int, int] | None]:
-    """Reference for :func:`~maxplus_tc.max_window_count`: the most packets
-    a pair m <= n fitting in one window spans, and the first such pair in
-    (n, m) order; (0, None) for an empty trace."""
+    """Reference for the busiest window of :func:`~maxplus_tc.fit_tspec`:
+    the most packets a pair m <= n fitting in one window spans, and the
+    first such pair in (n, m) order; (0, None) for an empty trace."""
     arrivals = trace.arrivals
     q, limit = _window_limit(Fraction(tau), window_mode)
     best, best_pair = 0, None

@@ -1,9 +1,12 @@
 """Four-case comparison of the direct and length-based superposition routes.
 
-Each case superposes two periodic flows and reports the aggregate's
-inter-arrival lower-bound curve ``coeff * (n - offset)+`` from both routes.
-Coefficients are rational multiples of the base period, so the table is
-symbolic in the period.  The rows are computed by running the superposition
+Each case superposes two periodic flows, the fast one at one packet per
+period and the slow one at one per two periods, and holds the aggregate's
+rate/burst model from both routes.  A row is written as the inter-arrival
+lower-bound curve ``coeff * (n - offset)+`` with ``coeff = 1/lambda`` and
+``offset = nu``.  The period is the unit of time, so each coefficient reads
+as a multiple of it: the operators are homogeneous in the period, and the
+table is symbolic in it.  The rows are computed by running the superposition
 operators on the case inputs, never hard-coded:
 
 * case 1: equal periods, no length information (the length-based route is
@@ -21,71 +24,52 @@ from fractions import Fraction
 from ._record import Record
 from .algebra import superpose_indirect, superpose_lambda_nu
 from .models import LambdaNuModel
-from .rational import RationalLike, rational_to_json
-
-
-class CurveSpec(Record):
-    """Inter-arrival lower bound ``coeff * (n - offset)+``, with ``coeff``
-    a rational multiple of the base period."""
-
-    __slots__ = ("coeff", "offset")
-
-    def __init__(self, coeff: Fraction, offset: int):
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "offset", offset)
+from .rational import rational_to_json
 
 
 class Table1Row(Record):
-    __slots__ = ("case_id", "direct_curve", "indirect_curve")
+    """One case: the superposed model of the direct route, and of the length
+    detour (None when the case has no lengths)."""
 
-    def __init__(self, case_id: int, direct_curve: CurveSpec, indirect_curve: CurveSpec | None):
+    __slots__ = ("case_id", "direct", "indirect")
+
+    def __init__(self, case_id: int, direct: LambdaNuModel, indirect: LambdaNuModel | None):
         object.__setattr__(self, "case_id", case_id)
-        object.__setattr__(self, "direct_curve", direct_curve)
-        object.__setattr__(self, "indirect_curve", indirect_curve)
+        object.__setattr__(self, "direct", direct)
+        object.__setattr__(self, "indirect", indirect)
 
 
-def _curve_of(model: LambdaNuModel, period: Fraction) -> CurveSpec:
-    if model.nu.denominator != 1:
-        raise ValueError(f"expected an integer burst allowance, got {model.nu}")
-    return CurveSpec(coeff=(1 / model.lam) / period, offset=int(model.nu))
-
-
-def reproduce_table1(period: RationalLike = 1) -> list[Table1Row]:
+def reproduce_table1() -> list[Table1Row]:
     """Build all four comparison rows by invoking the superposition
-    operators on the case inputs.
-
-    ``period`` is the base period the coefficients are normalized by;
-    the rows are the same for every choice (the operators are homogeneous
-    in it), which is what keeps the table symbolic.
-    """
-    period = Fraction(period)
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    length = Fraction(1)  # unit packet length; only ratios matter
-
-    flow_fast = LambdaNuModel(lam=1 / period, nu=Fraction(0))
-    flow_slow = LambdaNuModel(lam=1 / (2 * period), nu=Fraction(0))
-
-    cases: list[tuple[int, list[LambdaNuModel], list[Fraction] | None]] = [
-        (1, [flow_fast, flow_fast], None),
-        (2, [flow_fast, flow_fast], [length, length]),
-        (3, [flow_fast, flow_slow], [length, length]),
-        (4, [flow_fast, flow_slow], [length, 2 * length]),
+    operators on the case inputs, with the period as the unit of time."""
+    fast = LambdaNuModel(lam=Fraction(1), nu=Fraction(0))
+    slow = LambdaNuModel(lam=Fraction(1, 2), nu=Fraction(0))
+    cases = [
+        (1, [fast, fast], None),
+        (2, [fast, fast], [1, 1]),  # packet lengths in units of the shortest
+        (3, [fast, slow], [1, 1]),
+        (4, [fast, slow], [1, 2]),
     ]
-    rows = []
-    for case_id, flows, lengths in cases:
-        direct = _curve_of(superpose_lambda_nu(flows), period)
-        indirect = None
-        if lengths is not None:
-            indirect = _curve_of(superpose_indirect(flows, lengths, length), period)
-        rows.append(Table1Row(case_id=case_id, direct_curve=direct, indirect_curve=indirect))
-    return rows
+    return [
+        Table1Row(
+            case_id,
+            superpose_lambda_nu(flows),
+            None if lengths is None else superpose_indirect(flows, lengths, 1),
+        )
+        for case_id, flows, lengths in cases
+    ]
 
 
-def _format_curve(curve: CurveSpec | None) -> str:
-    if curve is None:
+def _curve_json(model: LambdaNuModel | None) -> dict | None:
+    if model is None:
+        return None
+    return {"coeff": rational_to_json(1 / model.lam), "offset": int(model.nu)}
+
+
+def _format_curve(model: LambdaNuModel | None) -> str:
+    if model is None:
         return "not available"
-    c = curve.coeff
+    c = 1 / model.lam
     if c == 1:
         coeff = "tau"
     elif c.numerator == 1:
@@ -94,29 +78,18 @@ def _format_curve(curve: CurveSpec | None) -> str:
         coeff = f"{c.numerator}*tau"
     else:
         coeff = f"{c.numerator}*tau/{c.denominator}"
-    return f"({coeff})*(n-{curve.offset})+"
+    return f"({coeff})*(n-{model.nu})+"
 
 
 def table1_to_json(rows: list[Table1Row]) -> list[dict]:
-    out = []
-    for row in rows:
-        indirect = None
-        if row.indirect_curve is not None:
-            indirect = {
-                "coeff": rational_to_json(row.indirect_curve.coeff),
-                "offset": row.indirect_curve.offset,
-            }
-        out.append(
-            {
-                "case_id": row.case_id,
-                "direct_curve": {
-                    "coeff": rational_to_json(row.direct_curve.coeff),
-                    "offset": row.direct_curve.offset,
-                },
-                "indirect_curve": indirect,
-            }
-        )
-    return out
+    return [
+        {
+            "case_id": row.case_id,
+            "direct_curve": _curve_json(row.direct),
+            "indirect_curve": _curve_json(row.indirect),
+        }
+        for row in rows
+    ]
 
 
 def render_table1_text(rows: list[Table1Row]) -> str:
@@ -124,7 +97,7 @@ def render_table1_text(rows: list[Table1Row]) -> str:
     for row in rows:
         lines.append(
             f"{row.case_id:<6}"
-            f"{_format_curve(row.direct_curve):<22}"
-            f"{_format_curve(row.indirect_curve)}"
+            f"{_format_curve(row.direct):<22}"
+            f"{_format_curve(row.indirect)}"
         )
     return "\n".join(lines) + "\n"

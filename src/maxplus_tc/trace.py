@@ -101,7 +101,10 @@ def read_trace_csv(source: str | TextIOBase) -> Trace:
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read().strip()  # universal newlines: every row ends at "\n"
+            try:
+                text = fh.read().strip()  # universal newlines: every row ends at "\n"
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{source}: {exc}") from None
         rows = None
     else:
         # the caller's newline mode ends the rows; where it is "\r" only, a row

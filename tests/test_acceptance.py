@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from maxplus_tc import (
-    CurveSpec,
+    LambdaNuModel,
     SuiteConfig,
     fit_lambda_nu,
     gen_periodic,
@@ -45,17 +45,19 @@ def test_criterion_01_comparison_table_exact():
     rows = reproduce_table1()
     text = render_table1_text(rows)
     elapsed = time.perf_counter() - start
+    LN = LambdaNuModel
+    # the period is the unit: a row's curve (1/lambda)*(n - nu)+ in periods
     expected = {
-        1: (CurveSpec(F(1, 2), 1), None),
-        2: (CurveSpec(F(1, 2), 1), CurveSpec(F(1, 2), 2)),
-        3: (CurveSpec(F(2, 3), 1), CurveSpec(F(2, 3), 2)),
-        4: (CurveSpec(F(2, 3), 1), CurveSpec(F(1, 2), 3)),
+        1: (LN(F(2), F(1)), None),
+        2: (LN(F(2), F(1)), LN(F(2), F(2))),
+        3: (LN(F(3, 2), F(1)), LN(F(3, 2), F(2))),
+        4: (LN(F(3, 2), F(1)), LN(F(2), F(3))),
     }
     assert len(rows) == 4
     for row in rows:
         direct, indirect = expected[row.case_id]
-        assert row.direct_curve == direct, f"case {row.case_id} direct"
-        assert row.indirect_curve == indirect, f"case {row.case_id} indirect"
+        assert row.direct == direct, f"case {row.case_id} direct"
+        assert row.indirect == indirect, f"case {row.case_id} indirect"
     assert "not available" in text
     assert elapsed < 1.0, f"table took {elapsed:.3f} s"
     _pass(

@@ -165,6 +165,16 @@ class TestCheck:
             "a max-plus curve is not directly checkable; map it to a rate/burst model first"
         )
 
+    def test_max_tight_past_maxsize_lists_every_pair(self, tmp_path, lam_nu_model, capsys):
+        # no list is longer than sys.maxsize, so such a K lists all, as 'all' does
+        trace = _write(tmp_path / "t.csv", "0\n10\n20\n30\n")
+        outputs = []
+        for k in ("99999999999999999999", "all"):
+            assert run(["check", "--trace", trace, "--model", lam_nu_model, "--max-tight", k]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["tight_pairs"]) == 6
+
     def test_missing_file_exits_three(self, tmp_path, lam_nu_model):
         assert run(["check", "--trace", str(tmp_path / "nope.csv"), "--model", lam_nu_model]) == 3
 
@@ -181,6 +191,21 @@ class TestCheck:
         assert run(["check", "--trace", trace, "--model", lam_nu_model]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == {"kind": "io", "message": "row 1: inconsistent column count"}
+
+    @pytest.mark.parametrize("argv", [
+        "check --trace B --model M", "fit --trace B --interval 10",
+        "merge --traces T B --out O",
+    ], ids=["check", "fit", "merge"])
+    def test_trace_not_utf8_exits_three(self, tmp_path, lam_nu_model, capsys, argv):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"0\n\xff\n")
+        files = {"B": str(bad), "M": lam_nu_model, "T": _write(tmp_path / "t.csv", "0\n"),
+                 "O": str(tmp_path / "out.csv")}
+        assert run([files.get(word, word) for word in argv.split()]) == 3
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)["error"]
+        assert captured.out == "" and error["kind"] == "io"
+        assert error["message"].startswith(f"{bad}: ")
 
     def test_malformed_model_exits_three(self, tmp_path):
         trace = _write(tmp_path / "t.csv", "0\n")
@@ -437,6 +462,17 @@ def test_option_that_does_nothing_is_refused(tmp_path, lam_nu_model, capsys, arg
     ("fit --trace T --burst 1e-50000", "--burst"),
     ("fit --trace T --rate 1e-1", "--rate"),
     ("generate --kind extremal --rate 2.5E1 --count 2", "--rate"),
+    # int() and Fraction() take "_", "+" and non-ASCII digits; the trace reader does not
+    ("fit --trace T --rate 1_0", "--rate"),
+    ("fit --trace T --rate +1/3", "--rate"),
+    ("fit --trace T --rate \u0661/\u0663", "--rate"),
+    ("generate --kind periodic --period \u0661\u0660 --count 2", "--period"),
+    ("generate --kind periodic --period 10 --count 2_0", "--count"),
+    ("generate --kind tspec-bursts --interval 10 --k-max +2 --count 2", "--k-max"),
+    ("map --model M --j +1", "--j"),
+    ("suite --trials +1", "--trials"),
+    ("suite --max-packets \u0665", "--max-packets"),
+    ("suite --seed 1_2", "--seed"),
 ])
 def test_malformed_option_value_exits_two(tmp_path, lam_nu_model, capsys, argv, flag):
     files = {"M": lam_nu_model, "T": _write(tmp_path / "t.csv", "0\n10\n")}
@@ -444,7 +480,7 @@ def test_malformed_option_value_exits_two(tmp_path, lam_nu_model, capsys, argv, 
     captured = capsys.readouterr()
     assert captured.out == ""
     error = json.loads(captured.err)["error"]
-    assert error["kind"] == "usage" and error["message"].startswith(f"argument {flag}")
+    assert error["kind"] == "usage" and error["message"].startswith(f"argument {flag}: ")
 
 
 @pytest.mark.parametrize("text, value", [
@@ -455,6 +491,22 @@ def test_rational_option_forms(text, value):
     from maxplus_tc.rational import parse_rational
 
     assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text, value", [("12", 12), (" -3 ", -3), ("007", 7)])
+def test_integer_option_forms(text, value):
+    from maxplus_tc.rational import parse_integer
+
+    assert parse_integer(text) == value
+
+
+@pytest.mark.parametrize("text", ["1_0", "+3", "\u0661", "3\u00a0/4"])
+def test_number_outside_ascii_digits_is_refused(text):
+    from maxplus_tc.rational import parse_integer, parse_rational
+
+    for parse in (parse_integer, parse_rational):
+        with pytest.raises(maxplus_tc.FormatError, match="use ASCII digits, with no '\\+' or '_'"):
+            parse(text)
 
 
 def test_decimal_option_equals_its_fraction(tmp_path, capsys):
@@ -765,6 +817,12 @@ class TestSuiteCli:
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("MAXPLUS_TC_SEED", "abc")
         assert run(["suite", "--trials", "1"]) == 2
+
+    @pytest.mark.parametrize("env", ["1_2", "+1", "\u0661"])
+    def test_env_seed_takes_ascii_digits_only(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("MAXPLUS_TC_SEED", env)
+        assert run(["suite", "--trials", "1"]) == 2
+        assert _usage_message(capsys) == f"MAXPLUS_TC_SEED must be an integer, got {env!r}"
 
     def test_zero_trials_warns(self, capsys):
         assert run(["suite", "--trials", "0"]) == 0

@@ -17,7 +17,6 @@ from maxplus_tc import (
     check_tspec,
     fit_lambda_nu,
     fit_tspec,
-    max_window_count,
     reference,
     report_to_json,
 )
@@ -336,10 +335,11 @@ class TestFitTspec:
                 smaller = TSpecModel(tau, fit.model.k_max - 1, mode)
                 assert not check_tspec(trace, smaller).conforms
 
-    def test_max_window_count_helper(self):
-        count, pair = max_window_count(Trace((0, 1, 2)), F(2), WindowMode.CLOSED)
-        assert count == 3
-        assert pair == (1, 3)
+    def test_busiest_window_of_three(self):
+        trace = Trace((0, 1, 2))
+        fit = fit_tspec(trace, F(2), WindowMode.CLOSED)
+        assert (fit.model.k_max, fit.binding_pair) == (3, (1, 3))
+        assert reference.max_window(trace, F(2), WindowMode.CLOSED) == (3, (1, 3))
 
     @pytest.mark.parametrize(
         "arrivals, tau, mode",
@@ -354,13 +354,15 @@ class TestFitTspec:
     )
     def test_max_window_count_edges_match_reference(self, arrivals, tau, mode):
         trace = Trace(arrivals)
-        assert max_window_count(trace, tau, mode) == reference.max_window(trace, tau, mode)
+        fit = fit_tspec(trace, tau, mode)
+        count, pair = reference.max_window(trace, tau, mode)
+        assert (fit.model.k_max, fit.binding_pair) == (max(1, count), pair)
 
     @pytest.mark.parametrize("arrivals", [(), (1,)])
     @pytest.mark.parametrize("tau", [F(-3), F(0)])
-    def test_max_window_count_rejects_tau_for_every_trace(self, arrivals, tau):
+    def test_rejects_tau_for_every_trace(self, arrivals, tau):
         with pytest.raises(ValueError, match="^interval must be positive"):
-            max_window_count(Trace(arrivals), tau, WindowMode.CLOSED)
+            fit_tspec(Trace(arrivals), tau, WindowMode.CLOSED)
 
 
 class TestBoundedReports:
@@ -419,6 +421,18 @@ class TestBoundedReports:
                         self._assert_bounded(
                             check_sigma_rho, reference.check_sigma_rho_pairwise, trace, model
                         )
+
+    @pytest.mark.parametrize("check, trace, model", [
+        # packets 1 and 2 share a tick within the lag: the simultaneous list too
+        (check_lambda_nu, Trace((0, 0, 10, 20)), LambdaNuModel(F(1, 10), F(2))),
+        (check_tspec, Trace((0, 1, 2, 3)), TSpecModel(F(2), 3)),
+        (check_sigma_rho, Trace((0, 10, 20), lengths=(8, 8, 8)), SigmaRhoModel(F(8), F(4, 5))),
+    ], ids=["lambda_nu", "tspec", "sigma_rho"])
+    def test_cap_past_maxsize_lists_every_pair(self, check, trace, model):
+        # no list is longer than sys.maxsize, so such a cap lists all
+        report = check(trace, model, max_tight=2**64)
+        assert report == check(trace, model) and report.tight_pairs
+        assert not report.truncated
 
     def test_periodic_at_its_own_rate_counts_every_pair(self):
         n = 3000

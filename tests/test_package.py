@@ -13,20 +13,20 @@ import maxplus_tc
 from maxplus_tc import reference
 
 EXPORTED = [
-    "ConformanceReport", "CurveSpec", "DegenerateCurveError",
+    "ConformanceReport", "DegenerateCurveError",
     "FitResult", "FormatError", "GridError", "InconsistentInputError",
     "InfeasibleFitError", "LambdaNuModel", "Lcg64",
     "MappingVariant", "MaxPlusCurve", "MissingLengthsError", "PROPERTY_NAMES",
     "PacketOrigin", "PropertyReport", "SigmaRhoModel", "SuiteConfig",
     "SuiteSummary", "TSpecModel", "Table1Row", "Trace", "TrafficModelError",
-    "UnboundedFitError", "WindowMode", "Witness", "aggregate_eq1", "ceil_div",
+    "UnboundedFitError", "WindowMode", "Witness", "aggregate_eq1",
     "check_lambda_nu", "check_lambda_nu_via_convolution", "check_sigma_rho",
     "check_tspec", "check_tspec_pairwise", "curve_to_lambda_nu",
     "fit_lambda_nu", "fit_result_to_json", "fit_tspec", "gen_extremal_lambda_nu",
     "gen_jittered", "gen_periodic", "gen_tspec_extremal",
-    "map_lambda_nu_to_tspec", "map_tspec_to_lambda_nu", "max_window_count",
+    "map_lambda_nu_to_tspec", "map_tspec_to_lambda_nu",
     "merge_traces", "merge_traces_with_provenance", "model_from_json",
-    "model_to_json", "parse_rational", "rational_from_json", "rational_to_json",
+    "model_to_json", "rational_from_json", "rational_to_json",
     "read_trace_csv", "render_table1_text", "report_to_json", "reproduce_table1",
     "run_property", "run_property_suite", "superpose_indirect",
     "superpose_lambda_nu", "superpose_sigma_rho", "superpose_tspec",

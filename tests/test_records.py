@@ -15,7 +15,6 @@ LN = mt.LambdaNuModel(lam=F(1, 10), nu=F(2))
 WITNESS = mt.Witness(m=1, n=3, required=F(20), actual=F(10))
 CONFIG = mt.SuiteConfig(seed=7, trials=3, max_flows=2, max_packets=10)
 PROPERTY = mt.PropertyReport(name="merge_is_order_insensitive", trials=3, failures=(), elapsed=0.5)
-CURVE = mt.CurveSpec(coeff=F(1, 2), offset=1)
 
 # (class, fields in declaration order, one field changed, repr)
 RECORDS = [
@@ -51,12 +50,9 @@ RECORDS = [
      "SuiteSummary(config=SuiteConfig(seed=7, trials=3, max_flows=2, max_packets=10), "
      "properties=(PropertyReport(name='merge_is_order_insensitive', trials=3, failures=(), "
      "elapsed=0.5),), elapsed=1.25)"),
-    (mt.CurveSpec, dict(coeff=F(1, 2), offset=1), dict(offset=2),
-     "CurveSpec(coeff=Fraction(1, 2), offset=1)"),
-    (mt.Table1Row, dict(case_id=4, direct_curve=CURVE, indirect_curve=None),
-     dict(indirect_curve=CURVE),
-     "Table1Row(case_id=4, direct_curve=CurveSpec(coeff=Fraction(1, 2), offset=1), "
-     "indirect_curve=None)"),
+    (mt.Table1Row, dict(case_id=4, direct=LN, indirect=None), dict(indirect=LN),
+     "Table1Row(case_id=4, direct=LambdaNuModel(lam=Fraction(1, 10), nu=Fraction(2, 1)), "
+     "indirect=None)"),
 ]
 IDS = [cls.__name__ for cls, *_ in RECORDS]
 

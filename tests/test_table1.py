@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from maxplus_tc import (
-    CurveSpec,
     LambdaNuModel,
     render_table1_text,
     reproduce_table1,
@@ -13,12 +12,14 @@ from maxplus_tc import (
 )
 
 F = Fraction
+LN = LambdaNuModel
 
+# rates in packets per period: a row's curve is (1/lambda)*(n - nu)+ periods
 EXPECTED = {
-    1: (CurveSpec(F(1, 2), 1), None),
-    2: (CurveSpec(F(1, 2), 1), CurveSpec(F(1, 2), 2)),
-    3: (CurveSpec(F(2, 3), 1), CurveSpec(F(2, 3), 2)),
-    4: (CurveSpec(F(2, 3), 1), CurveSpec(F(1, 2), 3)),
+    1: (LN(F(2), F(1)), None),
+    2: (LN(F(2), F(1)), LN(F(2), F(2))),
+    3: (LN(F(3, 2), F(1)), LN(F(3, 2), F(2))),
+    4: (LN(F(3, 2), F(1)), LN(F(2), F(3))),
 }
 
 
@@ -28,31 +29,31 @@ class TestTable:
         assert [r.case_id for r in rows] == [1, 2, 3, 4]
         for row in rows:
             direct, indirect = EXPECTED[row.case_id]
-            assert row.direct_curve == direct
-            assert row.indirect_curve == indirect
+            assert row.direct == direct
+            assert row.indirect == indirect
 
-    def test_symbolic_in_period(self):
-        # coefficients are multiples of the base period: any period gives
-        # the same normalized rows
-        for period in (F(1), F(3), F(7, 2), F(1000)):
-            assert reproduce_table1(period) == reproduce_table1()
+    @pytest.mark.parametrize("c", [F(3), F(7, 2), F(1000), F(1, 9)])
+    @pytest.mark.parametrize("flows, lengths", [
+        ([LN(F(1), F(0)), LN(F(1, 2), F(0))], [F(1), F(2)]),
+        ([LN(F(3, 7), F(2)), LN(F(5), F(1, 2)), LN(F(1, 9), F(0))], [F(3), F(1), F(5, 2)]),
+    ])
+    def test_operators_are_homogeneous_in_the_period(self, c, flows, lengths):
+        # a period of c units divides every rate by c and keeps every burst,
+        # so rows computed with the period as the unit hold for any period
+        def slowed(model):
+            return LN(model.lam / c, model.nu)
+
+        scaled = [slowed(m) for m in flows]
+        assert superpose_lambda_nu(scaled) == slowed(superpose_lambda_nu(flows))
+        indirect = superpose_indirect(flows, lengths, F(1))
+        assert superpose_indirect(scaled, lengths, F(1)) == slowed(indirect)
 
     def test_rows_come_from_the_operators(self):
         # recompute case 4 through the public operators and compare
-        tau = F(1)
-        flows = [
-            LambdaNuModel(lam=1 / tau, nu=F(0)),
-            LambdaNuModel(lam=1 / (2 * tau), nu=F(0)),
-        ]
-        direct = superpose_lambda_nu(flows)
-        indirect = superpose_indirect(flows, max_lengths=(F(1), F(2)), min_length=F(1))
+        flows = [LN(F(1), F(0)), LN(F(1, 2), F(0))]
         row = reproduce_table1()[3]
-        assert row.direct_curve == CurveSpec(1 / direct.lam, int(direct.nu))
-        assert row.indirect_curve == CurveSpec(1 / indirect.lam, int(indirect.nu))
-
-    def test_bad_period_rejected(self):
-        with pytest.raises(ValueError):
-            reproduce_table1(0)
+        assert row.direct == superpose_lambda_nu(flows)
+        assert row.indirect == superpose_indirect(flows, max_lengths=(F(1), F(2)), min_length=F(1))
 
     def test_json_shape(self):
         data = table1_to_json(reproduce_table1())
