@@ -281,6 +281,28 @@ class TestFitLambdaNu:
                     assert check_lambda_nu(trace, fit.model).conforms
 
 
+class TestFitRefusals:
+    """The exact error a fit raises for a parameter out of its model's range,
+    checked before anything about the trace."""
+
+    @pytest.mark.parametrize(
+        "fit, trace, given, message",
+        [
+            (fit_lambda_nu, Trace((0, 5, 9)), dict(lam=0), "rate must be positive, got 0"),
+            (fit_lambda_nu, Trace((0, 5, 9)), dict(lam=F(-1, 2)), "rate must be positive, got -1/2"),
+            (fit_lambda_nu, Trace((0, 5, 9)), dict(nu=-1),
+             "burst allowance must be nonnegative, got -1"),
+            (fit_lambda_nu, Trace(()), dict(lam=0), "rate must be positive, got 0"),
+            # no lengths: the rate is refused before MissingLengthsError
+            (fit_sigma_rho, Trace((0, 5, 9)), dict(rho=0), "rate must be positive, got 0"),
+        ],
+    )
+    def test_refusal_is_pinned(self, fit, trace, given, message):
+        with pytest.raises(ValueError) as exc:
+            fit(trace, **given)
+        assert exc.type is ValueError and str(exc.value) == message
+
+
 class TestFitSigmaRho:
     def test_worked_example(self):
         # at 10 bits/tick the 300 bits on tick 5 exceed by 300; [0, 5] and

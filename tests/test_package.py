@@ -1,6 +1,7 @@
 """The exported API, and the independence of the reference routes."""
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -188,8 +189,20 @@ def test_no_module_imports_dataclasses():
     assert len(imported) > 20  # the walk saw the package's imports
 
 
+# the sha256 of each demo's stdout: a change of any number a demo prints
+# shows here
+DEMO_DIGESTS = {
+    "01_traces_and_conformance.py": "2e8310653b8791cce880d0d9010c99813bb8285d86d28f0162109c9ac15a07bb",
+    "02_fitting_and_generators.py": "190a14e3a461fcd74f4454d72ddb855305da01b2b449f9cd45bf348e06d8368a",
+    "03_model_mappings.py": "4dc2e833aaf81e868f75007928ed15501c0876adf307da9e2f7b2b9fcf963840",
+    "04_superposition.py": "98a41b6dcf3d7c70e4d1d30c027cfc2b17e1ae21b23cdfbfe4d69a2b55ad145f",
+    "05_comparison_table.py": "31b2d54c231cf80f80501af3e28e457949adce792d71dbfcb55628144c4a3ea9",
+}
+
+
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, demo], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, demo], env=env, capture_output=True, timeout=60)
     assert done.returncode == 0 and done.stdout.strip(), done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMO_DIGESTS[demo.name]
