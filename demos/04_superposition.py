@@ -35,7 +35,7 @@ print("merged ticks:", merged.arrivals)
 # trying every split of n packets among the flows; it must agree with the
 # sorted merge everywhere.
 agrees = all(
-    aggregate_eq1(flows, n) == merged.arrival(n) for n in range(merged.num_packets + 1)
+    aggregate_eq1(flows, n) == merged.arrival(n) for n in range(len(merged) + 1)
 )
 print("composition formula agrees with merge at every index:", agrees)
 

@@ -24,7 +24,7 @@ _EXPORTS = {
                "superpose_indirect superpose_lambda_nu superpose_sigma_rho superpose_tspec",
     "conformance": "ConformanceReport FitResult Witness check_lambda_nu check_sigma_rho "
                    "check_tspec fit_lambda_nu fit_result_to_json fit_tspec report_to_json",
-    "errors": "DegenerateCurveError FormatError GridError InconsistentInputError "
+    "errors": "DegenerateCurveError FormatError InconsistentInputError "
               "InfeasibleFitError MissingLengthsError TrafficModelError UnboundedFitError",
     "generators": "Lcg64 gen_extremal_lambda_nu gen_jittered gen_periodic gen_tspec_extremal",
     "models": "LambdaNuModel MappingVariant MaxPlusCurve SigmaRhoModel TSpecModel "

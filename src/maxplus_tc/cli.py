@@ -374,9 +374,10 @@ def _max_tight(text: str) -> int | None:
     """``--max-tight``: a count of pairs to list, or ``all``."""
     if text == "all":
         return None
-    if text.isdigit() and text.isascii():
-        return int(text)
-    raise argparse.ArgumentTypeError(f"expected a nonnegative integer or 'all', got {text!r}")
+    count = _integer(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer or 'all', got {text!r}")
+    return count
 
 
 def _rational(text: str):

@@ -60,19 +60,21 @@ class Witness(Record):
 
 class ConformanceReport(Record):
     """``tight_pairs`` lists the first of the ``tight_count`` tight pairs in
-    (m, n) order; ``truncated`` says whether some were left out."""
+    (m, n) order; ``truncated`` says whether some were left out.  The trace
+    ``conforms`` exactly when there is no ``witness``."""
 
-    __slots__ = ("conforms", "witness", "tight_pairs", "tight_count", "checked_pairs")
+    __slots__ = ("witness", "tight_pairs", "tight_count", "checked_pairs")
 
-    def __init__(self, conforms: bool, witness: Witness | None,
+    def __init__(self, witness: Witness | None,
                  tight_pairs: tuple[tuple[int, int], ...], tight_count: int, checked_pairs: int):
-        if conforms != (witness is None):
-            raise ValueError("conforms must hold exactly when there is no witness")
-        object.__setattr__(self, "conforms", conforms)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "tight_pairs", tight_pairs)
         object.__setattr__(self, "tight_count", tight_count)
         object.__setattr__(self, "checked_pairs", checked_pairs)
+
+    @property
+    def conforms(self) -> bool:
+        return self.witness is None
 
     @property
     def truncated(self) -> bool:
@@ -176,7 +178,7 @@ def _report(
     """A report listing the first ``max_tight`` (all when None) of the
     ``total`` tight pairs that ``pairs`` iterates in (m, n) order."""
     listed = tuple(_first(pairs, max_tight))
-    return ConformanceReport(witness is None, witness, listed, total, checked)
+    return ConformanceReport(witness, listed, total, checked)
 
 
 def _first(pairs, max_tight: int | None):
@@ -320,7 +322,7 @@ def _bit_keys(trace: Trace, model: SigmaRhoModel):
     and the limit of the bit-domain bound: the closed window [points[i],
     points[j]] (1-based i <= j) has gain ``ends[j] - starts[i] = scale*bits -
     rate*width`` and violates iff its gain exceeds the limit."""
-    if trace.lengths is None and trace.num_packets > 0:
+    if trace.lengths is None and len(trace) > 0:
         raise MissingLengthsError("bit-domain check needs per-packet lengths")
     points, at, cum = _breakpoints(trace)
     rho_n, rho_d = model.rho.numerator, model.rho.denominator
@@ -401,20 +403,17 @@ def fit_lambda_nu(
     arrivals = trace.arrivals
     n_pk = len(arrivals)
     if lam is not None:
-        lam = Fraction(lam)
-        if lam <= 0:
-            raise ValueError(f"rate must be positive, got {lam}")
+        unbursty = LambdaNuModel(lam, 0)  # refuses lam <= 0
+        lam = unbursty.lam
         # nu >= (n - m) - lam*gap for every pair; the largest gain is q*nu
-        keys, _, _ = _excess_keys(arrivals, lam, Fraction(0))
+        keys, _, _ = _excess_keys(arrivals, lam, unbursty.nu)
         top = max(_gains(keys, keys, 1), key=itemgetter(2), default=None)
         if top is None or top[2] < 0:
-            return FitResult(LambdaNuModel(lam=lam, nu=Fraction(0)), None)
+            return FitResult(unbursty, None)
         m, n, gain = top
         return FitResult(LambdaNuModel(lam=lam, nu=Fraction(gain, lam.denominator)), (m, n))
 
-    nu = Fraction(nu)
-    if nu < 0:
-        raise ValueError(f"burst allowance must be nonnegative, got {nu}")
+    nu = LambdaNuModel(1, nu).nu  # refuses nu < 0
     r, s = nu.numerator, nu.denominator
     lag = r // s + 1  # only pairs more than nu apart constrain the rate
     if lag >= n_pk:
@@ -452,17 +451,15 @@ def fit_sigma_rho(trace: Trace, *, rho: RationalLike) -> FitResult:
     ticks like the check's witness; an empty trace fits sigma = 0 and has
     none.
     """
-    rho = Fraction(rho)
-    if rho <= 0:
-        raise ValueError(f"rate must be positive, got {rho}")
-    if trace.num_packets == 0:
-        return FitResult(SigmaRhoModel(sigma=Fraction(0), rho=rho), None)
+    unbursty = SigmaRhoModel(0, rho)  # refuses rho <= 0
+    if len(trace) == 0:
+        return FitResult(unbursty, None)
     if trace.lengths is None:
         raise MissingLengthsError("bit-domain fit needs per-packet lengths")
-    points, _, _, starts, ends, _ = _bit_keys(trace, SigmaRhoModel(sigma=Fraction(0), rho=rho))
+    points, _, _, starts, ends, _ = _bit_keys(trace, unbursty)
     i, j, gain = max(_gains(starts, ends, 0), key=itemgetter(2))
     return FitResult(
-        SigmaRhoModel(sigma=Fraction(gain, rho.denominator), rho=rho),
+        SigmaRhoModel(sigma=Fraction(gain, unbursty.rho.denominator), rho=unbursty.rho),
         (points[i - 1], points[j - 1]),
     )
 

@@ -29,11 +29,6 @@ class UnboundedFitError(TrafficModelError):
     tightest value (any positive value conforms)."""
 
 
-class GridError(TrafficModelError):
-    """A generator was asked for arrival times that do not land on the
-    integer tick grid."""
-
-
 class DegenerateCurveError(TrafficModelError):
     """An arrival curve is identically zero past the origin, so no finite
     rate bounds it."""

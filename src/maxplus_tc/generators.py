@@ -12,8 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .conformance import FIRST_VIOLATION, fit_lambda_nu
-from .errors import GridError
-from .models import LambdaNuModel, TSpecModel, WindowMode
+from .models import LambdaNuModel, TSpecModel
 from .rational import ceil_div
 from .trace import Trace
 
@@ -94,20 +93,15 @@ def gen_extremal_lambda_nu(model: LambdaNuModel, count: int) -> Trace:
 def gen_tspec_extremal(tspec: TSpecModel, count: int) -> Trace:
     """Trace that saturates a TSpec: bursts of k_max simultaneous packets.
 
-    Open mode spaces bursts exactly tau apart (no window shorter than tau
-    spans two bursts); closed mode needs tau + 1 ticks (a closed window of
-    length tau would otherwise catch both).  Requires integer tau so the
-    spacing lands on the tick grid.
+    Bursts are one tick further apart than the largest gap a window holds
+    (:meth:`~maxplus_tc.TSpecModel.max_gap_in_window`), the least integer
+    spacing at which no window catches two of them: tau + 1 ticks for an
+    integer tau in closed mode, tau in open mode, and floor(tau) + 1 in
+    either mode for any other tau.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if tspec.tau.denominator != 1:
-        raise GridError(
-            f"burst spacing needs an integer interval, got {tspec.tau}"
-        )
-    spacing = int(tspec.tau)
-    if tspec.window_mode is WindowMode.CLOSED:
-        spacing += 1
+    spacing = tspec.max_gap_in_window() + 1
     arrivals = []
     burst = 0
     while len(arrivals) < count:

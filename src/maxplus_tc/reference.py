@@ -28,7 +28,7 @@ from .trace import CSV_HEADER_LENGTHS, CSV_HEADER_TICKS, Trace
 
 
 def _report(witness: Witness | None, tight: list, checked: int) -> ConformanceReport:
-    return ConformanceReport(witness is None, witness, tuple(sorted(tight)), len(tight), checked)
+    return ConformanceReport(witness, tuple(sorted(tight)), len(tight), checked)
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +310,13 @@ def aggregate_eq1(traces: Sequence[Trace], n: int) -> int:
     """
     if not traces:
         raise ValueError("need at least one trace")
-    total = sum(t.num_packets for t in traces)
+    total = sum(len(t) for t in traces)
     if n < 0 or n > total:
         raise IndexError(f"index {n} out of range 0..{total}")
     if n == 0:
         return 0
 
-    sizes = [t.num_packets for t in traces]
+    sizes = [len(t) for t in traces]
     best: float | int = math.inf
     # every split: free counts for all flows but the last, which takes the rest
     for head in product(*(range(min(n, size) + 1) for size in sizes[:-1])):

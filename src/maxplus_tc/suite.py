@@ -179,10 +179,10 @@ class SuiteSummary(Record):
 
 
 def _trace_summary(trace: Trace) -> dict:
-    out: dict = {"num_packets": trace.num_packets, "ticks": list(trace.arrivals[:_SHOWN_TICKS])}
+    out: dict = {"num_packets": len(trace), "ticks": list(trace.arrivals[:_SHOWN_TICKS])}
     if trace.lengths is not None:
         out["lengths"] = list(trace.lengths[:_SHOWN_TICKS])
-    if trace.num_packets > _SHOWN_TICKS:
+    if len(trace) > _SHOWN_TICKS:
         out["truncated"] = True
     return out
 
@@ -254,7 +254,7 @@ def _shift(trace: Trace, by: int) -> Trace:
 
 
 def _thin(rng: Lcg64, trace: Trace, keep_percent: int = 75) -> Trace:
-    kept = [i for i in range(trace.num_packets) if rng.randint(0, 99) < keep_percent]
+    kept = [i for i in range(len(trace)) if rng.randint(0, 99) < keep_percent]
     lengths = None if trace.lengths is None else tuple(trace.lengths[i] for i in kept)
     return Trace(arrivals=tuple(trace.arrivals[i] for i in kept), lengths=lengths)
 
@@ -418,9 +418,9 @@ def _prop_composition_formula_matches_merge(rng: Lcg64, cfg: SuiteConfig) -> dic
     for i in range(flows):
         take = rng.randint(0, budget) if i < flows - 1 else budget
         traces.append(_arbitrary_trace(rng, take))
-        budget -= traces[-1].num_packets
+        budget -= len(traces[-1])
     merged = merge_traces(traces)
-    for n in range(merged.num_packets + 1):
+    for n in range(len(merged) + 1):
         via_formula = aggregate_eq1(traces, n)
         via_merge = merged.arrival(n)
         if via_formula != via_merge:
@@ -504,7 +504,7 @@ def _prop_fitted_envelopes_are_tight(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
         return _failure(trace=trace, stage="window fit does not conform", model=tfit.model)
     if tfit.model.k_max > 1:
         smaller = TSpecModel(tau=tau, k_max=tfit.model.k_max - 1, window_mode=mode)
-        if _conforms(trace, smaller) and trace.num_packets > 0:
+        if _conforms(trace, smaller) and len(trace) > 0:
             return _failure(trace=trace, stage="window fit not minimal", model=smaller)
     return None
 
@@ -564,7 +564,7 @@ def _prop_generators_pass_their_checkers(rng: Lcg64, cfg: SuiteConfig) -> dict |
     extremal = gen_extremal_lambda_nu(rb, rng.randint(0, 150))
     if not _conforms(extremal, rb):
         return _failure(stage="extremal", model=rb, trace=extremal)
-    if rb.nu.denominator == 1 and extremal.num_packets >= rb.nu + 2:
+    if rb.nu.denominator == 1 and len(extremal) >= rb.nu + 2:
         refit = fit_lambda_nu(extremal, lam=rb.lam)
         if refit.model.nu != rb.nu:
             return _failure(stage="extremal tightness", model=rb, fitted_nu=refit.model.nu)

@@ -59,10 +59,6 @@ class Trace(Record):
         object.__setattr__(self, "arrivals", arrivals)
         object.__setattr__(self, "lengths", lengths)
 
-    @property
-    def num_packets(self) -> int:
-        return len(self.arrivals)
-
     def __len__(self) -> int:
         return len(self.arrivals)
 

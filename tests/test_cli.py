@@ -91,13 +91,18 @@ class TestCheck:
         report = json.loads(capsys.readouterr().out)
         assert len(report["tight_pairs"]) == 6 and report["truncated"] is False
 
-    @pytest.mark.parametrize("value", ["-1", "x", "1.5", "", "١"])
+    def test_max_tight_takes_surrounding_spaces(self, tmp_path, lam_nu_model, capsys):
+        trace = _write(tmp_path / "t.csv", "0\n10\n20\n30\n")
+        assert run(["check", "--trace", trace, "--model", lam_nu_model, "--max-tight", " 2"]) == 0
+        assert json.loads(capsys.readouterr().out)["tight_pairs"] == [[1, 2], [1, 3]]
+
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5", "", "١", "+5", "1_0", "٥"])
     def test_bad_max_tight_exits_two(self, tmp_path, lam_nu_model, capsys, value):
         trace = _write(tmp_path / "t.csv", "0\n")
         args = ["check", "--trace", trace, "--model", lam_nu_model, "--max-tight", value]
         assert run(args) == 2
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error["kind"] == "usage" and "--max-tight" in error["message"]
+        assert error["kind"] == "usage" and error["message"].startswith("argument --max-tight: ")
 
     def test_periodic_1e5_packets_in_bounded_memory(self, tmp_path, lam_nu_model, capsys):
         """All N(N-1)/2 pairs are tight (about 5e9); the report lists the
@@ -626,13 +631,16 @@ class TestMergeGenerate:
         assert error["kind"] == "usage"
         assert error["message"].startswith(f"--kind {kind} needs {missing} ")
 
-    def test_generate_grid_error_exits_one(self, tmp_path, capsys):
-        assert run(
-            [
-                "generate", "--kind", "tspec-bursts", "--interval", "5/2",
-                "--k-max", "1", "--count", "2",
-            ]
-        ) == 1
+    @pytest.mark.parametrize("mode", ["closed", "open"])
+    def test_generate_bursts_at_a_non_integer_interval(self, tmp_path, capsys, mode):
+        args = ["--interval", "5/2", "--k-max", "2", "--count", "6", "--mode", mode]
+        assert run(["generate", "--kind", "tspec-bursts", *args]) == 0
+        out = capsys.readouterr().out
+        assert out == "arrival_ticks\n0\n0\n3\n3\n6\n6\n"
+        trace = _write(tmp_path / "t.csv", out)
+        tspec = {"type": "tspec", "tau": {"num": 5, "den": 2}, "k_max": 2, "window_mode": mode}
+        model = _write(tmp_path / "ts.json", json.dumps(tspec))
+        assert run(["check", "--trace", trace, "--model", model]) == 0
 
 
 class TestGenerateConfigTypes:

@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from maxplus_tc import (
-    GridError,
     LambdaNuModel,
     Lcg64,
+    Trace,
     TSpecModel,
     WindowMode,
     check_lambda_nu,
     check_tspec,
     fit_lambda_nu,
+    fit_tspec,
     gen_extremal_lambda_nu,
     gen_jittered,
     gen_periodic,
@@ -155,9 +156,20 @@ class TestGenTspecExtremal:
         tspec = TSpecModel(F(10), 2, WindowMode.CLOSED)
         assert gen_tspec_extremal(tspec, 4).arrivals == (0, 0, 11, 11)
 
-    def test_non_integer_interval_rejected(self):
-        with pytest.raises(GridError):
-            gen_tspec_extremal(TSpecModel(F(5, 2), 1), 3)
+    @pytest.mark.parametrize("mode", [WindowMode.CLOSED, WindowMode.OPEN], ids=lambda m: m.value)
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("tau", [F(1, 2), F(5, 2), F(7, 3), F(10)], ids=str)
+    def test_any_interval_saturates_at_the_least_spacing(self, tau, k, mode):
+        tspec = TSpecModel(tau, k, mode)
+        trace = gen_tspec_extremal(tspec, 3 * k)
+        assert check_tspec(trace, tspec).conforms
+        assert reference.check_tspec_pairwise(trace, tspec).conforms
+        assert fit_tspec(trace, tau, mode).model.k_max == k
+        # the second burst one tick earlier shares a window with the first
+        earlier = list(trace.arrivals)
+        earlier[k:2 * k] = [a - 1 for a in earlier[k:2 * k]]
+        assert not check_tspec(Trace(earlier), tspec).conforms
+        assert not reference.check_tspec_pairwise(Trace(earlier), tspec).conforms
 
     def test_conforms_in_own_mode(self):
         rng = Lcg64(200)

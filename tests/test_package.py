@@ -15,7 +15,7 @@ from maxplus_tc import reference
 
 EXPORTED = [
     "ConformanceReport", "DegenerateCurveError",
-    "FitResult", "FormatError", "GridError", "InconsistentInputError",
+    "FitResult", "FormatError", "InconsistentInputError",
     "InfeasibleFitError", "LambdaNuModel", "Lcg64",
     "MappingVariant", "MaxPlusCurve", "MissingLengthsError", "PROPERTY_NAMES",
     "PacketOrigin", "PropertyReport", "SigmaRhoModel", "SuiteConfig",

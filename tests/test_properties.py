@@ -220,7 +220,7 @@ class TestFitSigmaRho:
         assert fit.model == SigmaRhoModel(reference.sigma_for_rate(trace, rho), rho)
         report = reference.check_sigma_rho_pairwise(trace, fit.model)
         assert report.conforms
-        if trace.num_packets == 0:
+        if len(trace) == 0:
             # no window holds a packet, so none binds sigma = 0
             assert fit.binding_pair is None
             return

@@ -32,9 +32,9 @@ RECORDS = [
     (mt.Witness, dict(m=1, n=3, required=F(20), actual=F(10)), dict(m=2),
      "Witness(m=1, n=3, required=Fraction(20, 1), actual=Fraction(10, 1))"),
     (mt.ConformanceReport,
-     dict(conforms=False, witness=WITNESS, tight_pairs=((1, 2),), tight_count=1, checked_pairs=3),
+     dict(witness=WITNESS, tight_pairs=((1, 2),), tight_count=1, checked_pairs=3),
      dict(tight_count=2),
-     "ConformanceReport(conforms=False, witness=Witness(m=1, n=3, required=Fraction(20, 1), "
+     "ConformanceReport(witness=Witness(m=1, n=3, required=Fraction(20, 1), "
      "actual=Fraction(10, 1)), tight_pairs=((1, 2),), tight_count=1, checked_pairs=3)"),
     (mt.FitResult, dict(model=LN, binding_pair=(1, 3)), dict(binding_pair=None),
      "FitResult(model=LambdaNuModel(lam=Fraction(1, 10), nu=Fraction(2, 1)), "
@@ -108,3 +108,8 @@ def test_defaults():
     assert mt.TSpecModel(F(2), 3) == mt.TSpecModel(F(2), 3, WindowMode.CLOSED)
     assert mt.SuiteConfig() == mt.SuiteConfig(seed=1729, trials=200, max_flows=5, max_packets=500)
     assert mt.SuiteConfig(trials=4) == mt.SuiteConfig(1729, 4, 5, 500)
+
+
+def test_report_verdict_is_the_absence_of_a_witness():
+    assert mt.ConformanceReport(None, (), 0, 1).conforms
+    assert not mt.ConformanceReport(WITNESS, ((1, 2),), 1, 3).conforms

@@ -24,11 +24,10 @@ from maxplus_tc import trace as trace_module
 class TestTraceConstruction:
     def test_valid(self):
         t = Trace((0, 0, 10), lengths=(1, 2, 3))
-        assert t.num_packets == 3
         assert len(t) == 3
 
     def test_empty(self):
-        assert Trace(()).num_packets == 0
+        assert len(Trace(())) == 0
 
     def test_decreasing_rejected(self):
         with pytest.raises(ValueError, match="nondecreasing"):
