@@ -1181,6 +1181,31 @@ class TestMergeOutputs:
         assert prov.read_text() == json.dumps({"packets": packets}, indent=2) + "\n"
         assert out.read_text() == maxplus_tc.write_trace_csv(merged)
 
+    # the sha256 of the aggregate CSV followed by the provenance file, over
+    # 12 flows: flows 10 and 11 give two-digit flow numbers, flow 5 is empty,
+    # every flow ties with others at 0, 2**63 and 2**63 + 2, and lengths
+    # reach past 2**64
+    @pytest.mark.parametrize("with_lengths, digest", [
+        (False, "bcf81e7d2821092233efb72be6bc098b2ffc4ee455e697ba1847cf8de3dc0267"),
+        (True, "6a3654db98be4d2785b95b42c68706cd331e0fab530c7ce4ccc3e852f14097c3"),
+    ], ids=["ticks", "lengths"])
+    def test_bytes_are_pinned(self, tmp_path, with_lengths, digest):
+        big = 2**63
+        paths = []
+        for i in range(12):
+            ticks = [] if i == 5 else sorted(
+                [j * (i % 3) for j in range(i % 4 + 1)] + [big + i % 3, big + 2]
+            )
+            rows = [
+                f"{a},{1 + (i * 7919 + n * 104729) ** 4 % 2**65}" if with_lengths else f"{a}"
+                for n, a in enumerate(ticks, start=1)
+            ]
+            header = "arrival_ticks,length_bits" if with_lengths else "arrival_ticks"
+            paths.append(_write(tmp_path / f"{i}.csv", "\n".join([header, *rows]) + "\n"))
+        out, prov = tmp_path / "agg.csv", tmp_path / "prov.json"
+        assert run(["merge", "--traces", *paths, "--out", str(out), "--provenance", str(prov)]) == 0
+        assert hashlib.sha256(out.read_bytes() + prov.read_bytes()).hexdigest() == digest
+
 
 class TestEntryPoint:
     """``main()`` is the process entry and turns the cyclic collector off;
