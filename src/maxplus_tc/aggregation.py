@@ -10,7 +10,7 @@ Its twins in :mod:`maxplus_tc.reference` are a tuple sort and eq. 1.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from itertools import chain, repeat
 
 from .errors import InconsistentInputError
@@ -33,16 +33,17 @@ def _merge(traces: Sequence[Trace]) -> tuple[Trace, list[int]]:
     ticks = list(chain.from_iterable(t.arrivals for t in traces))
     order = sorted(range(len(ticks)), key=ticks.__getitem__)
     lengths = list(chain.from_iterable(t.lengths or () for t in traces))
-    merged = Trace(tuple(map(ticks.__getitem__, order)),
-                   tuple(map(lengths.__getitem__, order)) if all(with_lengths) else None)
+    # a stable sort of checked traces is nondecreasing with positive lengths
+    merged = Trace._of(tuple(map(ticks.__getitem__, order)),
+                       tuple(map(lengths.__getitem__, order)) if all(with_lengths) else None)
     return merged, order
 
 
-def _origins(traces: Sequence[Trace], order: list[int]) -> Iterator[tuple[int, int]]:
-    """Each merged packet's flow and 1-based index, zipped from two int columns."""
+def _origins(traces: Sequence[Trace], order: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each merged packet's flow and 1-based index, as two int columns."""
     flows = list(chain.from_iterable(map(repeat, range(len(traces)), map(len, traces))))
     indices = list(chain.from_iterable(range(1, len(t) + 1) for t in traces))
-    return zip(map(flows.__getitem__, order), map(indices.__getitem__, order))
+    return tuple(map(flows.__getitem__, order)), tuple(map(indices.__getitem__, order))
 
 
 def merge_traces(traces: Sequence[Trace]) -> Trace:
@@ -55,4 +56,4 @@ def merge_traces_with_provenance(
 ) -> tuple[Trace, tuple[PacketOrigin, ...]]:
     """Merge traces as :func:`merge_traces` does, with each packet's provenance."""
     merged, order = _merge(traces)
-    return merged, tuple(map(tuple.__new__, repeat(PacketOrigin), _origins(traces, order)))
+    return merged, tuple(map(tuple.__new__, repeat(PacketOrigin), zip(*_origins(traces, order))))

@@ -237,13 +237,17 @@ def _cmd_merge(args) -> int:
     traces = [read_trace_csv(path) for path in args.traces]
     merged, order = _merge(traces)
     _write_out(args.out, write_trace_csv(merged))
+    del merged  # the aggregate, the flows and the order never sit beside the text
     if args.provenance:  # in the layout of json.dumps(..., indent=2)
-        values = tuple(chain.from_iterable(_origins(traces, order)))
-        text = ",\n    ".join(['{\n      "flow": %d,\n      "index": %d\n    }'] * len(order))
-        text = f'{{\n  "packets": [\n    {text}\n  ]\n}}\n' if order else '{\n  "packets": []\n}\n'
-        text %= values  # one template; rebinding frees each stage as the next is made
+        record = '{\n      "flow": %d,\n      "index": %%d\n    }'
+        records = [record % f for f in range(len(traces))]
+        flows, indices = _origins(traces, order)
+        del traces, order
+        text = ",\n    ".join(map(records.__getitem__, flows)) % indices
+        # the text is written between its brackets, never copied into them
+        opening, closing = ("[\n    ", "\n  ]") if flows else ("[", "]")
         with open(args.provenance, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(('{\n  "packets": ', opening, text, closing, "\n}\n"))
     return 0
 
 

@@ -294,7 +294,7 @@ def check_tspec(
     if pair is not None:
         m, n = pair
         witness = Witness(m=m, n=n, required=Fraction(tspec.k_max), actual=Fraction(n - m + 1))
-    pairs = compress(zip(count(1), count(tspec.k_max)), full)
+    pairs = zip(compress(count(1), full), compress(count(tspec.k_max), full))
     return _report(witness, full.count(True), pairs, n_pk * (n_pk + 1) // 2, max_tight)
 
 

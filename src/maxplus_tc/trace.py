@@ -10,7 +10,7 @@ length, enabling the cumulative (bit-domain) view.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from io import TextIOBase
 from itertools import chain, repeat
 from operator import le
@@ -34,30 +34,19 @@ class Trace(Record):
 
     def __init__(self, arrivals: Iterable[int], lengths: Iterable[int] | None = None):
         arrivals = _int_column(arrivals, "arrival tick {} at packet {}")
-        # a(0) = 0 and a nondecreasing is one condition, 0 <= a(1) <= a(2) <= ...;
-        # the first packet that breaks it is looked up only on failure
-        if not all(map(le, chain((0,), arrivals), arrivals)):
-            n, prev, a = next(
-                (n, prev, a)
-                for n, (prev, a) in enumerate(zip(chain((0,), arrivals), arrivals), start=1)
-                if a < prev
-            )
-            if a < 0:
-                raise ValueError(f"arrival tick {a} at packet {n} is negative")
-            raise ValueError(
-                f"arrival ticks must be nondecreasing: packet {n} at {a} after {prev}"
-            )
         if lengths is not None:
             lengths = _int_column(lengths, "length {} of packet {}")
-            if len(lengths) != len(arrivals):
-                raise ValueError(
-                    f"{len(lengths)} lengths for {len(arrivals)} packets"
-                )
-            if min(lengths, default=1) <= 0:
-                n, l = next((n, l) for n, l in enumerate(lengths, start=1) if l <= 0)
-                raise ValueError(f"length {l} of packet {n} is not positive")
+        _check(arrivals, lengths)
         object.__setattr__(self, "arrivals", arrivals)
         object.__setattr__(self, "lengths", lengths)
+
+    @classmethod
+    def _of(cls, arrivals: tuple[int, ...], lengths: tuple[int, ...] | None) -> Trace:
+        """The trace of int columns that already meet the class's conditions, unchecked."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "arrivals", arrivals)
+        object.__setattr__(trace, "lengths", lengths)
+        return trace
 
     def __len__(self) -> int:
         return len(self.arrivals)
@@ -69,6 +58,28 @@ class Trace(Record):
         if not 1 <= n <= len(self.arrivals):
             raise IndexError(f"packet index {n} out of range 0..{len(self.arrivals)}")
         return self.arrivals[n - 1]
+
+
+def _check(arrivals: Sequence[int], lengths: Sequence[int] | None) -> None:
+    """Raise ValueError for the first condition of :class:`Trace` the int columns break."""
+    # a(0) = 0 and a nondecreasing is one condition, 0 <= a(1) <= a(2) <= ...;
+    # the first packet that breaks it is looked up only on failure
+    if not all(map(le, chain((0,), arrivals), arrivals)):
+        n, prev, a = next(
+            (n, prev, a)
+            for n, (prev, a) in enumerate(zip(chain((0,), arrivals), arrivals), start=1)
+            if a < prev
+        )
+        if a < 0:
+            raise ValueError(f"arrival tick {a} at packet {n} is negative")
+        raise ValueError(f"arrival ticks must be nondecreasing: packet {n} at {a} after {prev}")
+    if lengths is None:
+        return
+    if len(lengths) != len(arrivals):
+        raise ValueError(f"{len(lengths)} lengths for {len(arrivals)} packets")
+    if min(lengths, default=1) <= 0:
+        n, l = next((n, l) for n, l in enumerate(lengths, start=1) if l <= 0)
+        raise ValueError(f"length {l} of packet {n} is not positive")
 
 
 def _int_column(values: Iterable[int], naming: str) -> tuple[int, ...]:
@@ -126,12 +137,14 @@ def read_trace_csv(source: str | TextIOBase) -> Trace:
         parsed = _row_integers(rows[1:] if header else rows, header)
     values, width = parsed
     del text, rows, parsed  # each stage is dropped once the next holds the data
+    # both decoders yield ints only, so the columns skip Trace's per-value pass
     arrivals, lengths = (values[::2], values[1::2]) if width == 2 else (values, None)
     del values
     try:
-        return Trace(arrivals=arrivals, lengths=lengths)
+        _check(arrivals, lengths)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    return Trace._of(tuple(arrivals), None if lengths is None else tuple(lengths))
 
 
 # the digits, the sign and the padding int() takes in a field; "\n" ends a row
@@ -193,5 +206,6 @@ def write_trace_csv(trace: Trace) -> str:
     """The trace as CSV text: the header, then one row per packet."""
     if trace.lengths is None:
         return f"{CSV_HEADER_TICKS}\n" + ("%d\n" * len(trace)) % trace.arrivals
-    values = tuple(chain.from_iterable(zip(trace.arrivals, trace.lengths)))
-    return f"{CSV_HEADER_TICKS},{CSV_HEADER_LENGTHS}\n" + ("%d,%d\n" * len(trace)) % values
+    values = [0] * (2 * len(trace))
+    values[::2], values[1::2] = trace.arrivals, trace.lengths
+    return f"{CSV_HEADER_TICKS},{CSV_HEADER_LENGTHS}\n" + ("%d,%d\n" * len(trace)) % tuple(values)

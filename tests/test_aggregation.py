@@ -120,9 +120,10 @@ class TestReferenceMerge:
     @given(flow_sets())
     @settings(max_examples=300, deadline=None)
     def test_matches_tuple_sort(self, traces):
-        assert merge_traces_with_provenance(traces) == reference.merge_with_provenance_by_tuples(
-            traces
-        )
+        merged, origins = merge_traces_with_provenance(traces)
+        assert (merged, origins) == reference.merge_with_provenance_by_tuples(traces)
+        # the merge stores its columns unchecked; the checking constructor accepts them
+        assert merge_traces(traces) == Trace(merged.arrivals, merged.lengths)
 
     def test_ties_empty_flows_lengths_and_big_ticks(self):
         big = 2**63

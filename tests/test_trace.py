@@ -471,6 +471,21 @@ class TestReaderCost:
             read_trace_csv(io.StringIO(text))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("text", [_two_column_text(100), "1\n007\n9\n"], ids=["bulk", "rows"])
+    @pytest.mark.parametrize("by_path", [True, False], ids=["path", "stream"])
+    def test_decoded_ints_skip_the_per_value_pass(self, tmp_path, monkeypatch, text, by_path):
+        # both decoders yield ints only; the trace read equals the one the
+        # checking constructor builds from its columns
+        calls = []
+        monkeypatch.setattr(trace_module, "_int_column", lambda *args: calls.append(args))
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        trace = read_trace_csv(str(path) if by_path else io.StringIO(text))
+        assert calls == []
+        monkeypatch.undo()
+        lengths = None if trace.lengths is None else list(trace.lengths)
+        assert trace == Trace(list(trace.arrivals), lengths=lengths)
+
 
 class TestRationalJson:
     def test_roundtrip(self):
