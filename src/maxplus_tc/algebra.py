@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import ceil
+from math import lcm
 
 from .errors import DegenerateCurveError, InconsistentInputError
 from .models import (
     LambdaNuModel, MappingVariant, MaxPlusCurve, SigmaRhoModel, TSpecModel, WindowMode,
 )
-from .rational import RationalLike
+from .rational import RationalLike, as_fraction
 
 
 def map_lambda_nu_to_tspec(
@@ -43,8 +43,8 @@ def map_lambda_nu_to_tspec(
     """
     if j < 1:
         raise ValueError(f"window multiple j must be >= 1, got {j}")
-    tau = Fraction(j) / model.lam
-    ceil_nu = ceil(model.nu)
+    tau = Fraction(j * model.lam.denominator, model.lam.numerator)
+    ceil_nu = -(-model.nu.numerator // model.nu.denominator)
     if variant is MappingVariant.A:
         return TSpecModel(tau=tau, k_max=ceil_nu + j + 1, window_mode=WindowMode.CLOSED)
     return TSpecModel(tau=tau, k_max=ceil_nu + j, window_mode=WindowMode.OPEN)
@@ -59,9 +59,8 @@ def map_tspec_to_lambda_nu(tspec: TSpecModel) -> LambdaNuModel:
     not return the original parameters: the two model families are not
     equivalent.
     """
-    return LambdaNuModel(
-        lam=Fraction(tspec.k_max) / tspec.tau, nu=Fraction(tspec.k_max - 1)
-    )
+    k, tau = tspec.k_max, tspec.tau
+    return LambdaNuModel(lam=Fraction(k * tau.denominator, tau.numerator), nu=k - 1)
 
 
 def superpose_lambda_nu(models: Sequence[LambdaNuModel]) -> LambdaNuModel:
@@ -120,8 +119,8 @@ def superpose_indirect(
     parameters, so this never beats :func:`superpose_lambda_nu`.  Inputs
     that do not fit together raise :class:`InconsistentInputError`.
     """
-    max_lengths = [Fraction(l) for l in max_lengths]
-    min_length = Fraction(min_length)
+    max_lengths = [as_fraction(l, "max length") for l in max_lengths]
+    min_length = as_fraction(min_length, "minimum length")
     if len(models) < 2:
         raise InconsistentInputError("need at least two flows to superpose")
     if len(max_lengths) != len(models):
@@ -151,17 +150,18 @@ def curve_to_lambda_nu(curve: MaxPlusCurve) -> LambdaNuModel:
     gives away.  By construction ``(d - nu)+ / lam <= curve(d)`` for all
     d up to ``curve.horizon``; beyond it the envelope promises nothing.
     """
-    h = curve.horizon
-    lam: Fraction | None = None
-    for d in range(1, h + 1):
-        value = curve.values[d]
-        if value > 0:
-            candidate = Fraction(d) / value
-            if lam is None or candidate < lam:
-                lam = candidate
-    if lam is None:
+    # Over one common denominator D the curve is nums[d] / D.  The rate is
+    # the least d*D / nums[d] over nums[d] > 0, taken at d = top with
+    # a = nums[top]; then d - lam * curve(d) = (d*a - top*nums[d]) / a.
+    common = lcm(*[v.denominator for v in curve.values])
+    nums = [v.numerator * (common // v.denominator) for v in curve.values]
+    top, a = 0, 0
+    for d, num in enumerate(nums):
+        if num > 0 and (a == 0 or d * a < top * num):
+            top, a = d, num
+    if a == 0:
         raise DegenerateCurveError(
             "curve is zero everywhere on its horizon; no finite rate bounds it"
         )
-    nu = max(d - lam * curve.values[d] for d in range(h + 1))
-    return LambdaNuModel(lam=lam, nu=nu)
+    nu = max(d * a - top * num for d, num in enumerate(nums))
+    return LambdaNuModel(lam=Fraction(top * common, a), nu=Fraction(nu, a))

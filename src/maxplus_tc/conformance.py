@@ -16,15 +16,16 @@ shifts of the whole trace).  Every checker reports:
 All comparisons are exact and use Python integers only.  Each rate/burst
 and bit-domain question reduces to integer keys per packet (or breakpoint):
 a pair is judged by the gain ``ends[n] - starts[m]`` against an integer
-limit.  One pass with a running minimum of the start keys then gives the
-verdict, the earliest witness, the largest gain and its binding pair.  With
-the burst set to 0 in the keys, the largest gain, scaled back, is also the
-fitted burst: nu at a fixed rate (:func:`fit_lambda_nu`) and sigma at a
-fixed bit rate (:func:`fit_sigma_rho`).  Tight pairs are counted in O(N)
-however many there are: one C-level pass keeps the starts whose key plus
-the limit occurs among the end keys, and only those are grouped; listing
-them costs the pairs listed.  ``FIRST_VIOLATION`` gives the verdict alone:
-the checker's witness pair, or None, by the same passes, with no pair counted.
+limit.  Two loops keep a running minimum of the start keys: the verdict
+scan stops at the first gain over the limit (the earliest witness), and the
+largest-gain scan returns that gain and its binding pair.  With the burst
+set to 0 in the keys, the largest gain, scaled back, is the fitted burst:
+nu at a fixed rate (:func:`fit_lambda_nu`) and sigma at a fixed bit rate
+(:func:`fit_sigma_rho`).  Tight pairs are counted in O(N) however many
+there are: one C-level pass keeps the starts whose key plus the limit
+occurs among the end keys, and only those are grouped; listing them costs
+the pairs listed.  ``FIRST_VIOLATION`` gives the verdict alone: the
+checker's witness pair, or None, by the same passes, with no pair counted.
 The literal pairwise routes these passes are tested against live in
 :mod:`maxplus_tc.reference`.
 """
@@ -36,7 +37,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, and_, eq, ge, itemgetter, ne, sub
+from operator import add, and_, eq, ge, ne, sub
 
 from ._record import Record
 from .errors import InfeasibleFitError, MissingLengthsError, UnboundedFitError
@@ -126,28 +127,39 @@ def fit_result_to_json(result: FitResult) -> dict:
 # One-pass gain scans
 #
 # ``starts`` and ``ends`` hold one integer key per index (1-based); the pair
-# (m, n) with n - m >= lag has gain ``ends[n] - starts[m]``.
-
-
-def _gains(starts: list[int], ends: list[int], lag: int):
-    """For each end n, yield (m, n, gain) for the largest gain ending at n;
-    m is the first index m <= n - lag holding the smallest start key, so
-    ``max`` over the yield picks the first pair in (n, m) order."""
-    low = 1
-    for n in range(lag + 1, len(ends) + 1):
-        if starts[n - lag - 1] < starts[low - 1]:
-            low = n - lag
-        yield low, n, ends[n - 1] - starts[low - 1]
+# (m, n) with n - m >= lag has gain ``ends[n] - starts[m]``.  Both scans walk
+# n = lag+1 .. len(ends) with ``start`` the key of the newest start m = n - lag
+# and ``low`` the running minimum of the start keys, so the largest gain
+# ending at n is ``end - low``.
 
 
 def _first_over(starts: list[int], ends: list[int], lag: int, limit: int) -> tuple[int, int] | None:
     """Earliest pair whose gain exceeds ``limit`` (smallest n, then smallest
     m), or None."""
-    for _, n, gain in _gains(starts, ends, lag):
-        if gain > limit:
-            bar = ends[n - 1] - limit
-            return next(m for m in range(1, n - lag + 1) if starts[m - 1] < bar), n
+    low = starts[0] if starts else 0
+    for n, start, end in zip(count(lag + 1), starts, islice(ends, lag, None)):
+        if start < low:
+            low = start
+        if end - low > limit:
+            bar = end - limit
+            return next(m for m, key in enumerate(starts, 1) if key < bar), n
     return None
+
+
+def _top_gain(starts: list[int], ends: list[int], lag: int) -> tuple[int, int, int] | None:
+    """(m, n, gain) of the largest gain, first in (n, m) order, or None when
+    no pair has n - m >= lag; m is the first index holding the smallest start
+    key up to n - lag."""
+    if len(ends) <= lag:
+        return None
+    low, low_at = starts[0], 1
+    m, top_n, top = 1, lag + 1, ends[lag] - low
+    for n, start, end in zip(count(lag + 1), starts, islice(ends, lag, None)):
+        if start < low:
+            low, low_at = start, n - lag
+        if end - low > top:
+            m, top_n, top = low_at, n, end - low
+    return m, top_n, top
 
 
 def _gain_exactly(starts: list[int], ends: list[int], lag: int, limit: int):
@@ -203,7 +215,8 @@ def _excess_keys(
     """
     p, q = lam.numerator, lam.denominator
     r, s = nu.numerator, nu.denominator
-    return [s * q * k - s * p * a for k, a in enumerate(arrivals, 1)], r // s + 1, r * q
+    keys = list(map(sub, count(s * q, s * q), map((s * p).__mul__, arrivals)))
+    return keys, r // s + 1, r * q
 
 
 def _simultaneous(arrivals: tuple[int, ...], lag: int):
@@ -407,7 +420,7 @@ def fit_lambda_nu(
         lam = unbursty.lam
         # nu >= (n - m) - lam*gap for every pair; the largest gain is q*nu
         keys, _, _ = _excess_keys(arrivals, lam, unbursty.nu)
-        top = max(_gains(keys, keys, 1), key=itemgetter(2), default=None)
+        top = _top_gain(keys, keys, 1)
         if top is None or top[2] < 0:
             return FitResult(unbursty, None)
         m, n, gain = top
@@ -435,7 +448,7 @@ def fit_lambda_nu(
     while True:
         lam = Fraction(s * (n - m) - r, s * (arrivals[n - 1] - arrivals[m - 1]))
         keys, _, limit = _excess_keys(arrivals, lam, nu)
-        m, n, gain = max(_gains(keys, keys, lag), key=itemgetter(2))
+        m, n, gain = _top_gain(keys, keys, lag)
         if gain == limit:
             return FitResult(LambdaNuModel(lam=lam, nu=nu), (m, n))
 
@@ -457,7 +470,7 @@ def fit_sigma_rho(trace: Trace, *, rho: RationalLike) -> FitResult:
     if trace.lengths is None:
         raise MissingLengthsError("bit-domain fit needs per-packet lengths")
     points, _, _, starts, ends, _ = _bit_keys(trace, unbursty)
-    i, j, gain = max(_gains(starts, ends, 0), key=itemgetter(2))
+    i, j, gain = _top_gain(starts, ends, 0)
     return FitResult(
         SigmaRhoModel(sigma=Fraction(gain, unbursty.rho.denominator), rho=unbursty.rho),
         (points[i - 1], points[j - 1]),
@@ -478,13 +491,15 @@ def fit_tspec(
     max_gap = probe.max_gap_in_window()
     # packets i..j never shrink: they grow by packet j when it shares a
     # window with packet i, else slide one place.  So j - i + 1 is the most
-    # packets any window up to j holds, and they last grew at the earliest
-    # busiest window (smallest end, then smallest start).
+    # packets any window up to j holds; they last grew, at j = grew, to the
+    # earliest busiest window (smallest end, then smallest start).
     i = 0
-    pair = None
+    grew = -1
     for j, a in enumerate(arrivals):
         if a - arrivals[i] > max_gap:
             i += 1
         else:
-            pair = (i + 1, j + 1)
-    return FitResult(TSpecModel(probe.tau, max(1, len(arrivals) - i), window_mode), pair)
+            grew = j
+    busiest = len(arrivals) - i
+    pair = (grew - busiest + 2, grew + 1) if busiest else None
+    return FitResult(TSpecModel(probe.tau, max(1, busiest), window_mode), pair)

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .conformance import FIRST_VIOLATION, fit_lambda_nu
 from .models import LambdaNuModel, TSpecModel
-from .rational import ceil_div
 from .trace import Trace
 
 _LCG_A = 6364136223846793005
@@ -37,7 +36,8 @@ class Lcg64:
         irrelevant at the ranges used here and keeps draws portable)."""
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        return lo + self.next_u32() % (hi - lo + 1)
+        self.state = state = (_LCG_A * self.state + _LCG_C) & _MASK64  # next_u32, inline
+        return lo + (state >> 32) % (hi - lo + 1)
 
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
@@ -77,6 +77,7 @@ def gen_extremal_lambda_nu(model: LambdaNuModel, count: int) -> Trace:
     p, q = model.lam.numerator, model.lam.denominator
     r, s = model.nu.numerator, model.nu.denominator
     lag = r // s + 1  # closer packets only need arrival(n) >= arrival(n - 1)
+    sq, sp, rq = s * q, s * p, r * q
     arrivals = [0] * count
     keys = [0] * count
     low = 0  # key of packet 1, the first to constrain a later one
@@ -84,9 +85,9 @@ def gen_extremal_lambda_nu(model: LambdaNuModel, count: int) -> Trace:
         arrival = arrivals[n - 1]
         if n >= lag:
             low = min(low, keys[n - lag])
-            arrival = max(arrival, ceil_div(s * q * n - r * q - low, s * p))
+            arrival = max(arrival, -((rq + low - sq * n) // sp))  # the ceiling
         arrivals[n] = arrival
-        keys[n] = s * q * n - s * p * arrival
+        keys[n] = sq * n - sp * arrival
     return Trace(arrivals=tuple(arrivals))
 
 

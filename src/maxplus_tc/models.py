@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import FormatError
-from .rational import RationalLike, rational_from_json, rational_to_json
+from .rational import RationalLike, as_fraction, rational_from_json, rational_to_json
 
 
 class WindowMode(enum.Enum):
@@ -42,18 +42,21 @@ class LambdaNuModel(Record):
     __slots__ = ("lam", "nu")
 
     def __init__(self, lam: RationalLike, nu: RationalLike):
-        lam, nu = Fraction(lam), Fraction(nu)
-        if lam <= 0:
+        lam, nu = as_fraction(lam, "rate"), as_fraction(nu, "burst allowance")
+        if lam.numerator <= 0:
             raise ValueError(f"rate must be positive, got {lam}")
-        if nu < 0:
+        if nu.numerator < 0:
             raise ValueError(f"burst allowance must be nonnegative, got {nu}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "nu", nu)
 
     def min_spacing(self, gap: int) -> Fraction:
         """Required inter-arrival time for packets ``gap`` indices apart."""
-        excess = gap - self.nu
-        return excess / self.lam if excess > 0 else Fraction(0)
+        r, s = self.nu.numerator, self.nu.denominator
+        excess = s * gap - r  # s * (gap - nu), so the spacing is excess / (s * lam)
+        if excess <= 0:
+            return Fraction(0)
+        return Fraction(excess * self.lam.denominator, s * self.lam.numerator)
 
 
 class TSpecModel(Record):
@@ -63,8 +66,8 @@ class TSpecModel(Record):
 
     def __init__(self, tau: RationalLike, k_max: int,
                  window_mode: WindowMode = WindowMode.CLOSED):
-        tau = Fraction(tau)
-        if tau <= 0:
+        tau = as_fraction(tau, "interval")
+        if tau.numerator <= 0:
             raise ValueError(f"interval must be positive, got {tau}")
         if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
             raise ValueError(f"max packet count must be an integer >= 1, got {k_max!r}")
@@ -91,10 +94,10 @@ class SigmaRhoModel(Record):
     __slots__ = ("sigma", "rho")
 
     def __init__(self, sigma: RationalLike, rho: RationalLike):
-        sigma, rho = Fraction(sigma), Fraction(rho)
-        if sigma < 0:
+        sigma, rho = as_fraction(sigma, "burst"), as_fraction(rho, "rate")
+        if sigma.numerator < 0:
             raise ValueError(f"burst must be nonnegative, got {sigma}")
-        if rho <= 0:
+        if rho.numerator <= 0:
             raise ValueError(f"rate must be positive, got {rho}")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "rho", rho)
@@ -110,16 +113,15 @@ class MaxPlusCurve(Record):
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[RationalLike]):
-        values = tuple(Fraction(v) for v in values)
+        values = tuple([as_fraction(v, "curve value") for v in values])
         if len(values) < 2:
             raise ValueError("curve needs a horizon of at least 1 (two values)")
-        if values[0] != 0:
+        if values[0].numerator != 0:
             raise ValueError(f"curve must start at 0, got {values[0]}")
-        for d in range(1, len(values)):
-            if values[d] < values[d - 1]:
+        for d, (before, value) in enumerate(zip(values, values[1:]), 1):
+            if value.numerator * before.denominator < before.numerator * value.denominator:
                 raise ValueError(
-                    f"curve must be nondecreasing: value {values[d]} at {d} "
-                    f"after {values[d - 1]}"
+                    f"curve must be nondecreasing: value {value} at {d} after {before}"
                 )
         object.__setattr__(self, "values", values)
 

@@ -3,7 +3,8 @@
 All model parameters in this package are exact rationals, backed by the
 standard library ``fractions.Fraction`` (always stored in lowest terms with
 a positive denominator, value equality, exact add/sub/mul/div/compare).
-Verdicts never touch floating point.
+A parameter is given as a Fraction or an int (:func:`as_fraction`); a float
+is refused, so verdicts never touch floating point.
 """
 
 from __future__ import annotations
@@ -13,6 +14,16 @@ from fractions import Fraction
 from .errors import FormatError
 
 RationalLike = Fraction | int
+
+
+def as_fraction(value: RationalLike, what: str) -> Fraction:
+    """``value`` as a Fraction: a Fraction unchanged, an int converted; a float
+    (whose binary value is rarely the rational meant) or any other type is refused."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise ValueError(f"{what} {value!r} is not a Fraction or an int")
 
 
 def ceil_div(a: int, b: int) -> int:

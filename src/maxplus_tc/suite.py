@@ -445,9 +445,10 @@ def _prop_length_detour_never_beats_direct(rng: Lcg64, cfg: SuiteConfig) -> dict
 def _prop_curve_reduction_stays_below_curve(rng: Lcg64, cfg: SuiteConfig) -> dict | None:
     horizon = rng.randint(1, 50)
     values = [Fraction(0)]
-    for _ in range(horizon):
-        step = Fraction(rng.randint(0, 12), rng.randint(1, 4))
-        values.append(values[-1] + step)
+    for _ in range(horizon):  # each value is the last plus a step of a/b
+        a, b = rng.randint(0, 12), rng.randint(1, 4)
+        num, den = values[-1].numerator, values[-1].denominator
+        values.append(Fraction(num * b + a * den, den * b))
     if values[-1] == 0:
         values[-1] = Fraction(rng.randint(1, 12), rng.randint(1, 4))
     curve = MaxPlusCurve(values=tuple(values))

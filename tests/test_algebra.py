@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import ceil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxplus_tc import (
     DegenerateCurveError,
@@ -233,3 +236,57 @@ class TestCurveReduction:
     def test_degenerate_curve(self):
         with pytest.raises(DegenerateCurveError):
             curve_to_lambda_nu(MaxPlusCurve((F(0), F(0), F(0))))
+
+
+# rationals with denominators up to 10**6
+POSITIVE = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))
+NONNEGATIVE = st.builds(Fraction, st.integers(0, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def curves(draw):
+    """A curve of horizon 1..60 whose first values may all be 0."""
+    horizon = draw(st.integers(1, 60))
+    zeros = draw(st.integers(0, horizon))
+    values = [F(0)] * (zeros + 1)
+    for step in draw(st.lists(NONNEGATIVE, min_size=horizon - zeros, max_size=horizon - zeros)):
+        values.append(values[-1] + step)
+    return MaxPlusCurve(values)
+
+
+class TestIntegerRationalPaths:
+    """The integer paths against the plain Fraction formulas they replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=POSITIVE, nu=NONNEGATIVE, gap=st.integers(0, 2 * 10**6))
+    def test_min_spacing(self, lam, nu, gap):
+        excess = gap - nu
+        expected = excess / lam if excess > 0 else F(0)
+        assert LambdaNuModel(lam, nu).min_spacing(gap) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(lam=POSITIVE, nu=NONNEGATIVE, j=st.integers(1, 50),
+           variant=st.sampled_from(MappingVariant))
+    def test_map_lambda_nu_to_tspec(self, lam, nu, j, variant):
+        tspec = map_lambda_nu_to_tspec(LambdaNuModel(lam, nu), variant, j)
+        extra, mode = (1, WindowMode.CLOSED) if variant is MappingVariant.A else (0, WindowMode.OPEN)
+        assert tspec == TSpecModel(F(j) / lam, ceil(nu) + j + extra, mode)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tau=POSITIVE, k=st.integers(1, 10**6), mode=st.sampled_from(WindowMode))
+    def test_map_tspec_to_lambda_nu(self, tau, k, mode):
+        model = map_tspec_to_lambda_nu(TSpecModel(tau, k, mode))
+        assert model == LambdaNuModel(F(k) / tau, F(k - 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(curve=curves())
+    def test_curve_to_lambda_nu(self, curve):
+        values = curve.values
+        rates = [F(d) / v for d, v in enumerate(values) if v > 0]
+        if not rates:
+            with pytest.raises(DegenerateCurveError):
+                curve_to_lambda_nu(curve)
+            return
+        lam = min(rates)
+        nu = max(d - lam * v for d, v in enumerate(values))
+        assert curve_to_lambda_nu(curve) == LambdaNuModel(lam, nu)

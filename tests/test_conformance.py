@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate, product
 
 import pytest
 
@@ -20,6 +21,7 @@ from maxplus_tc import (
     reference,
     report_to_json,
 )
+from maxplus_tc import conformance
 from maxplus_tc.conformance import fit_sigma_rho
 
 F = Fraction
@@ -326,6 +328,49 @@ class TestFitSigmaRho:
             fit_sigma_rho(Trace((1,), lengths=(8,)), rho=rho)
 
 
+class TestGainScans:
+    """The verdict scan and the largest-gain scan against a double loop over
+    every pair, on every short list of small keys, so that ties are
+    everywhere; lists no longer than the lag have no pair (None)."""
+
+    KEYS = range(4)
+    LIMITS = range(-4, 4)  # every gain of keys in 0..3 lies in -3..3
+
+    @staticmethod
+    def _pairs(starts, ends, lag):
+        """(gain, n, m) of every pair with n - m >= lag, in (n, m) order."""
+        return [
+            (ends[n - 1] - starts[m - 1], n, m)
+            for n in range(1, len(ends) + 1)
+            for m in range(1, n - lag + 1)
+        ]
+
+    def _check(self, starts, ends, lag):
+        pairs = self._pairs(starts, ends, lag)
+        for limit in self.LIMITS:
+            first = next(((m, n) for gain, n, m in pairs if gain > limit), None)
+            assert conformance._first_over(starts, ends, lag, limit) == first
+        top = None
+        if pairs:
+            best = max(gain for gain, _, _ in pairs)
+            _, n, m = next(pair for pair in pairs if pair[0] == best)
+            top = (m, n, best)
+        assert conformance._top_gain(starts, ends, lag) == top
+
+    @pytest.mark.parametrize("lag", range(4))
+    def test_one_key_list_on_both_sides(self, lag):
+        for size in range(7):
+            for keys in product(self.KEYS, repeat=size):
+                self._check(list(keys), list(keys), lag)
+
+    @pytest.mark.parametrize("lag", range(4))
+    def test_distinct_start_and_end_keys(self, lag):
+        for size in range(4):
+            for starts in product(self.KEYS, repeat=size):
+                for ends in product(self.KEYS, repeat=size):
+                    self._check(list(starts), list(ends), lag)
+
+
 class TestFitTspec:
     def test_closed_window(self):
         fit = fit_tspec(Trace((0, 1, 2)), F(2))
@@ -379,6 +424,17 @@ class TestFitTspec:
         fit = fit_tspec(trace, tau, mode)
         count, pair = reference.max_window(trace, tau, mode)
         assert (fit.model.k_max, fit.binding_pair) == (max(1, count), pair)
+
+    @pytest.mark.parametrize("mode", [WindowMode.CLOSED, WindowMode.OPEN])
+    @pytest.mark.parametrize("tau", [F(1), F(5, 2), F(3)])
+    def test_every_short_trace_matches_reference(self, tau, mode):
+        # every trace of up to 6 packets with gaps of 0..3 ticks
+        for size in range(7):
+            for gaps in product(range(4), repeat=max(0, size - 1)):
+                trace = Trace(tuple(accumulate(gaps, initial=0))[:size])
+                fit = fit_tspec(trace, tau, mode)
+                count, pair = reference.max_window(trace, tau, mode)
+                assert (fit.model.k_max, fit.binding_pair) == (max(1, count), pair)
 
     @pytest.mark.parametrize("arrivals", [(), (1,)])
     @pytest.mark.parametrize("tau", [F(-3), F(0)])

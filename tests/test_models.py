@@ -1,11 +1,25 @@
-"""The refusals of the model wire format, by message."""
+"""The refusals of the model wire format and of the model records, by
+message, and what building a record costs."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from maxplus_tc import FormatError, model_from_json
+from maxplus_tc import (
+    FormatError,
+    LambdaNuModel,
+    MaxPlusCurve,
+    SigmaRhoModel,
+    Trace,
+    TSpecModel,
+    fit_lambda_nu,
+    fit_tspec,
+    model_from_json,
+    superpose_indirect,
+)
 from maxplus_tc.cli import run
+from maxplus_tc.conformance import fit_sigma_rho
 
 LAMBDA_NU = {"type": "lambda_nu", "lambda": {"num": 1, "den": 10}, "nu": 0}
 TSPEC = {"type": "tspec", "tau": 10, "k_max": 2, "window_mode": "closed"}
@@ -42,3 +56,61 @@ def test_check_reports_a_refused_model_as_an_io_error(tmp_path, capsys):
     assert json.loads(captured.err) == {
         "error": {"kind": "io", "message": "k_max must be an integer, got True"}
     }
+
+
+ONE = LambdaNuModel(1, 0)
+
+# a float's binary value is rarely the rational meant (0.1 is
+# 3602879701896397/36028797018963968), so a parameter refuses it
+FLOAT_REFUSALS = {
+    "lambda_nu-rate": (lambda: LambdaNuModel(0.1, 0), "rate 0.1 is not a Fraction or an int"),
+    "lambda_nu-burst": (lambda: LambdaNuModel(1, 0.5),
+                        "burst allowance 0.5 is not a Fraction or an int"),
+    "tspec-interval": (lambda: TSpecModel(2.5, 1), "interval 2.5 is not a Fraction or an int"),
+    "sigma_rho-burst": (lambda: SigmaRhoModel(1.0, 1), "burst 1.0 is not a Fraction or an int"),
+    "sigma_rho-rate": (lambda: SigmaRhoModel(0, 0.25), "rate 0.25 is not a Fraction or an int"),
+    "curve-value": (lambda: MaxPlusCurve((0, 0.5)), "curve value 0.5 is not a Fraction or an int"),
+    "indirect-max_length": (lambda: superpose_indirect([ONE, ONE], [1.5, 2], 1),
+                            "max length 1.5 is not a Fraction or an int"),
+    "indirect-min_length": (lambda: superpose_indirect([ONE, ONE], [2, 2], 0.5),
+                            "minimum length 0.5 is not a Fraction or an int"),
+    "fit_lambda_nu-lam": (lambda: fit_lambda_nu(Trace((0, 5)), lam=0.1),
+                          "rate 0.1 is not a Fraction or an int"),
+    "fit_lambda_nu-nu": (lambda: fit_lambda_nu(Trace((0, 5)), nu=1.5),
+                         "burst allowance 1.5 is not a Fraction or an int"),
+    "fit_tspec-tau": (lambda: fit_tspec(Trace((0, 5)), 2.0), "interval 2.0 is not a Fraction or an int"),
+    "fit_sigma_rho-rho": (lambda: fit_sigma_rho(Trace(()), rho=0.5),
+                          "rate 0.5 is not a Fraction or an int"),
+}
+
+
+@pytest.mark.parametrize("build, message", FLOAT_REFUSALS.values(), ids=FLOAT_REFUSALS)
+def test_float_parameter_is_refused(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert exc.type is ValueError and str(exc.value) == message
+
+
+def test_building_records_from_fractions_builds_no_fraction(monkeypatch):
+    # a record keeps the Fractions it is given: neither converting nor
+    # checking a sign calls Fraction.__new__
+    half, three, seven_halves = Fraction(1, 2), Fraction(3), Fraction(7, 2)
+    zero = Fraction(0)
+    new, calls = Fraction.__new__, []
+
+    def spy(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+    Fraction(1, 3)
+    assert calls == [(1, 3)]  # the spy sees each Fraction built
+    calls.clear()
+    records = [
+        LambdaNuModel(half, three),
+        TSpecModel(seven_halves, 2),
+        SigmaRhoModel(three, half),
+        MaxPlusCurve((zero, half, half, seven_halves)),
+    ]
+    assert calls == []
+    assert records[0].lam is half and records[3].values[3] is seven_halves
