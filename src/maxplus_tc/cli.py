@@ -12,6 +12,7 @@ error object to stderr.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import os
@@ -512,8 +513,18 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    gc.disable()  # exit frees by reference counting; the collector only re-walks packets
-    sys.exit(run(sys.argv[1:]))
+    """The process entry; ``run()`` is the in-process API.  Ends the process
+    as the interpreter's exit would, in its order, but frees nothing."""
+    gc.disable()  # the collector would only re-walk packets, and the exit frees nothing
+    code = run(sys.argv[1:])
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # output still buffered, as to a full disk or a closed pipe
+        _emit_error("io", str(exc))
+        code = 3
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

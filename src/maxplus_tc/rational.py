@@ -4,7 +4,7 @@ All model parameters in this package are exact rationals, backed by the
 standard library ``fractions.Fraction`` (always stored in lowest terms with
 a positive denominator, value equality, exact add/sub/mul/div/compare).
 A parameter is given as a Fraction or an int (:func:`as_fraction`); a float
-is refused, so verdicts never touch floating point.
+or a bool is refused, so verdicts never touch floating point.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ RationalLike = Fraction | int
 
 
 def as_fraction(value: RationalLike, what: str) -> Fraction:
-    """``value`` as a Fraction: a Fraction unchanged, an int converted; a float
-    (whose binary value is rarely the rational meant) or any other type is refused."""
+    """``value`` as a Fraction: a Fraction unchanged, an int converted; a bool, a
+    float (whose binary value is rarely the rational meant) or any other type is refused."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ValueError(f"{what} {value!r} is a bool, not a Fraction or an int")
     if isinstance(value, int):
         return Fraction(value)
     raise ValueError(f"{what} {value!r} is not a Fraction or an int")
@@ -35,7 +37,7 @@ def ceil_div(a: int, b: int) -> int:
 
 def rational_to_json(x: RationalLike) -> dict:
     """Encode as ``{"num": int, "den": int}`` (lowest terms, den > 0)."""
-    x = Fraction(x)
+    x = as_fraction(x, "rational")
     return {"num": x.numerator, "den": x.denominator}
 
 

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1257,26 +1258,31 @@ class TestMergeCost:
 
 
 class TestEntryPoint:
-    """``main()`` is the process entry and turns the cyclic collector off;
-    what it writes must be what ``run()`` writes."""
+    """``main()`` is the process entry: it turns the cyclic collector off and
+    ends the process without the interpreter's teardown, after flushing the
+    streams and running the ``atexit`` handlers.  What it writes must be what
+    ``run()`` writes."""
 
-    # records the collector's state as main() exits, in the file $GC_STATE
+    # an atexit handler registered before main() records the collector's
+    # state in the file $GC_STATE, so the file exists only if main() ran it
     LAUNCH = (
-        "import gc, os\n"
+        "import atexit, gc, os\n"
+        "atexit.register(lambda: open(os.environ['GC_STATE'], 'w').write(str(gc.isenabled())))\n"
         "from maxplus_tc.cli import main\n"
-        "try:\n"
-        "    main()\n"
-        "finally:\n"
-        "    open(os.environ['GC_STATE'], 'w').write(str(gc.isenabled()))\n"
+        "main()\n"
     )
 
-    def _main(self, args, tmp_path):
+    def _main(self, args, tmp_path, stdout=subprocess.PIPE, launch=LAUNCH, **env):
+        """Exit code, stdout and stderr of ``main()`` in a child, whose
+        ``PYTHONUNBUFFERED`` is only what ``env`` sets."""
         src = str(Path(maxplus_tc.__file__).resolve().parents[1])
         state = tmp_path / "gc_state"
+        base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         proc = subprocess.run(
-            [sys.executable, "-c", self.LAUNCH, *args],
-            env={**os.environ, "PYTHONPATH": src, "GC_STATE": str(state)},
-            capture_output=True,
+            [sys.executable, "-c", launch, *args],
+            env={**base, "PYTHONPATH": src, "GC_STATE": str(state), "COLUMNS": "80", **env},
+            stdout=stdout,
+            stderr=subprocess.PIPE,
             text=True,
         )
         assert state.read_text() == "False"
@@ -1288,6 +1294,30 @@ class TestEntryPoint:
         assert gc.isenabled() == enabled
         out, err = capsys.readouterr()
         return code, out, err
+
+    @pytest.mark.parametrize("sub", [
+        "check", "fit", "map", "superpose", "merge", "generate", "table1", "suite",
+    ])
+    def test_each_subcommand_writes_what_run_writes(self, sub, tmp_path, lam_nu_model, capsys):
+        trace = _write(tmp_path / "t.csv", "arrival_ticks\n0\n1\n2\n")
+        args = {
+            "check": ["check", "--trace", trace, "--model", lam_nu_model],
+            "fit": ["fit", "--trace", trace, "--rate", "1/10"],
+            "map": ["map", "--model", lam_nu_model, "--variant", "b"],
+            "superpose": ["superpose", "--models", lam_nu_model, lam_nu_model],
+            "merge": ["merge", "--traces", trace, trace],
+            "generate": ["generate", "--kind", "periodic", "--period", "10", "--count", "3"],
+            "table1": ["table1", "--format", "text"],
+            "suite": ["suite", "--trials", "1", "--seed", "3", "--max-packets", "20"],
+        }[sub]
+
+        def timeless(result):  # the suite's wall time goes to stderr
+            code, out, err = result
+            return code, out, re.sub(r"wall time: \d+\.\d\d s", "wall time: _ s", err)
+
+        result = self._main(args, tmp_path)
+        assert timeless(result) == timeless(self._run(args, capsys))
+        assert result[0] == (1 if sub == "check" else 0) and result[1]
 
     def test_merge_with_provenance(self, tmp_path, capsys):
         flows = [_write(tmp_path / "a.csv", "1\n3\n3\n"), _write(tmp_path / "b.csv", "0\n3\n")]
@@ -1323,3 +1353,40 @@ class TestEntryPoint:
         code, out, err = module_run()
         assert (code, out) == (2, "")
         assert json.loads(err)["error"]["kind"] == "usage"
+
+    def test_module_help_through_a_pipe_is_flushed(self, capsys, monkeypatch):
+        """Buffered stdout to a pipe is written out before the process ends."""
+        monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps the help to
+        src = str(Path(maxplus_tc.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxplus_tc.cli", "check", "--help"],
+            env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        result = proc.returncode, proc.stdout, proc.stderr
+        assert result == self._run(["check", "--help"], capsys)
+        assert result[0] == 0 and result[1].startswith("usage: maxplus-tc check")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("count", ["3", "20000"], ids=["held", "past-the-buffer"])
+    def test_failed_stdout_write_exits_three(self, tmp_path, unbuffered, count):
+        """A write to a full device fails in ``run()``, or in the flush after
+        it while the output is held in the buffer; either way the process
+        exits 3 with one io error object."""
+        args = ["generate", "--kind", "periodic", "--period", "10", "--count", count]
+        env = {"PYTHONUNBUFFERED": unbuffered} if unbuffered else {}
+        with open("/dev/full", "w") as full:
+            code, _, err = self._main(args, tmp_path, stdout=full, **env)
+        assert (code, json.loads(err)) == (
+            3, {"error": {"kind": "io", "message": "[Errno 28] No space left on device"}}
+        )
+
+    def test_exception_escaping_run_keeps_its_traceback(self, tmp_path):
+        launch = self.LAUNCH.replace(
+            "main()", "def fail(argv):\n    raise RuntimeError('boom')\n"
+            "import maxplus_tc.cli as cli\ncli.run = fail\nmain()"
+        )
+        code, out, err = self._main(["table1"], tmp_path, launch=launch)
+        assert (code, out) == (1, "")
+        assert err.startswith("Traceback") and err.endswith("RuntimeError: boom\n")

@@ -91,6 +91,24 @@ def test_float_parameter_is_refused(build, message):
     assert exc.type is ValueError and str(exc.value) == message
 
 
+# a bool is an int to Python, but True is no rate a user means
+BOOL_REFUSALS = {
+    "lambda_nu": (lambda: LambdaNuModel(True, False), "rate True is a bool, not a Fraction or an int"),
+    "lambda_nu-burst": (lambda: LambdaNuModel(1, False),
+                        "burst allowance False is a bool, not a Fraction or an int"),
+    "sigma_rho-rate": (lambda: SigmaRhoModel(0, True), "rate True is a bool, not a Fraction or an int"),
+    "curve-value": (lambda: MaxPlusCurve((0, True)),
+                    "curve value True is a bool, not a Fraction or an int"),
+}
+
+
+@pytest.mark.parametrize("build, message", BOOL_REFUSALS.values(), ids=BOOL_REFUSALS)
+def test_bool_parameter_is_refused(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert exc.type is ValueError and str(exc.value) == message
+
+
 def test_building_records_from_fractions_builds_no_fraction(monkeypatch):
     # a record keeps the Fractions it is given: neither converting nor
     # checking a sign calls Fraction.__new__

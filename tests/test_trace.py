@@ -48,6 +48,8 @@ class TestTraceConstruction:
             ((1, 2, 3), (-4, 5, 0), "length -4 of packet 1 is not positive"),
             # the ticks are checked before the lengths
             ((2, 1), (0, 0), "arrival ticks must be nondecreasing: packet 2 at 1 after 2"),
+            # a fall to exactly 0 is a fall, not a negative tick
+            ((5, 0), None, "arrival ticks must be nondecreasing: packet 2 at 0 after 5"),
         ],
     )
     def test_invalid_messages(self, arrivals, lengths, message):
@@ -137,6 +139,7 @@ class TestCsv:
             ("1\n2\n-3\n", "arrival tick -3 at packet 3 is negative"),
             ("0,5\n-1,5\n", "arrival tick -1 at packet 2 is negative"),
             ("1\n5\n3\n", "arrival ticks must be nondecreasing: packet 3 at 3 after 5"),
+            ("5\n0\n", "arrival ticks must be nondecreasing: packet 2 at 0 after 5"),
             ("0,5\n1,0\n", "length 0 of packet 2 is not positive"),
             ("0,5\n1,-2\n", "length -2 of packet 2 is not positive"),
             ("0,5\n1\n", "row 2: inconsistent column count"),
@@ -503,3 +506,16 @@ class TestRationalJson:
             rational_from_json({"num": 1})
         with pytest.raises(FormatError):
             rational_from_json({"num": 1, "den": 0})
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            # a float's binary value, such as 3602879701896397/36028797018963968 for 0.1
+            (0.1, "rational 0.1 is not a Fraction or an int"),
+            (True, "rational True is a bool, not a Fraction or an int"),
+        ],
+    )
+    def test_encoding_refuses_floats_and_bools(self, value, message):
+        with pytest.raises(ValueError) as exc:
+            rational_to_json(value)
+        assert str(exc.value) == message
