@@ -515,7 +515,7 @@ def run(argv: list[str]) -> int:
 def main() -> None:
     """The process entry; ``run()`` is the in-process API.  Ends the process
     as the interpreter's exit would, in its order, but frees nothing."""
-    gc.disable()  # the collector would only re-walk packets, and the exit frees nothing
+    gc.disable()  # the collector would only re-walk packets
     code = run(sys.argv[1:])
     atexit._run_exitfuncs()
     try:

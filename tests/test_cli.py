@@ -1280,7 +1280,7 @@ class TestEntryPoint:
         base = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         proc = subprocess.run(
             [sys.executable, "-c", launch, *args],
-            env={**base, "PYTHONPATH": src, "GC_STATE": str(state), "COLUMNS": "80", **env},
+            env={**base, "PYTHONPATH": src, "GC_STATE": str(state), **env},
             stdout=stdout,
             stderr=subprocess.PIPE,
             text=True,
