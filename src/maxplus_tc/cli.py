@@ -3,10 +3,7 @@
 Every subcommand is a thin adapter over one library operation: it imports
 the modules it runs, loads the input files, calls the operation, and
 serializes the result (JSON by default, ``--format text`` for a human view).
-
-Exit codes: 0 success/conforms, 1 violation/counterexample/domain failure,
-2 usage error, 3 I/O or parse error.  Failures print a machine-readable
-error object to stderr.
+The exit codes are those ``_DESCRIPTION``, the ``--help`` text, lists.
 """
 
 from __future__ import annotations
@@ -25,6 +22,14 @@ from .errors import FormatError, TrafficModelError
 SEED_ENV_VAR = "MAXPLUS_TC_SEED"
 # the most pairs `check --max-tight all` lists: 10^5 and their JSON take ~24 MiB
 MAX_TIGHT_ALL = 100_000
+
+
+# the --help description; the module docstring is for the code's readers
+_DESCRIPTION = """Exact traffic envelopes for packet traces: conformance checks, tightest
+fits, model mappings, superposition and trace generation, all in rational
+arithmetic.  Exit codes: 0 success or conforms, 1 violation, counterexample
+or domain failure, 2 usage error, 3 I/O or parse error; a failure prints a
+JSON error object to stderr."""
 
 
 class _UsageError(Exception):
@@ -252,14 +257,6 @@ def _cmd_merge(args) -> int:
     return 0
 
 
-# generator parameters and the JSON types a config may give them: those
-# their flags take (a rational is a string, as on the command line, or an int;
-# a flag's rational is parsed already, and its str() parses back to itself)
-_GENERATE_PARAMS = {
-    **dict.fromkeys(("kind", "mode"), (str,)),
-    **dict.fromkeys(("period", "phase", "count", "k_max", "jitter", "seed"), (int,)),
-    **dict.fromkeys(("rate", "burst", "interval"), (str, int)),
-}
 # the options each generator kind reads, besides --count and --out
 _GENERATE_READS = {
     "periodic": ("period", "phase"),
@@ -269,69 +266,38 @@ _GENERATE_READS = {
 }
 
 
-def _generate_params(args) -> dict:
-    params: dict = {}
-    if args.config:
-        loaded = _load_json(args.config)
-        if not isinstance(loaded, dict):
-            raise FormatError("generator config must be a JSON object")
-        unknown = sorted(loaded.keys() - _GENERATE_PARAMS.keys())
-        if unknown:
-            raise FormatError(f"generator config has unknown keys: {', '.join(map(repr, unknown))}")
-        params.update(loaded)
-    for key, types in _GENERATE_PARAMS.items():
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-        elif key in params and type(params[key]) not in types:  # a bool is no int here
-            names = " or ".join(t.__name__ for t in types)
-            raise FormatError(
-                f"generator config {key!r} must be {names}, got {json.dumps(params[key])}"
-            )
-    return params
-
-
 def _cmd_generate(args) -> int:
     from .generators import gen_extremal_lambda_nu, gen_jittered, gen_periodic, gen_tspec_extremal
     from .models import LambdaNuModel, TSpecModel, WindowMode, model_to_json
-    from .rational import parse_rational
     from .trace import write_trace_csv
 
-    params = _generate_params(args)
-    kind = params.get("kind")
-    reads = _GENERATE_READS.get(kind)
-    if reads is None:
-        raise _UsageError(
-            "pick --kind periodic|extremal|tspec-bursts|jittered (or set it in --config)"
-        )
+    kind = args.kind
+    reads = _GENERATE_READS[kind]
     unread = [dest for dest in dict.fromkeys(chain(*_GENERATE_READS.values())) if dest not in reads]
     _only(False, args, f"with a --kind that reads them, not {kind}", *unread)
-    count = params.get("count", 0)
+    count = args.count or 0
 
-    def need(key):
-        if key not in params:
-            flag = "--" + key.replace("_", "-")
-            raise _UsageError(f"--kind {kind} needs {flag} (or {key!r} in --config)")
-        return params[key]
+    def need(dest):
+        value = getattr(args, dest)
+        if value is None:
+            raise _UsageError(f"--kind {kind} needs --{dest.replace('_', '-')}")
+        return value
 
     if kind == "periodic":
-        trace = gen_periodic(need("period"), params.get("phase", 0), count)
+        trace = gen_periodic(need("period"), args.phase or 0, count)
     elif kind == "extremal":
-        model = LambdaNuModel(
-            lam=parse_rational(str(need("rate"))),
-            nu=parse_rational(str(params.get("burst", 0))),
-        )
+        model = LambdaNuModel(lam=need("rate"), nu=args.burst or 0)
         trace = gen_extremal_lambda_nu(model, count)
     elif kind == "tspec-bursts":
         tspec = TSpecModel(
-            tau=parse_rational(str(need("interval"))),
+            tau=need("interval"),
             k_max=need("k_max"),
-            window_mode=WindowMode(params.get("mode", "closed")),
+            window_mode=WindowMode(args.mode or "closed"),
         )
         trace = gen_tspec_extremal(tspec, count)
     else:
         trace, fitted = gen_jittered(
-            need("period"), params.get("jitter", 0), params.get("seed", 0), count
+            need("period"), args.jitter or 0, args.seed or 0, count
         )
     _write_out(args.out, write_trace_csv(trace))
     if args.model_out:  # given only with --kind jittered
@@ -411,7 +377,7 @@ def _add_format(parser) -> None:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="maxplus-tc", description=__doc__)
+    parser = _Parser(prog="maxplus-tc", description=_DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="check a trace against a model")
@@ -458,8 +424,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_merge)
 
     p = sub.add_parser("generate", help="generate a trace")
-    p.add_argument("--kind", choices=("periodic", "extremal", "tspec-bursts", "jittered"))
-    p.add_argument("--config", help="JSON file with generator parameters (flags override)")
+    p.add_argument("--kind", required=True, choices=tuple(_GENERATE_READS))
     p.add_argument("--period", type=_integer)
     p.add_argument("--phase", type=_integer)
     p.add_argument("--count", type=_integer)

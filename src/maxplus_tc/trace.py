@@ -27,7 +27,7 @@ class Trace(Record):
 
     ``arrivals[i]`` is the arrival tick of packet ``i + 1``.  When ``lengths``
     is present it has one positive entry per packet, in bits.  Values are
-    ints: a str is read by int(), and any other value must equal an int.
+    ints; any other value (a str, a bool, a float) is refused by name.
     """
 
     __slots__ = ("arrivals", "lengths")
@@ -83,15 +83,12 @@ def _check(arrivals: Sequence[int], lengths: Sequence[int] | None) -> None:
 
 
 def _int_column(values: Iterable[int], naming: str) -> tuple[int, ...]:
-    """The values as a tuple of ints, with no Python code per value when all are ints."""
+    """The values as a tuple, with no Python code per value; raises for the first that is no int."""
     column = values if type(values) is tuple else tuple(values)
-    if set(map(type, column)) <= {int}:
-        return column
-    ints = tuple(map(int, column))
-    for n, (value, i) in enumerate(zip(column, ints), start=1):
-        if i != value and not isinstance(value, str):
-            raise ValueError(naming.format(value, n) + " is not an integer")
-    return ints
+    if not set(map(type, column)) <= {int}:
+        n, value = next((n, v) for n, v in enumerate(column, start=1) if type(v) is not int)
+        raise ValueError(naming.format(repr(value), n) + " is not an int")
+    return column
 
 
 def read_trace_csv(source: str | TextIOBase) -> Trace:

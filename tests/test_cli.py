@@ -434,8 +434,6 @@ def test_family_refusal_is_pinned(tmp_path, lam_nu_model, capsys, argv, message)
      "--burst, --mode: valid only with a --kind that reads them, not jittered"),
     ("generate --kind extremal --rate 1 --count 2 --model-out O",
      "--model-out: valid only with a --kind that reads them, not extremal"),
-    ("generate --config G --interval 5",
-     "--interval: valid only with a --kind that reads them, not periodic"),
 ])
 def test_option_that_does_nothing_is_refused(tmp_path, lam_nu_model, capsys, argv, message):
     files = {
@@ -443,7 +441,6 @@ def test_option_that_does_nothing_is_refused(tmp_path, lam_nu_model, capsys, arg
         "T": _write(tmp_path / "t.csv", "0\n10\n"),
         "S": _write(tmp_path / "s.json", json.dumps({"type": "tspec", "tau": 2, "k_max": 2})),
         "C": _write(tmp_path / "c.json", json.dumps({"type": "maxplus_curve", "values": [0, 1]})),
-        "G": _write(tmp_path / "g.json", json.dumps({"kind": "periodic", "period": 10})),
         "O": str(tmp_path / "fitted.json"),
     }
     assert run([files.get(word, word) for word in argv.split()]) == 2
@@ -603,16 +600,13 @@ class TestMergeGenerate:
         fitted = json.loads(model_out.read_text())
         assert fitted["type"] == "lambda_nu"
 
-    def test_generate_from_config_with_flag_override(self, tmp_path, capsys):
-        cfg = _write(
-            tmp_path / "cfg.json",
-            json.dumps({"kind": "periodic", "period": 10, "count": 2}),
-        )
-        assert run(["generate", "--config", cfg, "--count", "3"]) == 0
-        assert capsys.readouterr().out == "arrival_ticks\n0\n10\n20\n"
-
     def test_generate_without_kind_exits_two(self, capsys):
         assert run(["generate", "--count", "3"]) == 2
+        assert _usage_message(capsys) == "the following arguments are required: --kind"
+
+    def test_generate_config_is_no_option(self, capsys):
+        assert run(["generate", "--kind", "periodic", "--period", "10", "--config", "x"]) == 2
+        assert _usage_message(capsys) == "unrecognized arguments: --config x"
 
     @pytest.mark.parametrize(
         "kind, given, missing",
@@ -626,11 +620,7 @@ class TestMergeGenerate:
     )
     def test_generate_missing_parameter_exits_two(self, capsys, kind, given, missing):
         assert run(["generate", "--kind", kind, *given, "--count", "3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        error = json.loads(captured.err)["error"]
-        assert error["kind"] == "usage"
-        assert error["message"].startswith(f"--kind {kind} needs {missing} ")
+        assert _usage_message(capsys) == f"--kind {kind} needs {missing}"
 
     @pytest.mark.parametrize("mode", ["closed", "open"])
     def test_generate_bursts_at_a_non_integer_interval(self, tmp_path, capsys, mode):
@@ -644,92 +634,24 @@ class TestMergeGenerate:
         assert run(["check", "--trace", trace, "--model", model]) == 0
 
 
-class TestGenerateConfigTypes:
-    """Config values take the types the flags take: a JSON integer (not a
-    bool) where the flag is an int, a string or integer for a rational, and
-    a string for a name."""
+class TestGenerateOutput:
+    """What each generator kind writes for its flags, pinned."""
 
     @pytest.mark.parametrize(
-        "config, output",
+        "argv, output",
         [
-            ({"kind": "periodic", "period": 10, "phase": 3, "count": 3}, "3\n13\n23\n"),
-            ({"kind": "extremal", "rate": "1/2", "burst": 2, "count": 5}, "0\n0\n0\n2\n4\n"),
-            ({"kind": "extremal", "rate": 1, "count": 3}, "0\n1\n2\n"),
-            (
-                {"kind": "tspec-bursts", "interval": "5", "k_max": 2, "mode": "open", "count": 4},
-                "0\n0\n5\n5\n",
-            ),
-            ({"kind": "tspec-bursts", "interval": 7, "k_max": 3, "count": 4}, "0\n0\n0\n8\n"),
-            (
-                {"kind": "jittered", "period": 10, "jitter": 3, "seed": 7, "count": 5},
-                "0\n13\n22\n32\n42\n",
-            ),
+            ("--kind periodic --period 10 --phase 3 --count 3", "3\n13\n23\n"),
+            ("--kind extremal --rate 1/2 --burst 2 --count 5", "0\n0\n0\n2\n4\n"),
+            ("--kind extremal --rate 1 --count 3", "0\n1\n2\n"),
+            ("--kind tspec-bursts --interval 5 --k-max 2 --mode open --count 4", "0\n0\n5\n5\n"),
+            ("--kind tspec-bursts --interval 7 --k-max 3 --count 4", "0\n0\n0\n8\n"),
+            ("--kind jittered --period 10 --jitter 3 --seed 7 --count 5", "0\n13\n22\n32\n42\n"),
         ],
+        ids=["periodic", "extremal", "extremal-no-burst", "tspec-open", "tspec-closed", "jittered"],
     )
-    def test_valid_config_output(self, tmp_path, capsys, config, output):
-        cfg = _write(tmp_path / "cfg.json", json.dumps(config))
-        assert run(["generate", "--config", cfg]) == 0
+    def test_flag_output(self, capsys, argv, output):
+        assert run(["generate", *argv.split()]) == 0
         assert capsys.readouterr().out == "arrival_ticks\n" + output
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("period", 10.7),
-            ("phase", True),
-            ("count", 3.0),
-            ("count", "3"),
-            ("k_max", False),
-            ("jitter", 2.9),
-            ("seed", 7.5),
-            ("seed", None),
-            ("rate", 0.1),
-            ("burst", True),
-            ("interval", [5]),
-            ("kind", 5),
-            ("mode", {"open": True}),
-        ],
-    )
-    def test_rejected_type_exits_three(self, tmp_path, capsys, key, value):
-        config = {"kind": "periodic", "period": 10, "count": 3, key: value}
-        cfg = _write(tmp_path / "cfg.json", json.dumps(config))
-        assert run(["generate", "--config", cfg]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        error = json.loads(captured.err)["error"]
-        assert error["kind"] == "io"
-        assert repr(key) in error["message"]
-
-    @pytest.mark.parametrize("extra, message", [
-        ({"bogus": 1}, "generator config has unknown keys: 'bogus'"),
-        ({"out": "-", "model_out": "m.json"},
-         "generator config has unknown keys: 'model_out', 'out'"),
-    ])
-    def test_unknown_key_exits_three(self, tmp_path, capsys, extra, message):
-        config = {"kind": "periodic", "period": 10, "count": 3, **extra}
-        cfg = _write(tmp_path / "cfg.json", json.dumps(config))
-        assert run(["generate", "--config", cfg]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert json.loads(captured.err) == {"error": {"kind": "io", "message": message}}
-
-    def test_malformed_rational_exits_three(self, tmp_path, capsys):
-        # a value from a file is a format error, as every --config value is
-        cfg = _write(tmp_path / "cfg.json", json.dumps({"kind": "extremal", "rate": "1/0"}))
-        assert run(["generate", "--config", cfg]) == 3
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert error["kind"] == "io" and "'1/0'" in error["message"]
-
-    def test_exponent_rational_exits_three(self, tmp_path, capsys):
-        cfg = _write(tmp_path / "cfg.json", json.dumps({"kind": "extremal", "rate": "1e3"}))
-        assert run(["generate", "--config", cfg, "--count", "2"]) == 3
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert error["kind"] == "io" and "'1e3'" in error["message"]
-
-    def test_key_of_another_kind_is_accepted(self, tmp_path, capsys):
-        config = {"kind": "periodic", "period": 10, "count": 2, "rate": "1/3", "seed": 4}
-        cfg = _write(tmp_path / "cfg.json", json.dumps(config))
-        assert run(["generate", "--config", cfg]) == 0
-        assert capsys.readouterr().out == "arrival_ticks\n0\n10\n"
 
 
 class TestTextFormat:
@@ -847,6 +769,15 @@ class TestSuiteCli:
     def test_text_format(self, capsys):
         assert run(["suite", "--trials", "1", "--format", "text"]) == 0
         assert "wall time" in capsys.readouterr().out
+
+
+def test_top_level_help_gives_the_exit_codes_not_the_module_docstring(capsys):
+    assert run(["--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())  # argparse rewraps the description
+    assert ("Exit codes: 0 success or conforms, 1 violation, counterexample or domain "
+            "failure, 2 usage error, 3 I/O or parse error") in out
+    assert cli.__doc__.split()[0] == "Command-line"
+    assert "Command-line" not in out and "thin adapter" not in out
 
 
 def test_cli_import_does_not_load_numpy():

@@ -174,6 +174,51 @@ def test_no_unused_imports():
     assert [line for path in paths for line in _unused_imports(path)] == []
 
 
+def _private_definitions(statement: ast.stmt) -> list[str]:
+    """The private (single-underscore) module-level names a statement binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = [node.id for target in targets for node in ast.walk(target)
+                 if isinstance(node, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _mentioned(statement: ast.stmt) -> set[str]:
+    """The names a statement reads, as a name, an attribute or an import."""
+    mentioned = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            mentioned.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            mentioned.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            mentioned.update(alias.name for alias in node.names)
+    return mentioned
+
+
+def test_every_private_module_name_is_used():
+    # a private name is read by a statement of src other than the one that
+    # defines it (a recursive call alone does not count)
+    statements = [
+        (path.name, statement)
+        for path in sorted((ROOT / "src" / "maxplus_tc").glob("*.py"))
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    mentions = [_mentioned(statement) for _, statement in statements]
+    unused = [
+        f"{module}:{statement.lineno} {name}"
+        for i, (module, statement) in enumerate(statements)
+        for name in _private_definitions(statement)
+        if not any(name in names for j, names in enumerate(mentions) if j != i)
+    ]
+    assert unused == []
+    assert sum(len(_private_definitions(s)) for _, s in statements) > 20  # the walk saw them
+
+
 def test_no_module_imports_dataclasses():
     # a frozen dataclass compiles its methods with exec at every import, and
     # the module pulls in inspect, ast and dis: records derive from _record
