@@ -275,7 +275,6 @@ def _cmd_generate(args) -> int:
     reads = _GENERATE_READS[kind]
     unread = [dest for dest in dict.fromkeys(chain(*_GENERATE_READS.values())) if dest not in reads]
     _only(False, args, f"with a --kind that reads them, not {kind}", *unread)
-    count = args.count or 0
 
     def need(dest):
         value = getattr(args, dest)
@@ -283,6 +282,7 @@ def _cmd_generate(args) -> int:
             raise _UsageError(f"--kind {kind} needs --{dest.replace('_', '-')}")
         return value
 
+    count = need("count")
     if kind == "periodic":
         trace = gen_periodic(need("period"), args.phase or 0, count)
     elif kind == "extremal":

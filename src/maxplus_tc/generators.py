@@ -10,6 +10,8 @@ and the high-32-bit extraction are fixed constants of the format).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, islice, repeat
+from operator import add
 
 from .conformance import FIRST_VIOLATION, fit_lambda_nu
 from .models import LambdaNuModel, TSpecModel
@@ -39,6 +41,15 @@ class Lcg64:
         self.state = state = (_LCG_A * self.state + _LCG_C) & _MASK64  # next_u32, inline
         return lo + (state >> 32) % (hi - lo + 1)
 
+    def randints(self, lo: int, hi: int, k: int) -> list[int]:
+        """The draws of ``k`` calls of :meth:`randint`, from one frame."""
+        if hi < lo:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        state, span = self.state, hi - lo + 1
+        out = [lo + ((state := (_LCG_A * state + _LCG_C) & _MASK64) >> 32) % span for _ in range(k)]
+        self.state = state
+        return out
+
     def choice(self, seq):
         return seq[self.randint(0, len(seq) - 1)]
 
@@ -55,7 +66,7 @@ def gen_periodic(period: int, phase: int, count: int) -> Trace:
         raise ValueError(f"phase must be >= 0, got {phase}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    return Trace(arrivals=tuple(phase + (n - 1) * period for n in range(1, count + 1)))
+    return Trace._of(tuple(range(phase, phase + count * period, period)), None)
 
 
 def gen_extremal_lambda_nu(model: LambdaNuModel, count: int) -> Trace:
@@ -88,7 +99,7 @@ def gen_extremal_lambda_nu(model: LambdaNuModel, count: int) -> Trace:
             arrival = max(arrival, -((rq + low - sq * n) // sp))  # the ceiling
         arrivals[n] = arrival
         keys[n] = sq * n - sp * arrival
-    return Trace(arrivals=tuple(arrivals))
+    return Trace._of(tuple(arrivals), None)
 
 
 def gen_tspec_extremal(tspec: TSpecModel, count: int) -> Trace:
@@ -103,17 +114,11 @@ def gen_tspec_extremal(tspec: TSpecModel, count: int) -> Trace:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     spacing = tspec.max_gap_in_window() + 1
-    arrivals = []
-    burst = 0
-    while len(arrivals) < count:
-        arrivals.extend([burst * spacing] * min(tspec.k_max, count - len(arrivals)))
-        burst += 1
-    return Trace(arrivals=tuple(arrivals))
+    bursts = map(repeat, range(0, count * spacing, spacing), repeat(tspec.k_max))
+    return Trace._of(tuple(islice(chain.from_iterable(bursts), count)), None)
 
 
-def gen_jittered(
-    period: int, jitter: int, seed: int, count: int
-) -> tuple[Trace, LambdaNuModel]:
+def gen_jittered(period: int, jitter: int, seed: int, count: int) -> tuple[Trace, LambdaNuModel]:
     """Periodic trace with bounded per-packet jitter, plus its fitted envelope.
 
     Packet n is displaced from (n-1)*period by a seeded uniform draw from
@@ -128,13 +133,8 @@ def gen_jittered(
         raise ValueError(f"jitter must be in [0, period-1], got {jitter}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    rng = Lcg64(seed)
-    arrivals = sorted(
-        (n - 1) * period + rng.next_u32() % (jitter + 1) for n in range(1, count + 1)
-    )
-    trace = Trace(arrivals=tuple(arrivals))
-    if count == 0:
-        return trace, LambdaNuModel(lam=Fraction(1, period), nu=Fraction(0))
+    offsets = Lcg64(seed).randints(0, jitter, count)
+    trace = Trace._of(tuple(sorted(map(add, range(0, count * period, period), offsets))), None)
     fitted = fit_lambda_nu(trace, lam=Fraction(1, period)).model
     # the verdict alone: a full report would also count every tight pair
     verdict = FIRST_VIOLATION[LambdaNuModel]

@@ -179,6 +179,11 @@ def extremal_arrivals(model: LambdaNuModel, count: int) -> Trace:
     return Trace(tuple(arrivals))
 
 
+def periodic_arrivals(period: int, phase: int, count: int) -> Trace:
+    """Reference for :func:`~maxplus_tc.gen_periodic`: packet i at phase + (i - 1)*period."""
+    return Trace(tuple(phase + (i - 1) * period for i in range(1, count + 1)))
+
+
 # ---------------------------------------------------------------------------
 # TSpec (packets per window)
 
@@ -189,6 +194,12 @@ def _window_limit(tau: Fraction, window_mode: WindowMode) -> tuple[int, int]:
     ``gap < tau`` (that is ``q * gap <= p - 1``) for open ones."""
     p, q = tau.numerator, tau.denominator
     return q, p if window_mode is WindowMode.CLOSED else p - 1
+
+
+def tspec_burst_arrivals(tspec: TSpecModel, count: int) -> Trace:
+    """Reference for :func:`~maxplus_tc.gen_tspec_extremal`: packet i in burst (i - 1) // k_max."""
+    q, limit = _window_limit(tspec.tau, tspec.window_mode)  # gap g fits iff q * g <= limit
+    return Trace(tuple((i - 1) // tspec.k_max * (limit // q + 1) for i in range(1, count + 1)))
 
 
 def check_tspec_pairwise(trace: Trace, tspec: TSpecModel) -> ConformanceReport:

@@ -31,6 +31,7 @@ import time
 from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 
 from ._record import Record
 from .aggregation import merge_traces
@@ -79,8 +80,8 @@ from .trace import Trace
 
 _MAX_FAILURES_PER_PROPERTY = 25
 _SEED_MIX = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
 _SHOWN_TICKS = 60  # a failure record shows the first ticks of a trace
+_KEEP_PERCENT = 75  # the percentage of packets _thin keeps, on average
 
 DEFAULT_SEED = 1729
 
@@ -250,13 +251,13 @@ def _rand_tspec(rng: Lcg64) -> TSpecModel:
 
 
 def _shift(trace: Trace, by: int) -> Trace:
-    return Trace(arrivals=tuple(a + by for a in trace.arrivals), lengths=trace.lengths)
+    return Trace._of(tuple(map(by.__add__, trace.arrivals)), trace.lengths)  # by >= 0
 
 
-def _thin(rng: Lcg64, trace: Trace, keep_percent: int = 75) -> Trace:
-    kept = [i for i in range(len(trace)) if rng.randint(0, 99) < keep_percent]
-    lengths = None if trace.lengths is None else tuple(trace.lengths[i] for i in kept)
-    return Trace(arrivals=tuple(trace.arrivals[i] for i in kept), lengths=lengths)
+def _thin(rng: Lcg64, trace: Trace) -> Trace:
+    kept = tuple(map(_KEEP_PERCENT.__gt__, rng.randints(0, 99, len(trace))))
+    lengths = None if trace.lengths is None else tuple(compress(trace.lengths, kept))
+    return Trace._of(tuple(compress(trace.arrivals, kept)), lengths)
 
 
 def _conforming_rate_burst_trace(rng: Lcg64, model: LambdaNuModel, max_packets: int) -> Trace:
@@ -303,8 +304,8 @@ def _arbitrary_trace(rng: Lcg64, max_packets: int, with_lengths: bool = False) -
         arrivals.append(tick)
         if rng.randint(0, 2):
             tick += rng.randint(0, 30)
-    lengths = tuple(rng.randint(1, 1000) for _ in range(count)) if with_lengths else None
-    return Trace(arrivals=tuple(arrivals), lengths=lengths)
+    lengths = tuple(rng.randints(1, 1000, count)) if with_lengths else None
+    return Trace._of(tuple(arrivals), lengths)
 
 
 def merge_conforms_to_sum(models: list, traces: list[Trace]) -> dict | None:
@@ -607,7 +608,7 @@ PROPERTY_NAMES = tuple(name for name, _ in PROPERTIES)
 
 
 def _property_seed(seed: int, index: int) -> int:
-    return (seed * _SEED_MIX + index + 1) & _MASK64
+    return seed * _SEED_MIX + index + 1  # Lcg64 keeps the low 64 bits
 
 
 def run_property(name: str, seed: int, trials: int, cfg: SuiteConfig) -> PropertyReport:

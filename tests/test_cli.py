@@ -611,15 +611,16 @@ class TestMergeGenerate:
     @pytest.mark.parametrize(
         "kind, given, missing",
         [
-            ("periodic", [], "--period"),
-            ("extremal", ["--burst", "2"], "--rate"),
-            ("tspec-bursts", ["--k-max", "2"], "--interval"),
-            ("tspec-bursts", ["--interval", "10"], "--k-max"),
-            ("jittered", ["--jitter", "3"], "--period"),
+            ("periodic", ["--count", "3"], "--period"),
+            ("extremal", ["--burst", "2", "--count", "3"], "--rate"),
+            ("tspec-bursts", ["--k-max", "2", "--count", "3"], "--interval"),
+            ("tspec-bursts", ["--interval", "10", "--count", "3"], "--k-max"),
+            ("jittered", ["--jitter", "3", "--count", "3"], "--period"),
+            ("periodic", ["--period", "10"], "--count"),
         ],
     )
     def test_generate_missing_parameter_exits_two(self, capsys, kind, given, missing):
-        assert run(["generate", "--kind", kind, *given, "--count", "3"]) == 2
+        assert run(["generate", "--kind", kind, *given]) == 2
         assert _usage_message(capsys) == f"--kind {kind} needs {missing}"
 
     @pytest.mark.parametrize("mode", ["closed", "open"])
@@ -646,8 +647,10 @@ class TestGenerateOutput:
             ("--kind tspec-bursts --interval 5 --k-max 2 --mode open --count 4", "0\n0\n5\n5\n"),
             ("--kind tspec-bursts --interval 7 --k-max 3 --count 4", "0\n0\n0\n8\n"),
             ("--kind jittered --period 10 --jitter 3 --seed 7 --count 5", "0\n13\n22\n32\n42\n"),
+            ("--kind periodic --period 10 --count 0", ""),
         ],
-        ids=["periodic", "extremal", "extremal-no-burst", "tspec-open", "tspec-closed", "jittered"],
+        ids=["periodic", "extremal", "extremal-no-burst", "tspec-open", "tspec-closed", "jittered",
+             "periodic-none"],
     )
     def test_flag_output(self, capsys, argv, output):
         assert run(["generate", *argv.split()]) == 0

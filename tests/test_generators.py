@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,7 @@ from maxplus_tc import (
     merge_traces,
     reference,
     report_to_json,
+    suite,
 )
 
 F = Fraction
@@ -62,6 +64,23 @@ class TestLcg64:
         assert hashlib.sha256(repr(draws).encode()).hexdigest() == (
             "2af4027378d2011e0536f56255998088d2599aa4f316f3b69b046d958740b61f"
         )
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 99), (1, 1000), (-7, 3), (5, 2**40)])
+    @pytest.mark.parametrize("k", [0, 1, 2, 17, 300])
+    def test_randints_are_k_randint_calls(self, lo, hi, k):
+        bulk, single = Lcg64(31337 + k), Lcg64(31337 + k)
+        assert bulk.randints(lo, hi, k) == [single.randint(lo, hi) for _ in range(k)]
+        assert bulk.state == single.state
+        assert type(bulk.randints(lo, hi, 3)[0]) is int
+
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    def test_randints_refuse_an_empty_range_as_randint_does(self, k):
+        rng = Lcg64(4)
+        with pytest.raises(ValueError, match=r"^empty range \[3, 2\]$"):
+            rng.randint(3, 2)
+        with pytest.raises(ValueError, match=r"^empty range \[3, 2\]$"):
+            rng.randints(3, 2, k)
+        assert rng.state == Lcg64(4).state
 
 
 class TestGenPeriodic:
@@ -238,6 +257,90 @@ class TestGenJittered:
     def test_jitter_bound_validated(self):
         with pytest.raises(ValueError):
             gen_jittered(10, 10, 0, 5)
+
+
+def _valid_as_checked(trace):
+    """The trace is what the checked constructor makes of its own columns,
+    and each column is a tuple of exact ints."""
+    assert Trace(trace.arrivals, trace.lengths) == trace
+    for column in (trace.arrivals, trace.lengths or ()):
+        assert type(column) is tuple and set(map(type, column)) <= {int}
+
+
+MODES = (WindowMode.CLOSED, WindowMode.OPEN)
+
+
+class TestUncheckedBuildsAreValid:
+    """The generators and the suite's trace builders store their columns
+    without Trace's checks; over a small scope, exhaustively, what each
+    stores passes them."""
+
+    def test_periodic(self):
+        for period, phase, count in product(range(1, 5), range(4), range(7)):
+            trace = gen_periodic(period, phase, count)
+            _valid_as_checked(trace)
+            assert trace == reference.periodic_arrivals(period, phase, count)
+
+    def test_tspec_bursts(self):
+        for tau, k, mode, count in product((F(1), F(5, 2), F(3)), range(1, 4), MODES, range(8)):
+            tspec = TSpecModel(tau, k, mode)
+            trace = gen_tspec_extremal(tspec, count)
+            _valid_as_checked(trace)
+            assert trace == reference.tspec_burst_arrivals(tspec, count)
+
+    def test_extremal(self):
+        rates = [F(p, q) for p, q in product(range(1, 4), range(1, 5))]
+        bursts = [F(r, s) for r, s in product(range(4), range(1, 4))]
+        for lam, nu, count in product(rates, bursts, range(13)):
+            _valid_as_checked(gen_extremal_lambda_nu(LambdaNuModel(lam, nu), count))
+
+    def test_jittered(self):
+        for seed in range(51):
+            for period, jitter, count in ((1, 0, 5), (7, 6, 30), (10, seed % 10, seed)):
+                _valid_as_checked(gen_jittered(period, jitter, seed, count)[0])
+
+    def test_builders_match_their_references_beyond_the_scope(self):
+        rng = Lcg64(6502)
+        for _ in range(100):
+            period, phase, count = rng.randint(1, 10**6), rng.randint(0, 10**9), rng.randint(0, 60)
+            assert gen_periodic(period, phase, count) == reference.periodic_arrivals(
+                period, phase, count
+            )
+            tau = F(rng.randint(1, 200), rng.choice((1, rng.randint(1, 9))))
+            tspec = TSpecModel(tau, rng.randint(1, 12), rng.choice(MODES))
+            assert gen_tspec_extremal(tspec, count) == reference.tspec_burst_arrivals(tspec, count)
+
+    # the suite's builders, over 1,000 seeds each
+
+    def test_suite_arbitrary_traces(self):
+        for seed in range(1000):
+            for with_lengths in (False, True):
+                trace = suite._arbitrary_trace(Lcg64(seed), seed % 60, with_lengths)
+                _valid_as_checked(trace)
+                assert (trace.lengths is not None) == with_lengths
+
+    def test_suite_thinning_keeps_the_packets_drawn_below_the_share(self):
+        for seed in range(1000):
+            rng = Lcg64(seed)
+            trace = suite._arbitrary_trace(rng, 60, with_lengths=seed % 2 == 0)
+            twin = Lcg64(rng.state)
+            thinned = suite._thin(rng, trace)
+            _valid_as_checked(thinned)
+            kept = [i for i in range(len(trace)) if twin.randint(0, 99) < suite._KEEP_PERCENT]
+            assert thinned.arrivals == tuple(trace.arrivals[i] for i in kept)
+            if trace.lengths is not None:
+                assert thinned.lengths == tuple(trace.lengths[i] for i in kept)
+            assert rng.state == twin.state
+
+    def test_suite_shift(self):
+        for seed in range(1000):
+            rng = Lcg64(seed)
+            trace = suite._arbitrary_trace(rng, 60, with_lengths=seed % 2 == 0)
+            by = rng.randint(0, 1000)
+            shifted = suite._shift(trace, by)
+            _valid_as_checked(shifted)
+            assert shifted.arrivals == tuple(a + by for a in trace.arrivals)
+            assert shifted.lengths == trace.lengths
 
 
 class TestAlignedSuperpositionTightness:
