@@ -52,12 +52,6 @@ class Witness(Record):
 
     __slots__ = ("m", "n", "required", "actual")
 
-    def __init__(self, m: int, n: int, required: Fraction, actual: Fraction):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "required", required)
-        object.__setattr__(self, "actual", actual)
-
 
 class ConformanceReport(Record):
     """``tight_pairs`` lists the first of the ``tight_count`` tight pairs in
@@ -65,13 +59,6 @@ class ConformanceReport(Record):
     ``conforms`` exactly when there is no ``witness``."""
 
     __slots__ = ("witness", "tight_pairs", "tight_count", "checked_pairs")
-
-    def __init__(self, witness: Witness | None,
-                 tight_pairs: tuple[tuple[int, int], ...], tight_count: int, checked_pairs: int):
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "tight_pairs", tight_pairs)
-        object.__setattr__(self, "tight_count", tight_count)
-        object.__setattr__(self, "checked_pairs", checked_pairs)
 
     @property
     def conforms(self) -> bool:
@@ -90,11 +77,6 @@ class FitResult(Record):
     """
 
     __slots__ = ("model", "binding_pair")
-
-    def __init__(self, model: LambdaNuModel | TSpecModel | SigmaRhoModel,
-                 binding_pair: tuple[int, int] | None):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "binding_pair", binding_pair)
 
 
 def report_to_json(report: ConformanceReport) -> dict:

@@ -28,13 +28,6 @@ def as_fraction(value: RationalLike, what: str) -> Fraction:
     raise ValueError(f"{what} {value!r} is not a Fraction or an int")
 
 
-def ceil_div(a: int, b: int) -> int:
-    """Ceiling of a/b for integers, b > 0. Exact for any magnitude."""
-    if b <= 0:
-        raise ValueError("ceil_div requires a positive divisor")
-    return -((-a) // b)
-
-
 def rational_to_json(x: RationalLike) -> dict:
     """Encode as ``{"num": int, "den": int}`` (lowest terms, den > 0)."""
     x = as_fraction(x, "rational")

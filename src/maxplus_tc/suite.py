@@ -70,7 +70,6 @@ from .models import (
     WindowMode,
     model_to_json,
 )
-from .rational import ceil_div
 from .reference import (
     aggregate_eq1,
     check_lambda_nu_via_convolution,
@@ -104,13 +103,7 @@ class SuiteConfig(Record):
 
 
 class PropertyReport(Record):
-    __slots__ = ("name", "trials", "failures", "elapsed")
-
-    def __init__(self, name: str, trials: int, failures: tuple[dict, ...], elapsed: float):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "elapsed", elapsed)  # seconds; not in the machine summary
+    __slots__ = ("name", "trials", "failures", "elapsed")  # elapsed (s): not in machine summary
 
     @property
     def passed(self) -> bool:
@@ -119,12 +112,6 @@ class PropertyReport(Record):
 
 class SuiteSummary(Record):
     __slots__ = ("config", "properties", "elapsed")
-
-    def __init__(self, config: SuiteConfig, properties: tuple[PropertyReport, ...],
-                 elapsed: float):
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "properties", properties)
-        object.__setattr__(self, "elapsed", elapsed)
 
     @property
     def failures_total(self) -> int:
@@ -268,7 +255,7 @@ def _conforming_rate_burst_trace(rng: Lcg64, model: LambdaNuModel, max_packets: 
     if model.nu >= 1:
         kinds.append("jittered")
     kind = rng.choice(kinds)
-    base_period = ceil_div(model.lam.denominator, model.lam.numerator)  # >= 1/lam
+    base_period = -(-model.lam.denominator // model.lam.numerator)  # >= 1/lam
     if kind == "extremal":
         count = rng.randint(0, min(max_packets, 250))
         trace = gen_extremal_lambda_nu(model, count)

@@ -33,11 +33,6 @@ class Table1Row(Record):
 
     __slots__ = ("case_id", "direct", "indirect")
 
-    def __init__(self, case_id: int, direct: LambdaNuModel, indirect: LambdaNuModel | None):
-        object.__setattr__(self, "case_id", case_id)
-        object.__setattr__(self, "direct", direct)
-        object.__setattr__(self, "indirect", indirect)
-
 
 def reproduce_table1() -> list[Table1Row]:
     """Build all four comparison rows by invoking the superposition

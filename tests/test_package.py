@@ -249,6 +249,37 @@ def test_unchecked_trace_constructions_are_allow_listed():
     assert sites == UNCHECKED_TRACE_BUILDERS
 
 
+# the constructors that store fields themselves: Record.__init__ stores those
+# of every plain record, and a record that checks its values keeps its own
+FIELD_STORES = [
+    "_record.py Record.__init__",
+    "models.py LambdaNuModel.__init__",
+    "models.py MaxPlusCurve.__init__",
+    "models.py SigmaRhoModel.__init__",
+    "models.py TSpecModel.__init__",
+    "suite.py SuiteConfig.__init__",
+    "trace.py Trace.__init__",
+    "trace.py Trace._of",
+]
+
+
+def test_field_stores_are_allow_listed():
+    # any use of object.__setattr__, called or not, counts; a site is named
+    # by its class and method, by its top-level function, or else by its line
+    sites = set()
+    for path in sorted((ROOT / "src" / "maxplus_tc").glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{statement.name}." if isinstance(statement, ast.ClassDef) else ""
+            for member in statement.body if owner else [statement]:
+                sites.update(
+                    f"{path.name} {owner}{getattr(member, 'name', member.lineno)}"
+                    for node in ast.walk(member)
+                    if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"
+                )
+    assert sorted(sites) == FIELD_STORES
+
+
 def test_no_module_imports_dataclasses():
     # a frozen dataclass compiles its methods with exec at every import, and
     # the module pulls in inspect, ast and dis: records derive from _record

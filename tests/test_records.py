@@ -4,12 +4,15 @@ or position, and the repr each class printed as a frozen dataclass."""
 
 import copy
 import pickle
+import pkgutil
 from fractions import Fraction as F
+from importlib import import_module
 
 import pytest
 
 import maxplus_tc as mt
 from maxplus_tc import WindowMode
+from maxplus_tc._record import Record
 
 LN = mt.LambdaNuModel(lam=F(1, 10), nu=F(2))
 WITNESS = mt.Witness(m=1, n=3, required=F(20), actual=F(10))
@@ -64,6 +67,44 @@ def test_keyword_and_positional_construction_agree(cls, fields, changed, text):
     assert cls(*fields.values()) == record
     assert tuple(getattr(record, name) for name in fields) == tuple(fields.values())
     assert repr(record) == text
+
+
+def test_records_lists_every_record_class():
+    for module in pkgutil.iter_modules(mt.__path__):
+        import_module(f"maxplus_tc.{module.name}")
+    found, unseen = set(), [Record]
+    while unseen:
+        for subclass in unseen.pop().__subclasses__():
+            unseen.append(subclass)
+            if subclass.__module__.startswith("maxplus_tc."):  # not a test's imposter
+                found.add(subclass)
+    assert found == {cls for cls, *_ in RECORDS}
+
+
+@pytest.mark.parametrize("cls, fields, changed, text", RECORDS, ids=IDS)
+def test_a_wrong_field_raises_naming_the_class(cls, fields, changed, text):
+    values, first = tuple(fields.values()), next(iter(fields))
+    wrong = [
+        (values + (None,), {}),  # an extra positional
+        ((), {**fields, "extra": None}),  # an unknown keyword
+        (values[:-1], {"extra": values[-1]}),  # an unknown keyword in place of a field
+        (values[:1], fields),  # the first field by position and by keyword
+    ]
+    if cls is not mt.SuiteConfig:  # whose every field has a default
+        wrong.append(((), {name: fields[name] for name in fields if name != first}))
+    for args, named in wrong:
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\b") as raised:
+            cls(*args, **named)
+        if cls.__init__ is Record.__init__:
+            assert f"{cls.__name__}({', '.join(fields)})" in str(raised.value)
+
+
+@pytest.mark.parametrize("cls, fields, changed, text", RECORDS, ids=IDS)
+def test_a_subclass_with_empty_slots_keeps_its_parents_fields(cls, fields, changed, text):
+    imposter_cls = type("Imposter", (cls,), {"__slots__": ()})
+    imposter = imposter_cls(*fields.values())
+    assert imposter == imposter_cls(**fields) and imposter != cls(**fields)
+    assert repr(imposter) == "Imposter" + text[len(cls.__name__):]
 
 
 @pytest.mark.parametrize("cls, fields, changed, text", RECORDS, ids=IDS)
