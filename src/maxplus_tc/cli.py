@@ -15,7 +15,6 @@ import json
 import os
 import sys
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 from .errors import FormatError, TrafficModelError
 
@@ -46,58 +45,20 @@ def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": {"kind": kind, "message": message}}), file=sys.stderr)
 
 
-def _json_text(obj, indent: str = "") -> str:
-    """The text ``json.dumps`` writes with an indent of 2, byte for byte, for
-    the values the CLI emits: dicts with str keys, lists, tuples, ints, strs,
-    bools and None.
+def _report_json(report) -> str:
+    """``json.dumps(report_to_json(report), indent=2)``, with the tight pairs
+    spliced in at their key by one %-template: the stdlib's indented writer
+    runs in pure Python, about 9 times slower on these rows."""
+    from .conformance import report_to_json
 
-    The stdlib's C encoder has no indent support, so an indented
-    ``json.dumps`` runs in pure Python; here a list of same-shape flat int
-    rows (tight pairs) is rendered by one %-template.
-    """
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        opening, closing = "{", "}"
-        parts = [
-            f"{encode_basestring_ascii(key)}: {_json_text(value, inner)}"
-            for key, value in obj.items()
-        ]
-        body = f",\n{inner}".join(parts)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        opening, closing = "[", "]"
-        body = _int_rows(obj, inner)
-        if body is None:
-            body = f",\n{inner}".join([_json_text(item, inner) for item in obj])
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return f"{opening}\n{inner}{body}\n{indent}{closing}"
-
-
-def _int_rows(items, indent: str) -> str | None:
-    """The items of a list, at ``indent``, if all are flat int lists or tuples
-    of one length, by one template join; None for any other list."""
-    if not set(map(type, items)) <= {list, tuple} or len(set(map(len, items))) != 1:
-        return None
-    values = tuple(chain.from_iterable(items))
-    if set(map(type, values)) != {int}:  # also rules out bools and empty rows
-        return None
-    inner = indent + "  "
-    row = f"[\n{inner}" + f",\n{inner}".join(["%d"] * len(items[0])) + f"\n{indent}]"
-    return f",\n{indent}".join([row] * len(items)) % values
+    obj = report_to_json(report)
+    obj["tight_pairs"] = []
+    text = json.dumps(obj, indent=2)
+    if not report.tight_pairs:
+        return text
+    rows = ",\n    ".join(["[\n      %d,\n      %d\n    ]"] * len(report.tight_pairs))
+    rows %= tuple(chain.from_iterable(report.tight_pairs))
+    return text.replace('"tight_pairs": []', f'"tight_pairs": [\n    {rows}\n  ]', 1)
 
 
 def _print(obj, fmt: str, text: str | None = None) -> None:
@@ -106,7 +67,7 @@ def _print(obj, fmt: str, text: str | None = None) -> None:
     if fmt == "text":
         sys.stdout.write(json.dumps(obj) + "\n" if text is None else text)
     else:
-        sys.stdout.write(_json_text(obj) + "\n")
+        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _write_out(path: str, text: str) -> None:
@@ -151,7 +112,7 @@ def _report_text(report) -> str:
 
 
 def _cmd_check(args) -> int:
-    from .conformance import CHECKERS, report_to_json
+    from .conformance import CHECKERS
     from .models import model_from_json
     from .trace import read_trace_csv
 
@@ -166,7 +127,7 @@ def _cmd_check(args) -> int:
     if args.max_tight is None and report.truncated:
         raise _UsageError(f"--max-tight all lists at most {MAX_TIGHT_ALL} tight pairs, not "
                           f"{report.tight_count}; give a count K to list the first K")
-    _print(report_to_json(report), args.format, _report_text(report))
+    sys.stdout.write(_report_text(report) if args.format == "text" else _report_json(report) + "\n")
     return 0 if report.conforms else 1
 
 
@@ -302,7 +263,7 @@ def _cmd_generate(args) -> int:
     _write_out(args.out, write_trace_csv(trace))
     if args.model_out:  # given only with --kind jittered
         with open(args.model_out, "w", encoding="utf-8") as fh:
-            fh.write(_json_text(model_to_json(fitted)) + "\n")
+            fh.write(json.dumps(model_to_json(fitted), indent=2) + "\n")
     return 0
 
 
@@ -332,8 +293,8 @@ def _cmd_suite(args) -> int:
     else:
         _print(summary.to_json_dict(), args.format)
         print(f"suite wall time: {summary.elapsed:.2f} s", file=sys.stderr)
-    if summary.warning:
-        print(f"warning: {summary.warning}", file=sys.stderr)
+        if summary.warning:
+            print(f"warning: {summary.warning}", file=sys.stderr)
     return 0 if summary.failures_total == 0 else 1
 
 

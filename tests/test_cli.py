@@ -10,12 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import maxplus_tc
-from maxplus_tc import cli, reference
-from maxplus_tc.cli import _json_text, run
+from maxplus_tc import cli, conformance, reference
+from maxplus_tc.cli import run
 
 
 def _write(path, text):
@@ -763,6 +763,24 @@ class TestSuiteCli:
         captured = capsys.readouterr()
         assert "vacuous" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_zero_trials_warns_once(self, capsys, fmt):
+        # the warning goes to stderr beside the wall time in JSON mode; the
+        # text view holds both
+        assert run(["suite", "--trials", "0", "--seed", "4", "--format", fmt]) == 0
+        out, err = capsys.readouterr()
+        summary = maxplus_tc.run_property_suite(maxplus_tc.SuiteConfig(seed=4, trials=0))
+        warning = "warning: trials=0: every property passes vacuously\n"
+        if fmt == "json":
+            assert out == _indented(summary.to_json_dict())
+            assert re.fullmatch(r"suite wall time: \d+\.\d\d s\n" + warning, err)
+        else:
+            def untimed(text):
+                return re.sub(r"\d+\.\d+ (ms|s wall time)", r"- \1", text)
+
+            assert untimed(out) == untimed(summary.render_text())
+            assert out.count(warning) == 1 and err == ""
+
     def test_repeat_runs_byte_identical(self, capsys):
         assert run(["suite", "--trials", "2", "--seed", "8"]) == 0
         first = capsys.readouterr().out
@@ -984,104 +1002,172 @@ class TestJsonBytes:
         assert model_out.read_text() == _indented(maxplus_tc.model_to_json(fitted))
 
 
-ints = st.one_of(
-    st.integers(),
-    st.integers(min_value=2**63 - 2, max_value=2**70),
-    st.integers(min_value=-(2**70), max_value=-(2**63) + 1),
-)
-texts = st.one_of(
-    st.text(max_size=6),
-    st.sampled_from(["%", "%d", "%%s", '"', "\\", "\x00", "\x1f\n\t", "\x7f", "é", " ", "😀"]),
-)
-scalars = st.one_of(st.none(), st.booleans(), ints, texts)
-
-
-def _spoil(draw, rows, cells):
-    """Now and then put one non-int scalar (or a bool) into otherwise int rows."""
-    if cells and draw(st.integers(min_value=0, max_value=3)) == 0:
-        row, key = draw(st.sampled_from(cells))
-        rows[row][key] = draw(st.one_of(st.booleans(), scalars))
-
-
-@st.composite
-def int_rows(draw):
-    """Lists of flat int rows, the writer's template case, or near misses."""
-    width = draw(st.integers(min_value=0, max_value=3))
-    rows = draw(st.lists(st.lists(ints, min_size=width, max_size=width), max_size=5))
-    _spoil(draw, rows, [(r, k) for r in range(len(rows)) for k in range(width)])
-    if rows and draw(st.integers(min_value=0, max_value=3)) == 0:
-        rows.append(draw(st.lists(ints, max_size=4)))  # ragged
-    return [tuple(row) if draw(st.booleans()) else row for row in rows]
-
-
-@st.composite
-def dict_rows(draw):
-    """Lists of flat int dicts with one key order, or near misses."""
-    keys = draw(st.lists(texts, unique=True, max_size=3))
-    rows = [{key: draw(ints) for key in keys} for _ in range(draw(st.integers(0, 5)))]
-    _spoil(draw, rows, [(r, k) for r in range(len(rows)) for k in keys])
-    if rows and draw(st.integers(min_value=0, max_value=3)) == 0:
-        order = draw(st.permutations(keys))
-        rows[-1] = {key: rows[-1][key] for key in order}
-    return rows
-
-
-json_values = st.recursive(
-    st.one_of(scalars, int_rows(), dict_rows()),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(texts, children, max_size=4),
-        int_rows(),
-        dict_rows(),
+# the files the documents below read, by name
+DOCUMENT_FILES = {
+    "t.csv": "arrival_ticks,length_bits\n0,100\n0,40\n10,100\n20,7\n35,100\n41,2\n",
+    "ln.json": {"type": "lambda_nu", "lambda": {"num": 1, "den": 10}, "nu": 2},
+    "ln2.json": {"type": "lambda_nu", "lambda": {"num": 2, "den": 7}, "nu": {"num": 1, "den": 2}},
+    "ts.json": {"type": "tspec", "tau": 2, "k_max": 1},
+    "ts2.json": {"type": "tspec", "tau": {"num": 7, "den": 2}, "k_max": 3, "window_mode": "open"},
+    "sr.json": {"type": "sigma_rho", "sigma": 100, "rho": {"num": 21, "den": 2}},
+    "sr2.json": {"type": "sigma_rho", "sigma": {"num": 2**64 + 1, "den": 3}, "rho": 7},
+    "c.json": {"type": "maxplus_curve", "values": [0, 0, 10, {"num": 41, "den": 2}]},
+}
+# each document: the command, the file it writes (None: stdout), and the
+# library object it holds, of the trace and the models read from those files
+DOCUMENTS = {
+    "fit --rate": (
+        ["fit", "--trace", "t.csv", "--rate", "1/10"], None,
+        lambda t, m: maxplus_tc.fit_result_to_json(
+            maxplus_tc.fit_lambda_nu(t, lam=Fraction(1, 10))
+        ),
     ),
-    max_leaves=30,
-)
+    "fit --burst": (
+        ["fit", "--trace", "t.csv", "--burst", "3/2"], None,
+        lambda t, m: maxplus_tc.fit_result_to_json(
+            maxplus_tc.fit_lambda_nu(t, nu=Fraction(3, 2))
+        ),
+    ),
+    "fit --interval": (
+        ["fit", "--trace", "t.csv", "--interval", "25/2", "--mode", "open"], None,
+        lambda t, m: maxplus_tc.fit_result_to_json(
+            maxplus_tc.fit_tspec(t, Fraction(25, 2), maxplus_tc.WindowMode.OPEN)
+        ),
+    ),
+    "map lambda_nu": (
+        ["map", "--model", "ln2.json", "--variant", "b", "--j", "3"], None,
+        lambda t, m: maxplus_tc.model_to_json(
+            maxplus_tc.map_lambda_nu_to_tspec(m["ln2.json"], maxplus_tc.MappingVariant.B, 3)
+        ),
+    ),
+    "map tspec": (
+        ["map", "--model", "ts2.json"], None,
+        lambda t, m: maxplus_tc.model_to_json(maxplus_tc.map_tspec_to_lambda_nu(m["ts2.json"])),
+    ),
+    "map curve": (
+        ["map", "--model", "c.json"], None,
+        lambda t, m: {
+            **maxplus_tc.model_to_json(maxplus_tc.curve_to_lambda_nu(m["c.json"])),
+            "horizon": m["c.json"].horizon,
+        },
+    ),
+    "superpose lambda_nu": (
+        ["superpose", "--models", "ln.json", "ln2.json"], None,
+        lambda t, m: maxplus_tc.model_to_json(
+            maxplus_tc.superpose_lambda_nu([m["ln.json"], m["ln2.json"]])
+        ),
+    ),
+    "superpose tspec": (
+        ["superpose", "--models", "ts.json", "ts2.json"], None,
+        lambda t, m: maxplus_tc.model_to_json(
+            maxplus_tc.superpose_tspec([m["ts.json"], m["ts2.json"]])
+        ),
+    ),
+    "superpose sigma_rho": (
+        ["superpose", "--models", "sr.json", "sr2.json"], None,
+        lambda t, m: maxplus_tc.model_to_json(
+            maxplus_tc.superpose_sigma_rho([m["sr.json"], m["sr2.json"]])
+        ),
+    ),
+    "table1": (
+        ["table1"], None,
+        lambda t, m: maxplus_tc.table1_to_json(maxplus_tc.reproduce_table1()),
+    ),
+    "suite seed 1": (
+        ["suite", "--seed", "1", "--trials", "3"], None,
+        lambda t, m: maxplus_tc.run_property_suite(
+            maxplus_tc.SuiteConfig(seed=1, trials=3)
+        ).to_json_dict(),
+    ),
+    "suite seed 701": (
+        ["suite", "--seed", "701", "--trials", "3"], None,
+        lambda t, m: maxplus_tc.run_property_suite(
+            maxplus_tc.SuiteConfig(seed=701, trials=3)
+        ).to_json_dict(),
+    ),
+    "generate --model-out": (
+        ["generate", "--kind", "jittered", "--period", "10", "--jitter", "4", "--seed", "3",
+         "--count", "30", "--out", "g.csv", "--model-out", "g.json"], "g.json",
+        lambda t, m: maxplus_tc.model_to_json(maxplus_tc.gen_jittered(10, 4, 3, 30)[1]),
+    ),
+}
 
 
-class TestJsonText:
-    """The CLI's writer against ``json.dumps(v, indent=2)``."""
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_document_is_the_stdlib_json_of_its_object(tmp_path, capsys, name):
+    argv, written, expected = DOCUMENTS[name]
+    for file, content in DOCUMENT_FILES.items():
+        _write(tmp_path / file, content if isinstance(content, str) else json.dumps(content))
+    argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    if written is not None:
+        assert out == ""
+        out = (tmp_path / written).read_text()
+    trace = maxplus_tc.read_trace_csv(str(tmp_path / "t.csv"))
+    models = {
+        file: maxplus_tc.model_from_json(content)
+        for file, content in DOCUMENT_FILES.items() if file.endswith(".json")
+    }
+    assert out == _indented(expected(trace, models))
 
-    @pytest.mark.parametrize(
-        "value",
-        [
-            [True, 1],
-            [1, False],
-            [[True, 1], [1, 2]],
-            [[1, False], [1, 2]],
-            [[1, 2], [3, True]],
-            [[2**63, -(2**63) - 1], [2**64 + 1, -(2**100)]],
-            [[1, 2], [3]],
-            [[1, 2], [3, 4, 5]],
-            [[1, 2], (3, 4)],
-            ((1, 2), [3, 4]),
-            [],
-            {},
-            [[]],
-            [[], []],
-            [{}],
-            [{}, {}],
-            [(), ()],
-            [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
-            [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
-            [{"a": 1}, {"a": "1"}],
-            [{"a": 1}, {"a": None}],
-            [{"a": 1}, {"a": True}],
-            [{"a": 1}, {"a": 1, "b": 2}],
-            [{"a": 1}, [1]],
-            [{'"\\\x00\x1f%d%%é 😀': 5, "%s": -1}, {'"\\\x00\x1f%d%%é 😀': 6, "%s": 0}],
-            {'k"\\\x00é': 'v"\\\x7f 😀', "": ""},
-            {"a": [{"b": [[1, 2], [3, 4]], "c": {"d": [[5, 6]]}}], "e": None},
-            [[[[1, 2], [3, 4]], [[5, 6]]], [[[7, 8]]]],
-        ],
-    )
-    def test_adversarial(self, value):
-        assert _json_text(value) == json.dumps(value, indent=2)
 
-    @given(json_values)
-    @settings(max_examples=400, deadline=None)
-    def test_matches_stdlib(self, value):
-        assert _json_text(value) == json.dumps(value, indent=2)
+@st.composite
+def checked_cases(draw):
+    """A trace, a model of a checked family and a ``--max-tight`` value.
+
+    The ticks sit on the model's own step, some drifting by one tick per
+    step, so that tight pairs are common; a shift moves them and a scale
+    multiplies the lengths and the bit-domain model past 2**63, neither
+    changing which pairs are tight."""
+    step = draw(st.integers(1, 5))
+    shift = draw(st.sampled_from([0, 2**63 - 3, 2**64]))
+    scale = draw(st.sampled_from([1, 2**63 + 1]))
+    ticks = sorted(shift + step * k + draw(st.sampled_from([0, 0, 1])) * k
+                   for k in draw(st.lists(st.integers(0, 8), max_size=9)))
+    lengths = [scale * draw(st.integers(1, 3)) for _ in ticks]
+    family = draw(st.sampled_from(["lambda_nu", "tspec", "sigma_rho"]))
+    if family == "lambda_nu":
+        model = maxplus_tc.LambdaNuModel(lam=Fraction(draw(st.integers(1, 2)), step),
+                                         nu=draw(st.integers(0, 3)))
+    elif family == "tspec":
+        model = maxplus_tc.TSpecModel(
+            tau=Fraction(step * draw(st.integers(1, 3)), draw(st.integers(1, 2))),
+            k_max=draw(st.integers(1, 4)),
+            window_mode=draw(st.sampled_from(maxplus_tc.WindowMode)),
+        )
+    else:
+        model = maxplus_tc.SigmaRhoModel(sigma=scale * draw(st.integers(0, 6)),
+                                         rho=scale * Fraction(draw(st.integers(1, 3)), step))
+    max_tight = draw(st.sampled_from(["0", "1", "3", "all"]))
+    return maxplus_tc.Trace(ticks, lengths=lengths), model, max_tight
+
+
+class TestCheckReportJson:
+    """``check``'s report, whose tight pairs are written by a row template,
+    against ``json.dumps(report_to_json(report), indent=2)``."""
+
+    @given(checked_cases())
+    @example((  # an empty trace: no pairs at all
+        maxplus_tc.Trace([], lengths=[]), maxplus_tc.SigmaRhoModel(sigma=0, rho=1), "all"
+    ))
+    @example((  # past 2**63, a rational witness and a truncated list of 2 tight pairs
+        maxplus_tc.Trace([2**64, 2**64 + 1, 2**64 + 7, 2**64 + 8]),
+        maxplus_tc.LambdaNuModel(lam=Fraction(2, 7), nu=0), "1",
+    ))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_stdlib(self, tmp_path, capsys, case):
+        trace, model, max_tight = case
+        model_json = json.dumps(maxplus_tc.model_to_json(model))
+        argv = ["check", "--trace", _write(tmp_path / "t.csv", maxplus_tc.write_trace_csv(trace)),
+                "--model", _write(tmp_path / "m.json", model_json), "--max-tight", max_tight]
+        report = conformance.CHECKERS[type(model)](
+            trace, model, max_tight=None if max_tight == "all" else int(max_tight)
+        )
+        capsys.readouterr()
+        assert run(argv) == (0 if report.conforms else 1)
+        assert capsys.readouterr().out == _indented(maxplus_tc.report_to_json(report))
 
 
 @st.composite
