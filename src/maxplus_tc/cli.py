@@ -19,7 +19,7 @@ from itertools import chain
 from .errors import FormatError, TrafficModelError
 
 SEED_ENV_VAR = "MAXPLUS_TC_SEED"
-# the most pairs `check --max-tight all` lists: 10^5 and their JSON take ~24 MiB
+# the most pairs `check --max-tight all` lists: 10^5 and their JSON take ~38 MiB
 MAX_TIGHT_ALL = 100_000
 
 
@@ -43,22 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit_error(kind: str, message: str) -> None:
     print(json.dumps({"error": {"kind": kind, "message": message}}), file=sys.stderr)
-
-
-def _report_json(report) -> str:
-    """``json.dumps(report_to_json(report), indent=2)``, with the tight pairs
-    spliced in at their key by one %-template: the stdlib's indented writer
-    runs in pure Python, about 9 times slower on these rows."""
-    from .conformance import report_to_json
-
-    obj = report_to_json(report)
-    obj["tight_pairs"] = []
-    text = json.dumps(obj, indent=2)
-    if not report.tight_pairs:
-        return text
-    rows = ",\n    ".join(["[\n      %d,\n      %d\n    ]"] * len(report.tight_pairs))
-    rows %= tuple(chain.from_iterable(report.tight_pairs))
-    return text.replace('"tight_pairs": []', f'"tight_pairs": [\n    {rows}\n  ]', 1)
 
 
 def _print(obj, fmt: str, text: str | None = None) -> None:
@@ -112,7 +96,7 @@ def _report_text(report) -> str:
 
 
 def _cmd_check(args) -> int:
-    from .conformance import CHECKERS
+    from .conformance import CHECKERS, report_to_json
     from .models import model_from_json
     from .trace import read_trace_csv
 
@@ -127,7 +111,10 @@ def _cmd_check(args) -> int:
     if args.max_tight is None and report.truncated:
         raise _UsageError(f"--max-tight all lists at most {MAX_TIGHT_ALL} tight pairs, not "
                           f"{report.tight_count}; give a count K to list the first K")
-    sys.stdout.write(_report_text(report) if args.format == "text" else _report_json(report) + "\n")
+    if args.format == "text":
+        sys.stdout.write(_report_text(report))
+    else:
+        _print(report_to_json(report), args.format)
     return 0 if report.conforms else 1
 
 

@@ -944,16 +944,37 @@ class TestJsonBytes:
             maxplus_tc.model_from_json(obj), maxplus_tc.MappingVariant("a"), 2
         )
         assert capsys.readouterr().out == _indented(maxplus_tc.model_to_json(mapped))
+        obj = {"type": "tspec", "tau": {"num": 7, "den": 2}, "k_max": 3, "window_mode": "open"}
+        assert run(["map", "--model", self._model(tmp_path, "ts.json", obj)]) == 0
+        mapped = maxplus_tc.map_tspec_to_lambda_nu(maxplus_tc.model_from_json(obj))
+        assert capsys.readouterr().out == _indented(maxplus_tc.model_to_json(mapped))
+        obj = {"type": "maxplus_curve", "values": [0, 0, 10, {"num": 41, "den": 2}]}
+        assert run(["map", "--model", self._model(tmp_path, "c.json", obj)]) == 0
+        curve = maxplus_tc.model_from_json(obj)
+        expected = {**maxplus_tc.model_to_json(maxplus_tc.curve_to_lambda_nu(curve)),
+                    "horizon": curve.horizon}
+        assert capsys.readouterr().out == _indented(expected)
 
     def test_superpose(self, tmp_path, capsys):
-        objs = [
-            {"type": "tspec", "tau": 2, "k_max": 1},
-            {"type": "tspec", "tau": {"num": 7, "den": 2}, "k_max": 3, "window_mode": "open"},
+        families = [
+            (maxplus_tc.superpose_tspec, [
+                {"type": "tspec", "tau": 2, "k_max": 1},
+                {"type": "tspec", "tau": {"num": 7, "den": 2}, "k_max": 3, "window_mode": "open"},
+            ]),
+            (maxplus_tc.superpose_lambda_nu, [
+                {"type": "lambda_nu", "lambda": {"num": 1, "den": 10}, "nu": 2},
+                {"type": "lambda_nu", "lambda": {"num": 2, "den": 7}, "nu": {"num": 1, "den": 2}},
+            ]),
+            (maxplus_tc.superpose_sigma_rho, [
+                {"type": "sigma_rho", "sigma": 100, "rho": {"num": 21, "den": 2}},
+                {"type": "sigma_rho", "sigma": {"num": 2**64 + 1, "den": 3}, "rho": 7},
+            ]),
         ]
-        paths = [self._model(tmp_path, f"{i}.json", o) for i, o in enumerate(objs)]
-        assert run(["superpose", "--models", *paths]) == 0
-        result = maxplus_tc.superpose_tspec([maxplus_tc.model_from_json(o) for o in objs])
-        assert capsys.readouterr().out == _indented(maxplus_tc.model_to_json(result))
+        for superpose, objs in families:
+            paths = [self._model(tmp_path, f"{i}.json", o) for i, o in enumerate(objs)]
+            assert run(["superpose", "--models", *paths]) == 0
+            result = superpose([maxplus_tc.model_from_json(o) for o in objs])
+            assert capsys.readouterr().out == _indented(maxplus_tc.model_to_json(result))
 
     def test_table1(self, capsys):
         assert run(["table1"]) == 0
@@ -961,9 +982,10 @@ class TestJsonBytes:
         assert capsys.readouterr().out == _indented(expected)
 
     def test_suite(self, capsys):
-        assert run(["suite", "--seed", "7", "--trials", "3"]) == 0
-        summary = maxplus_tc.run_property_suite(maxplus_tc.SuiteConfig(seed=7, trials=3))
-        assert capsys.readouterr().out == _indented(summary.to_json_dict())
+        for seed in (7, 701):
+            assert run(["suite", "--seed", str(seed), "--trials", "3"]) == 0
+            summary = maxplus_tc.run_property_suite(maxplus_tc.SuiteConfig(seed=seed, trials=3))
+            assert capsys.readouterr().out == _indented(summary.to_json_dict())
 
     def test_merge_provenance_file(self, tmp_path):
         cases = [
@@ -1002,116 +1024,6 @@ class TestJsonBytes:
         assert model_out.read_text() == _indented(maxplus_tc.model_to_json(fitted))
 
 
-# the files the documents below read, by name
-DOCUMENT_FILES = {
-    "t.csv": "arrival_ticks,length_bits\n0,100\n0,40\n10,100\n20,7\n35,100\n41,2\n",
-    "ln.json": {"type": "lambda_nu", "lambda": {"num": 1, "den": 10}, "nu": 2},
-    "ln2.json": {"type": "lambda_nu", "lambda": {"num": 2, "den": 7}, "nu": {"num": 1, "den": 2}},
-    "ts.json": {"type": "tspec", "tau": 2, "k_max": 1},
-    "ts2.json": {"type": "tspec", "tau": {"num": 7, "den": 2}, "k_max": 3, "window_mode": "open"},
-    "sr.json": {"type": "sigma_rho", "sigma": 100, "rho": {"num": 21, "den": 2}},
-    "sr2.json": {"type": "sigma_rho", "sigma": {"num": 2**64 + 1, "den": 3}, "rho": 7},
-    "c.json": {"type": "maxplus_curve", "values": [0, 0, 10, {"num": 41, "den": 2}]},
-}
-# each document: the command, the file it writes (None: stdout), and the
-# library object it holds, of the trace and the models read from those files
-DOCUMENTS = {
-    "fit --rate": (
-        ["fit", "--trace", "t.csv", "--rate", "1/10"], None,
-        lambda t, m: maxplus_tc.fit_result_to_json(
-            maxplus_tc.fit_lambda_nu(t, lam=Fraction(1, 10))
-        ),
-    ),
-    "fit --burst": (
-        ["fit", "--trace", "t.csv", "--burst", "3/2"], None,
-        lambda t, m: maxplus_tc.fit_result_to_json(
-            maxplus_tc.fit_lambda_nu(t, nu=Fraction(3, 2))
-        ),
-    ),
-    "fit --interval": (
-        ["fit", "--trace", "t.csv", "--interval", "25/2", "--mode", "open"], None,
-        lambda t, m: maxplus_tc.fit_result_to_json(
-            maxplus_tc.fit_tspec(t, Fraction(25, 2), maxplus_tc.WindowMode.OPEN)
-        ),
-    ),
-    "map lambda_nu": (
-        ["map", "--model", "ln2.json", "--variant", "b", "--j", "3"], None,
-        lambda t, m: maxplus_tc.model_to_json(
-            maxplus_tc.map_lambda_nu_to_tspec(m["ln2.json"], maxplus_tc.MappingVariant.B, 3)
-        ),
-    ),
-    "map tspec": (
-        ["map", "--model", "ts2.json"], None,
-        lambda t, m: maxplus_tc.model_to_json(maxplus_tc.map_tspec_to_lambda_nu(m["ts2.json"])),
-    ),
-    "map curve": (
-        ["map", "--model", "c.json"], None,
-        lambda t, m: {
-            **maxplus_tc.model_to_json(maxplus_tc.curve_to_lambda_nu(m["c.json"])),
-            "horizon": m["c.json"].horizon,
-        },
-    ),
-    "superpose lambda_nu": (
-        ["superpose", "--models", "ln.json", "ln2.json"], None,
-        lambda t, m: maxplus_tc.model_to_json(
-            maxplus_tc.superpose_lambda_nu([m["ln.json"], m["ln2.json"]])
-        ),
-    ),
-    "superpose tspec": (
-        ["superpose", "--models", "ts.json", "ts2.json"], None,
-        lambda t, m: maxplus_tc.model_to_json(
-            maxplus_tc.superpose_tspec([m["ts.json"], m["ts2.json"]])
-        ),
-    ),
-    "superpose sigma_rho": (
-        ["superpose", "--models", "sr.json", "sr2.json"], None,
-        lambda t, m: maxplus_tc.model_to_json(
-            maxplus_tc.superpose_sigma_rho([m["sr.json"], m["sr2.json"]])
-        ),
-    ),
-    "table1": (
-        ["table1"], None,
-        lambda t, m: maxplus_tc.table1_to_json(maxplus_tc.reproduce_table1()),
-    ),
-    "suite seed 1": (
-        ["suite", "--seed", "1", "--trials", "3"], None,
-        lambda t, m: maxplus_tc.run_property_suite(
-            maxplus_tc.SuiteConfig(seed=1, trials=3)
-        ).to_json_dict(),
-    ),
-    "suite seed 701": (
-        ["suite", "--seed", "701", "--trials", "3"], None,
-        lambda t, m: maxplus_tc.run_property_suite(
-            maxplus_tc.SuiteConfig(seed=701, trials=3)
-        ).to_json_dict(),
-    ),
-    "generate --model-out": (
-        ["generate", "--kind", "jittered", "--period", "10", "--jitter", "4", "--seed", "3",
-         "--count", "30", "--out", "g.csv", "--model-out", "g.json"], "g.json",
-        lambda t, m: maxplus_tc.model_to_json(maxplus_tc.gen_jittered(10, 4, 3, 30)[1]),
-    ),
-}
-
-
-@pytest.mark.parametrize("name", DOCUMENTS)
-def test_document_is_the_stdlib_json_of_its_object(tmp_path, capsys, name):
-    argv, written, expected = DOCUMENTS[name]
-    for file, content in DOCUMENT_FILES.items():
-        _write(tmp_path / file, content if isinstance(content, str) else json.dumps(content))
-    argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a for a in argv]
-    assert run(argv) == 0
-    out = capsys.readouterr().out
-    if written is not None:
-        assert out == ""
-        out = (tmp_path / written).read_text()
-    trace = maxplus_tc.read_trace_csv(str(tmp_path / "t.csv"))
-    models = {
-        file: maxplus_tc.model_from_json(content)
-        for file, content in DOCUMENT_FILES.items() if file.endswith(".json")
-    }
-    assert out == _indented(expected(trace, models))
-
-
 @st.composite
 def checked_cases(draw):
     """A trace, a model of a checked family and a ``--max-tight`` value.
@@ -1144,8 +1056,8 @@ def checked_cases(draw):
 
 
 class TestCheckReportJson:
-    """``check``'s report, whose tight pairs are written by a row template,
-    against ``json.dumps(report_to_json(report), indent=2)``."""
+    """``check``'s report against ``json.dumps(report_to_json(report), indent=2)``
+    for every checked family and ``--max-tight`` count, past 2**63."""
 
     @given(checked_cases())
     @example((  # an empty trace: no pairs at all
