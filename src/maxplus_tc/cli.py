@@ -54,13 +54,13 @@ def _print(obj, fmt: str, text: str | None = None) -> None:
         sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write the text of ``--out``: to stdout when the path is ``-``."""
+def _write_out(path: str, *pieces: str) -> None:
+    """Write ``pieces`` to the output path ``path``: to stdout when it is ``-``."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _load_json(path: str):
@@ -200,8 +200,7 @@ def _cmd_merge(args) -> int:
         text = ",\n    ".join(map(records.__getitem__, flows)) % indices
         # the text is written between its brackets, never copied into them
         opening, closing = ("[\n    ", "\n  ]") if flows else ("[", "]")
-        with open(args.provenance, "w", encoding="utf-8") as fh:
-            fh.writelines(('{\n  "packets": ', opening, text, closing, "\n}\n"))
+        _write_out(args.provenance, '{\n  "packets": ', opening, text, closing, "\n}\n")
     return 0
 
 
@@ -249,8 +248,7 @@ def _cmd_generate(args) -> int:
         )
     _write_out(args.out, write_trace_csv(trace))
     if args.model_out:  # given only with --kind jittered
-        with open(args.model_out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(model_to_json(fitted), indent=2) + "\n")
+        _write_out(args.model_out, json.dumps(model_to_json(fitted), indent=2), "\n")
     return 0
 
 
@@ -290,13 +288,14 @@ def _cmd_suite(args) -> int:
 
 
 def _max_tight(text: str) -> int | None:
-    """``--max-tight``: a count of pairs to list, or ``all``."""
+    """``--max-tight``: a count of pairs to list, or ``all``, which a count
+    above MAX_TIGHT_ALL is read as."""
     if text == "all":
         return None
     count = _integer(text)
     if count < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer or 'all', got {text!r}")
-    return count
+    return None if count > MAX_TIGHT_ALL else count
 
 
 def _rational(text: str):
@@ -334,7 +333,8 @@ def _build_parser() -> _Parser:
     # bounded by default: a periodic trace at its own rate has N(N-1)/2 tight pairs
     p.add_argument("--max-tight", type=_max_tight, default=1000, metavar="K",
                    help="list the first K tight pairs, or 'all' (default %(default)s; "
-                   f"'all' refuses more than {MAX_TIGHT_ALL}); the count is always exact")
+                   f"'all' and any K above {MAX_TIGHT_ALL} refuse more than {MAX_TIGHT_ALL}); "
+                   "the count is always exact")
     _add_format(p)
     p.set_defaults(handler=_cmd_check)
 

@@ -32,10 +32,10 @@ The literal pairwise routes these passes are tested against live in
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from fractions import Fraction
+from heapq import merge
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, and_, eq, ge, ne, sub
 
@@ -171,14 +171,8 @@ def _report(
 ) -> ConformanceReport:
     """A report listing the first ``max_tight`` (all when None) of the
     ``total`` tight pairs that ``pairs`` iterates in (m, n) order."""
-    listed = tuple(_first(pairs, max_tight))
+    listed = tuple(islice(pairs, total if max_tight is None else min(max_tight, total)))
     return ConformanceReport(witness, listed, total, checked)
-
-
-def _first(pairs, max_tight: int | None):
-    """The first ``max_tight`` of ``pairs``, all when None; no list outgrows
-    sys.maxsize, so a larger count lists all too."""
-    return islice(pairs, None if max_tight is None or max_tight > sys.maxsize else max_tight)
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +187,12 @@ def _excess_keys(
     Key ``s*q*k - s*p*arrival(k)`` is how far packet k runs ahead of the
     rate line, so the gain of m < n is ``s*q*(n - m) - s*p*gap``.  The pair
     violates the bound iff its gain exceeds the limit r*q, which needs
-    n - m >= lag = floor(nu) + 1.
+    n - m >= lag = min(floor(nu) + 1, N), as no two of N packets are N apart.
     """
     p, q = lam.numerator, lam.denominator
     r, s = nu.numerator, nu.denominator
     keys = list(map(sub, count(s * q, s * q), map((s * p).__mul__, arrivals)))
-    return keys, r // s + 1, r * q
+    return keys, min(r // s + 1, len(arrivals)), r * q
 
 
 def _simultaneous(arrivals: tuple[int, ...], lag: int):
@@ -244,11 +238,9 @@ def check_lambda_nu(
         gap = Fraction(arrivals[n - 1] - arrivals[m - 1])
         witness = Witness(m=m, n=n, required=model.min_spacing(n - m), actual=gap)
     total, pairs = _gain_exactly(keys, keys, lag, limit)
-    extra, simultaneous = _simultaneous(arrivals, lag)
-    if extra:  # the first max_tight of each list hold those of their union
-        total += extra
-        pairs = sorted(chain(_first(pairs, max_tight), _first(simultaneous, max_tight)))
-    return _report(witness, total, pairs, n_pk * (n_pk - 1) // 2, max_tight)
+    extra, simultaneous = _simultaneous(arrivals, lag)  # disjoint: n - m < lag
+    pairs = merge(pairs, simultaneous)  # each iterates in (m, n) order
+    return _report(witness, total + extra, pairs, n_pk * (n_pk - 1) // 2, max_tight)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +251,9 @@ def _tspec_runs(arrivals: tuple[int, ...], tspec: TSpecModel):
     """``full[i]``: packets i+1 .. i+k_max (1-based) fit one window, a tight
     pair; and the first violating pair, or None.  It ends at the first packet
     whose k_max-th predecessor shares a window with it, and starts at that
-    window's first packet."""
+    window's first packet.  N packets hold no run longer than N."""
     max_gap = tspec.max_gap_in_window()
-    k = tspec.k_max
+    k = min(tspec.k_max, len(arrivals) + 1)
     full = list(map(ge, map(add, arrivals, repeat(max_gap)), islice(arrivals, k - 1, None)))
     # k+1 packets from i fit only if the k from i and the k from i+1 do
     both = compress(count(), map(and_, full, islice(full, 1, None)))

@@ -114,7 +114,7 @@ def gen_tspec_extremal(tspec: TSpecModel, count: int) -> Trace:
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     spacing = tspec.max_gap_in_window() + 1
-    bursts = map(repeat, range(0, count * spacing, spacing), repeat(tspec.k_max))
+    bursts = map(repeat, range(0, count * spacing, spacing), repeat(min(tspec.k_max, count)))
     return Trace._of(tuple(islice(chain.from_iterable(bursts), count)), None)
 
 

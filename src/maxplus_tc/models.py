@@ -20,6 +20,7 @@ finite horizon.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -78,13 +79,11 @@ class TSpecModel(Record):
         object.__setattr__(self, "window_mode", window_mode)
 
     def max_gap_in_window(self) -> int:
-        """Largest integer tick gap that still fits inside one window."""
+        """Largest integer tick gap that still fits inside one window:
+        gap <= tau when closed, gap < tau (so gap <= ceil(tau) - 1) when open."""
         if self.window_mode is WindowMode.CLOSED:
-            return int(self.tau)  # floor: gap <= tau
-        # open: gap < tau; for integer gaps that is gap <= ceil(tau) - 1
-        if self.tau.denominator == 1:
-            return int(self.tau) - 1
-        return int(self.tau)
+            return math.floor(self.tau)
+        return math.ceil(self.tau) - 1
 
 
 class SigmaRhoModel(Record):

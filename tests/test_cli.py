@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -138,6 +139,9 @@ class TestCheck:
         error = json.loads(err)["error"]
         assert out == "" and error["kind"] == "usage"
         assert error["message"].startswith("--max-tight all lists at most 5 tight pairs, not 6;")
+        args[args.index("all")] = "6"  # a K above the limit reads as 'all'
+        assert run(args) == 2
+        assert capsys.readouterr().err == err
 
     def test_max_tight_all_refuses_periodic_1e5_in_bounded_memory(
         self, tmp_path, lam_nu_model, capsys
@@ -172,7 +176,7 @@ class TestCheck:
         )
 
     def test_max_tight_past_maxsize_lists_every_pair(self, tmp_path, lam_nu_model, capsys):
-        # no list is longer than sys.maxsize, so such a K lists all, as 'all' does
+        # a K above MAX_TIGHT_ALL reads as 'all', which lists all of few pairs
         trace = _write(tmp_path / "t.csv", "0\n10\n20\n30\n")
         outputs = []
         for k in ("99999999999999999999", "all"):
@@ -600,6 +604,19 @@ class TestMergeGenerate:
         fitted = json.loads(model_out.read_text())
         assert fitted["type"] == "lambda_nu"
 
+    @pytest.mark.parametrize("argv", [
+        "generate --kind jittered --period 10 --jitter 3 --seed 7 --count 20 --out t.csv "
+        "--model-out",
+        "merge --traces a.csv a.csv --out t.csv --provenance",
+    ], ids=["model-out", "provenance"])
+    def test_dash_is_stdout_for_every_output_path(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "a.csv", "1\n3\n")
+        assert run([*argv.split(), "f.json"]) == 0
+        assert run([*argv.split(), "-"]) == 0
+        assert capsys.readouterr().out == (tmp_path / "f.json").read_text()
+        assert not (tmp_path / "-").exists()
+
     def test_generate_without_kind_exits_two(self, capsys):
         assert run(["generate", "--count", "3"]) == 2
         assert _usage_message(capsys) == "the following arguments are required: --kind"
@@ -655,6 +672,53 @@ class TestGenerateOutput:
     def test_flag_output(self, capsys, argv, output):
         assert run(["generate", *argv.split()]) == 0
         assert capsys.readouterr().out == "arrival_ticks\n" + output
+
+
+_BIG = 10**20
+_ALL_REFUSED = "--max-tight all lists at most 100000 tight pairs, not 124750;"
+
+
+@pytest.mark.parametrize("argv, code, kind, shown", [
+    ("check --trace spaced.csv --model big_nu.json", 0, None, '"tight_count": 0'),
+    ("check --trace spaced.csv --model big_k.json", 0, None, '"tight_count": 0'),
+    ("map --model big_nu.json", 0, None, f'"k_max": {_BIG + 2}'),
+    ("map --model big_k.json", 0, None, f'"num": {_BIG - 1}'),
+    ("map --model lam_nu.json --j BIG", 0, None, f'"k_max": {_BIG + 1}'),
+    ("fit --trace spaced.csv --burst BIG", 1, "domain", "any positive rate conforms"),
+    ("generate --kind extremal --rate 1 --burst BIG --count 3", 0, None, "ticks\n0\n0\n0\n"),
+    ("generate --kind tspec-bursts --interval 10 --k-max BIG --count 3", 0, None,
+     "ticks\n0\n0\n0\n"),
+    ("generate --kind periodic --period BIG --count 3", 0, None, f"\n{_BIG}\n{2 * _BIG}\n"),
+    ("generate --kind periodic --period 10 --phase BIG --count 3", 0, None, f"\n{_BIG + 20}\n"),
+    ("generate --kind jittered --period BIG --jitter 3 --count 3", 0, None,
+     f"\n{_BIG + 1}\n{2 * _BIG + 2}\n"),
+    ("check --trace periodic.csv --model lam_nu.json --max-tight 1000000", 2, "usage",
+     _ALL_REFUSED),
+    ("check --trace periodic.csv --model lam_nu.json --max-tight BIG", 2, "usage", _ALL_REFUSED),
+], ids=["check-nu", "check-k-max", "map-nu", "map-k-max", "map-j", "fit-burst", "generate-burst",
+        "generate-k-max", "generate-period", "generate-phase", "generate-jittered-period",
+        "max-tight-1e6", "max-tight-1e20"])
+def test_counts_of_1e20_end_with_their_exit_code(tmp_path, capsys, monkeypatch, argv, code, kind,
+                                                  shown):
+    """Counts past 2**63 and past any trace, in model files and flags: each
+    command ends in bounded time with its documented exit code.  The
+    periodic trace at its own rate has 124,750 tight pairs, more than
+    ``--max-tight all`` lists.  A large ``--count`` is not among these: it
+    asks for that many packets."""
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "spaced.csv", "0\n10\n20\n")
+    _write(tmp_path / "periodic.csv", "".join(f"{10 * k}\n" for k in range(500)))
+    lam_nu = {"type": "lambda_nu", "lambda": {"num": 1, "den": 10}, "nu": 0}
+    _write(tmp_path / "lam_nu.json", json.dumps(lam_nu))
+    _write(tmp_path / "big_nu.json", json.dumps({**lam_nu, "nu": _BIG}))
+    _write(tmp_path / "big_k.json", json.dumps({"type": "tspec", "tau": 10, "k_max": _BIG}))
+    start = time.perf_counter()
+    assert run(argv.replace("BIG", str(_BIG)).split()) == code
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (json.loads(err)["error"]["kind"] if err else None) == kind
+    assert shown in out + err
+    assert elapsed < 2  # 0.04 s at most measured
 
 
 class TestTextFormat:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 
@@ -507,7 +507,7 @@ class TestBoundedReports:
         (check_sigma_rho, Trace((0, 10, 20), lengths=(8, 8, 8)), SigmaRhoModel(F(8), F(4, 5))),
     ], ids=["lambda_nu", "tspec", "sigma_rho"])
     def test_cap_past_maxsize_lists_every_pair(self, check, trace, model):
-        # no list is longer than sys.maxsize, so such a cap lists all
+        # a cap past the pair count lists them all
         report = check(trace, model, max_tight=2**64)
         assert report == check(trace, model) and report.tight_pairs
         assert not report.truncated
@@ -521,3 +521,27 @@ class TestBoundedReports:
         assert report.truncated
         assert report_to_json(report)["tight_count"] == n * (n - 1) // 2
         assert report_to_json(report)["truncated"] is True
+
+
+class TestCountsPastTheTrace:
+    """A burst allowance or packet budget past 2**63, beyond any trace, is a
+    valid model: every trace conforms, and simultaneous packets are the only
+    tight pairs of the allowance."""
+
+    # every nondecreasing trace of at most 4 packets over ticks 0, 1 and 5
+    TRACES = [Trace(t) for n in range(5) for t in combinations_with_replacement((0, 1, 5), n)]
+
+    @pytest.mark.parametrize("nu", [2**63 - 1, 2**63, 10**20], ids=str)
+    def test_lambda_nu_matches_the_convolution_route(self, nu):
+        for lam, trace in product((F(1, 3), F(2)), self.TRACES):
+            model = LambdaNuModel(lam, nu)
+            report = check_lambda_nu(trace, model)
+            assert report == reference.check_lambda_nu_via_convolution(trace, model)
+            assert conformance.FIRST_VIOLATION[LambdaNuModel](trace, model) is None
+
+    @pytest.mark.parametrize("k_max", [2**63, 2**63 + 1, 10**20], ids=str)
+    def test_tspec_matches_the_pairwise_route(self, k_max):
+        for tau, mode, trace in product((F(1), F(5, 2)), WindowMode, self.TRACES):
+            tspec = TSpecModel(tau, k_max, mode)
+            assert check_tspec(trace, tspec) == reference.check_tspec_pairwise(trace, tspec)
+            assert conformance.FIRST_VIOLATION[TSpecModel](trace, tspec) is None

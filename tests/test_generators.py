@@ -190,6 +190,13 @@ class TestGenTspecExtremal:
         assert not check_tspec(Trace(earlier), tspec).conforms
         assert not reference.check_tspec_pairwise(Trace(earlier), tspec).conforms
 
+    @pytest.mark.parametrize("mode", [WindowMode.CLOSED, WindowMode.OPEN], ids=lambda m: m.value)
+    def test_budget_past_the_count_matches_the_reference(self, mode):
+        # one burst of every packet, however far past 2**63 the budget is
+        tspec = TSpecModel(F(5, 2), 10**20, mode)
+        for count in range(5):
+            assert gen_tspec_extremal(tspec, count) == reference.tspec_burst_arrivals(tspec, count)
+
     def test_conforms_in_own_mode(self):
         rng = Lcg64(200)
         for _ in range(60):

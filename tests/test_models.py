@@ -1,8 +1,10 @@
 """The refusals of the model wire format and of the model records, by
-message, and what building a record costs."""
+message, what building a record costs, and the gap a TSpec window holds."""
 
 import json
+import operator
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +15,7 @@ from maxplus_tc import (
     SigmaRhoModel,
     Trace,
     TSpecModel,
+    WindowMode,
     fit_lambda_nu,
     fit_tspec,
     model_from_json,
@@ -132,3 +135,12 @@ def test_building_records_from_fractions_builds_no_fraction(monkeypatch):
     ]
     assert calls == []
     assert records[0].lam is half and records[3].values[3] is seven_halves
+
+
+@pytest.mark.parametrize("mode", list(WindowMode), ids=lambda m: m.value)
+def test_max_gap_in_window_follows_its_definition(mode):
+    # every tau = p/q with p, q <= 12: the largest g with q*g <= p, or q*g < p when open
+    within = operator.le if mode is WindowMode.CLOSED else operator.lt
+    for p, q in product(range(1, 13), repeat=2):
+        largest = max(g for g in range(p + 1) if within(q * g, p))
+        assert TSpecModel(Fraction(p, q), 1, mode).max_gap_in_window() == largest, (p, q)
