@@ -18,7 +18,6 @@ from itertools import chain
 
 from .errors import FormatError, TrafficModelError
 
-SEED_ENV_VAR = "MAXPLUS_TC_SEED"
 # the most pairs `check --max-tight all` lists: 10^5 and their JSON take ~38 MiB
 MAX_TIGHT_ALL = 100_000
 
@@ -261,17 +260,11 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    from .rational import parse_integer
-    from .suite import DEFAULT_SEED, SuiteConfig, run_property_suite
+    from .suite import SuiteConfig, run_property_suite
 
-    seed, env = args.seed, os.environ.get(SEED_ENV_VAR)
-    if seed is None and env is not None:
-        try:
-            seed = parse_integer(env)
-        except FormatError:
-            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    cfg = SuiteConfig(seed=DEFAULT_SEED if seed is None else seed, trials=args.trials,
-                      max_flows=args.max_flows, max_packets=args.max_packets)
+    # an option not given keeps SuiteConfig's default
+    given = {dest: getattr(args, dest) for dest in SuiteConfig.__slots__}
+    cfg = SuiteConfig(**{dest: value for dest, value in given.items() if value is not None})
     summary = run_property_suite(cfg)
     if args.format == "text":
         sys.stdout.write(summary.render_text())
@@ -393,10 +386,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_table1)
 
     p = sub.add_parser("suite", help="run the randomized validation suite")
-    p.add_argument("--seed", type=_integer, help=f"overrides ${SEED_ENV_VAR}")
-    p.add_argument("--trials", type=_integer, default=200)
-    p.add_argument("--max-flows", type=_integer, default=5, dest="max_flows")
-    p.add_argument("--max-packets", type=_integer, default=500, dest="max_packets")
+    p.add_argument("--seed", type=_integer)
+    p.add_argument("--trials", type=_integer)
+    p.add_argument("--max-flows", type=_integer, dest="max_flows")
+    p.add_argument("--max-packets", type=_integer, dest="max_packets")
     _add_format(p)
     p.set_defaults(handler=_cmd_suite)
 

@@ -173,38 +173,45 @@ def model_to_json(model: Model) -> dict:
 
 
 def model_from_json(obj: object) -> Model:
-    """Decode a tagged JSON object produced by :func:`model_to_json`."""
+    """Decode a tagged JSON object produced by :func:`model_to_json`; a key
+    that the model's family does not read is refused by name."""
     if not isinstance(obj, dict):
         raise FormatError(f"model JSON must be an object, got {type(obj).__name__}")
     tag = obj.get("type")
     try:
         if tag == "lambda_nu":
-            return LambdaNuModel(
+            model = LambdaNuModel(
                 lam=rational_from_json(obj["lambda"]),
                 nu=rational_from_json(obj["nu"]),
             )
-        if tag == "tspec":
+        elif tag == "tspec":
             k_max = obj["k_max"]
             if not isinstance(k_max, int) or isinstance(k_max, bool):
                 raise FormatError(f"k_max must be an integer, got {k_max!r}")
-            return TSpecModel(
+            model = TSpecModel(
                 tau=rational_from_json(obj["tau"]),
                 k_max=k_max,
                 window_mode=WindowMode(obj.get("window_mode", "closed")),
             )
-        if tag == "sigma_rho":
-            return SigmaRhoModel(
+        elif tag == "sigma_rho":
+            model = SigmaRhoModel(
                 sigma=rational_from_json(obj["sigma"]),
                 rho=rational_from_json(obj["rho"]),
             )
-        if tag == "maxplus_curve":
+        elif tag == "maxplus_curve":
             values = obj["values"]
             if not isinstance(values, list):
                 raise FormatError("curve values must be a list")
-            return MaxPlusCurve(values=tuple(rational_from_json(v) for v in values))
+            model = MaxPlusCurve(values=tuple(rational_from_json(v) for v in values))
+        else:
+            raise FormatError(f"unknown model type {tag!r}")
     except KeyError as exc:
         raise FormatError(f"model JSON missing key {exc}") from None
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    raise FormatError(f"unknown model type {tag!r}")
-
+    # `map` writes the horizon of a reduced curve beside its rate/burst model
+    read = model_to_json(model).keys() | ({"horizon"} if tag == "lambda_nu" else set())
+    unread = obj.keys() - read
+    if unread:
+        raise FormatError(f"model JSON key {min(unread)!r} is not read by a {tag} model")
+    return model

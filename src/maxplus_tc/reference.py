@@ -40,11 +40,12 @@ def read_trace_csv_by_rows(source: str | TextIOBase) -> Trace:
     in file order, split, checked and converted by ``int()``.  The first row
     that breaks the format is the one reported; the range rules (ticks
     nonnegative and nondecreasing, lengths positive) are ``Trace``'s, after
-    every row has parsed."""
+    every row has parsed.  A row is a line of the text ``read()`` returns,
+    ended by a line feed; a path is read with universal newlines."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             return read_trace_csv_by_rows(fh)
-    rows = [line for line in map(str.strip, source) if line]
+    rows = [line for line in map(str.strip, source.read().split("\n")) if line]
     width = None
     if rows and rows[0].split(",")[0].strip() == CSV_HEADER_TICKS:
         header = [c.strip() for c in rows[0].split(",")]

@@ -82,13 +82,11 @@ _SEED_MIX = 0x9E3779B97F4A7C15
 _SHOWN_TICKS = 60  # a failure record shows the first ticks of a trace
 _KEEP_PERCENT = 75  # the percentage of packets _thin keeps, on average
 
-DEFAULT_SEED = 1729
-
 
 class SuiteConfig(Record):
     __slots__ = ("seed", "trials", "max_flows", "max_packets")
 
-    def __init__(self, seed: int = DEFAULT_SEED, trials: int = 200, max_flows: int = 5,
+    def __init__(self, seed: int = 1729, trials: int = 200, max_flows: int = 5,
                  max_packets: int = 500):
         if trials < 0:
             raise ValueError(f"trials must be >= 0, got {trials}")

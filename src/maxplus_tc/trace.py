@@ -92,8 +92,9 @@ def _int_column(values: Iterable[int], naming: str) -> tuple[int, ...]:
 
 
 def read_trace_csv(source: str | TextIOBase) -> Trace:
-    """Read a trace from a text stream, line by line, or from a file path,
-    whole by one ``read()`` with universal newlines (CRLF and CR end rows).
+    """Read a trace from a file path or a text stream, whole by one
+    ``read()``: rows end at each line feed of the text read.  A path is opened
+    with universal newlines, so CRLF and CR end its rows too.
 
     Format: optional header ``arrival_ticks[,length_bits]``, then one packet
     per line.  Ticks are nonnegative base-10 integers and must be
@@ -106,34 +107,27 @@ def read_trace_csv(source: str | TextIOBase) -> Trace:
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
             try:
-                text = fh.read().strip()  # universal newlines: every row ends at "\n"
+                text = fh.read().strip()
             except UnicodeDecodeError as exc:
                 raise FormatError(f"{source}: {exc}") from None
-        rows = None
     else:
-        # the caller's newline mode ends the rows; where it is "\r" only, a row
-        # can hold a "\n", and the rows then do not split back from the text
-        rows = list(filter(None, map(str.strip, source)))
-        text = "\n".join(rows)
-        if text.count("\n") < len(rows):
-            rows = None
-    head = rows[0] if rows else text.partition("\n")[0]
+        text = source.read().strip()
+    head = text.partition("\n")[0]
     header_cols = [c.strip() for c in head.split(",")]
     header = len(header_cols) if header_cols[0] == CSV_HEADER_TICKS else 0
     if header and header_cols not in ([CSV_HEADER_TICKS], [CSV_HEADER_TICKS, CSV_HEADER_LENGTHS]):
         raise FormatError(f"unrecognized trace header {head.strip()!r}")
-    # the text is split into rows only when its bulk decode fails; a file's
-    # stripped, non-blank rows are then decoded in bulk once more (a stream's
-    # text is made of such rows already)
-    parsed = None if rows else _bulk_integers(text, header, len(head) + 1 if header else 0)
-    if parsed is None and isinstance(source, str):
+    # the text is split into rows only when its bulk decode fails; its
+    # stripped, non-blank rows are then decoded in bulk once more, and read
+    # one by one only when that fails too
+    parsed = _bulk_integers(text, header, len(head) + 1 if header else 0)
+    if parsed is None:
         text = "\n".join(filter(None, map(str.strip, text.split("\n"))))
         parsed = _bulk_integers(text, header, len(head.strip()) + 1 if header else 0)
     if parsed is None:
-        rows = rows or list(filter(None, map(str.strip, text.split("\n"))))
-        parsed = _row_integers(rows[1:] if header else rows, header)
+        parsed = _row_integers(text.split("\n")[1 if header else 0:], header)
     values, width = parsed
-    del text, rows, parsed  # each stage is dropped once the next holds the data
+    del text, parsed  # each stage is dropped once the next holds the data
     # both decoders yield ints only, so the columns skip Trace's per-value pass
     arrivals, lengths = (values[::2], values[1::2]) if width == 2 else (values, None)
     del values

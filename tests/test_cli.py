@@ -721,6 +721,44 @@ def test_counts_of_1e20_end_with_their_exit_code(tmp_path, capsys, monkeypatch, 
     assert elapsed < 2  # 0.04 s at most measured
 
 
+@pytest.mark.parametrize("model, key", [
+    ({"type": "lambda_nu", "lambda": 1, "nu": 0, "burst": 3}, "burst"),
+    ({"type": "tspec", "tau": 5, "k_max": 2, "window-mode": "open"}, "window-mode"),
+    ({"type": "sigma_rho", "sigma": 1, "rho": 1, "rate": 2}, "rate"),
+    ({"type": "maxplus_curve", "values": [0, 1], "horizon": 1}, "horizon"),
+], ids=["lambda_nu", "tspec", "sigma_rho", "maxplus_curve"])
+def test_model_keys_the_family_does_not_read_exit_3(tmp_path, capsys, model, key):
+    # a misspelled key would otherwise leave its field at the default:
+    # "window-mode" read as a closed window, and (1, 3) a violation
+    trace = _write(tmp_path / "t.csv", "0\n0\n5\n")
+    path = _write(tmp_path / "m.json", json.dumps(model))
+    assert run(["check", "--trace", trace, "--model", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "kind": "io", "message": f"model JSON key {key!r} is not read by a {model['type']} model",
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    "map --model curve.json", "map --model lam_nu.json", "map --model tspec.json",
+    "superpose --models tspec.json tspec.json",
+    "generate --kind jittered --period 10 --jitter 2 --count 5 --out t.csv --model-out -",
+], ids=["map-curve", "map-lambda_nu", "map-tspec", "superpose", "generate-model-out"])
+def test_model_documents_written_are_read_back(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "curve.json", json.dumps({"type": "maxplus_curve", "values": [0, 0, 10, 20]}))
+    _write(tmp_path / "lam_nu.json", json.dumps({"type": "lambda_nu", "lambda": 1, "nu": 0}))
+    _write(tmp_path / "tspec.json", json.dumps(
+        {"type": "tspec", "tau": 5, "k_max": 2, "window_mode": "open"}
+    ))
+    trace = _write(tmp_path / "spaced.csv", "0\n10\n20\n")
+    assert run(argv.split()) == 0
+    written = _write(tmp_path / "written.json", capsys.readouterr().out)
+    assert run(["check", "--trace", trace, "--model", written]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 class TestTextFormat:
     """``--format text`` of check is a summary of the report; that of fit,
     map and superpose is the compact JSON."""
@@ -802,25 +840,20 @@ class TestSuiteCli:
         out = json.loads(capsys.readouterr().out)
         assert out["failures_total"] == 0
 
-    def test_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAXPLUS_TC_SEED", "99")
-        assert run(["suite", "--trials", "1"]) == 0
-        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 99
-
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MAXPLUS_TC_SEED", "99")
         assert run(["suite", "--trials", "1", "--seed", "5"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["seed"] == 5
 
-    def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAXPLUS_TC_SEED", "abc")
-        assert run(["suite", "--trials", "1"]) == 2
-
-    @pytest.mark.parametrize("env", ["1_2", "+1", "\u0661"])
-    def test_env_seed_takes_ascii_digits_only(self, capsys, monkeypatch, env):
-        monkeypatch.setenv("MAXPLUS_TC_SEED", env)
-        assert run(["suite", "--trials", "1"]) == 2
-        assert _usage_message(capsys) == f"MAXPLUS_TC_SEED must be an integer, got {env!r}"
+    @pytest.mark.parametrize("argv", [["--seed", "7"], []], ids=["seed-7", "default-seed"])
+    def test_environment_changes_no_output(self, capsys, monkeypatch, argv):
+        # the seed comes from --seed or SuiteConfig alone
+        monkeypatch.delenv("MAXPLUS_TC_SEED", raising=False)
+        assert run(["suite", *argv, "--trials", "2"]) == 0
+        out = capsys.readouterr().out
+        monkeypatch.setenv("MAXPLUS_TC_SEED", "99")
+        assert run(["suite", *argv, "--trials", "2"]) == 0
+        assert capsys.readouterr().out == out
 
     def test_zero_trials_warns(self, capsys):
         assert run(["suite", "--trials", "0"]) == 0

@@ -312,3 +312,20 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, demo], env=env, capture_output=True, timeout=60)
     assert done.returncode == 0 and done.stdout.strip(), done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == DEMO_DIGESTS[demo.name]
+
+
+def test_a_failing_given_test_does_not_abort_the_run(tmp_path):
+    # under the repo's warning filters, hypothesis's failure report must not
+    # end the session, so the test file collected after it still runs
+    (tmp_path / "test_a.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n"
+    )
+    (tmp_path / "test_b.py").write_text("def test_passes():\n    pass\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), str(tmp_path)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout

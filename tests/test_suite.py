@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -12,6 +13,7 @@ from maxplus_tc import (
     SuiteConfig,
     Trace,
     TSpecModel,
+    WindowMode,
     aggregate_eq1,
     check_lambda_nu,
     check_lambda_nu_via_convolution,
@@ -209,3 +211,59 @@ class TestSuite:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "e817a63afb49c70c0e77ccd2c63ea6d2f38a3cf058ecc83d71a9e529a070ae49"
         )
+
+
+# the bounded-exhaustive scope: rate/burst models of rates 1/4..2 and
+# allowances 0..2, and TSpec models of windows 1..5 (3/2 among them), one or
+# two packets, closed and open
+EXHAUSTIVE_MODELS = [
+    LambdaNuModel(F(lam), F(nu))
+    for lam in ("1/4", "1/3", "1/2", "2/3", "1", "2") for nu in ("0", "1/2", "1", "2")
+] + [
+    TSpecModel(F(tau), k_max, mode)
+    for tau in ("1", "3/2", "2", "3", "5") for k_max in (1, 2) for mode in WindowMode
+]
+
+
+def _exhaustive_mismatches(packets: int, ticks: int) -> tuple[int, int]:
+    """The checks made and the mismatches among them, over every
+    nondecreasing trace of at most ``packets`` packets on ticks 0..``ticks``
+    and every model of EXHAUSTIVE_MODELS.  A check mismatches when the
+    suite's differential predicate fails, or when the verdict alone
+    (FIRST_VIOLATION) is not the full report's witness."""
+    checks = mismatches = 0
+    for n in range(packets + 1):
+        for arrivals in combinations_with_replacement(range(ticks + 1), n):
+            trace = Trace(arrivals)
+            for model in EXHAUSTIVE_MODELS:
+                family = type(model)
+                agree = (suite.lambda_nu_routes_agree if family is LambdaNuModel
+                         else suite.tspec_routes_agree)
+                witness = conformance.CHECKERS[family](trace, model).witness
+                first = conformance.FIRST_VIOLATION[family](trace, model)
+                checks += 1
+                mismatches += (agree(trace, model) is not None
+                               or first != (witness and (witness.m, witness.n)))
+    return checks, mismatches
+
+
+class TestBoundedExhaustive:
+    def test_every_small_trace_against_every_model(self):
+        # 792 traces of at most 5 packets on ticks 0..6, times 44 models
+        assert _exhaustive_mismatches(5, 6) == (34_848, 0)
+
+    @pytest.mark.parametrize("name, scope, caught", [
+        ("check_lambda_nu_via_convolution", (2, 0), 12),
+        ("check_tspec_pairwise", (1, 0), 10),
+    ], ids=["nu-plus-1", "k_max-plus-1"])
+    def test_weakened_reference_caught_at_its_smallest_scope(self, monkeypatch, name, scope,
+                                                             caught):
+        # the smallest scope is the fewest packets, then the fewest ticks,
+        # at which the weakened reference mismatches: a burst allowance one
+        # packet larger needs two packets on one tick, a budget one packet
+        # larger only one
+        monkeypatch.setattr(suite, name, WEAKENED[name])
+        packets, ticks = scope
+        assert _exhaustive_mismatches(packets, ticks)[1] == caught
+        smaller = [(packets - 1, 6)] + ([(packets, ticks - 1)] if ticks else [])
+        assert all(_exhaustive_mismatches(*s)[1] == 0 for s in smaller)

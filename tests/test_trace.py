@@ -238,11 +238,11 @@ class TestCsv:
         assert read_trace_csv(io.StringIO(text)) == trace
 
     @pytest.mark.parametrize("text", ["1\n2\r3\r", "1\n,2\r3\n,4\r", "0\r5\n\r", "0\r,\n1\r"])
-    def test_rows_holding_a_line_feed_read_as_the_reference_does(self, text):
-        # a stream that ends lines at "\r" only leaves "\n" inside a row
-        assert _read_outcome(read_trace_csv, text, newline="\r") == _read_outcome(
-            reference.read_trace_csv_by_rows, text, newline="\r"
-        )
+    def test_a_stream_reads_as_the_text_its_read_returns(self, text):
+        # a stream that ends lines at "\r" only returns its text untranslated,
+        # and its rows end at the line feeds of that text
+        for read in (read_trace_csv, reference.read_trace_csv_by_rows):
+            assert _read_outcome(read, text, newline="\r") == _outcome(read, io.StringIO(text))
 
     @pytest.mark.parametrize("lengths", [None, (2**63, 1, 2**70)])
     def test_ticks_and_lengths_beyond_int64_roundtrip(self, lengths):
@@ -456,21 +456,31 @@ class TestReaderCost:
         first, second = self._line_events(write)
         assert first == second
 
-    @pytest.mark.parametrize("text", ["1\n007\n9\n", "1\nx\n"])
-    def test_a_stream_is_decoded_in_bulk_once(self, monkeypatch, text):
-        # a stream's text is its stripped, non-blank rows already, so a
-        # second bulk decode of it would fail as the first did
+    @pytest.mark.parametrize("text, decodes", [
+        (_two_column_text(10), 1), ("1\n\n 2\n", 2), ("1\n007\n9\n", 2), ("1\nx\n", 2),
+    ], ids=["clean", "blank row", "rows", "refused"])
+    def test_a_stream_and_a_path_decode_alike(self, tmp_path, monkeypatch, text, decodes):
+        # one read() gives both the same text, so both make the same bulk
+        # decodes before any row loop ("007" is read there, "x" refused)
         calls = []
 
         def spy(*args):
             calls.append(args)
             return bulk(*args)
 
+        def calls_reading(source):
+            calls.clear()
+            with contextlib.suppress(FormatError):
+                read_trace_csv(source)
+            return list(calls)
+
         bulk = trace_module._bulk_integers
         monkeypatch.setattr(trace_module, "_bulk_integers", spy)
-        with contextlib.suppress(FormatError):  # "x" is refused, "007" read by the row loop
-            read_trace_csv(io.StringIO(text))
-        assert len(calls) == 1
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        by_path = calls_reading(str(path))
+        assert len(by_path) == decodes
+        assert calls_reading(io.StringIO(text)) == by_path
 
     @pytest.mark.parametrize("text", [_two_column_text(100), "1\n007\n9\n"], ids=["bulk", "rows"])
     @pytest.mark.parametrize("by_path", [True, False], ids=["path", "stream"])
