@@ -27,6 +27,8 @@ property, never to build a trial's inputs.
 
 from __future__ import annotations
 
+import os
+import pickle
 import time
 from collections.abc import Callable
 from enum import Enum
@@ -617,12 +619,50 @@ def run_property(name: str, seed: int, trials: int, cfg: SuiteConfig) -> Propert
     )
 
 
+def _workers() -> int:
+    """A process per CPU this one may use, up to one per property, else one."""
+    try:  # a forked child would lack another thread, and any lock it holds
+        alone = hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
+        return min(len(os.sched_getaffinity(0)), len(PROPERTIES)) if alone else 1
+    except (AttributeError, OSError):  # no affinity call or no /proc
+        return 1
+
+
 def run_property_suite(cfg: SuiteConfig) -> SuiteSummary:
-    """Run every property with the configured trial count."""
+    """Run every property with the configured trial count on ``_workers()`` processes."""
     start = time.perf_counter()
-    reports = tuple(
-        run_property(name, cfg.seed, cfg.trials, cfg) for name, _ in PROPERTIES
-    )
-    return SuiteSummary(
-        config=cfg, properties=reports, elapsed=time.perf_counter() - start
-    )
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(PROPERTIES))))  # < PIPE_BUF: a 1-byte read takes one index
+    os.close(feed)
+    def drain():  # each property has its own seed: the process it runs in changes only elapsed
+        return {i: run_property(PROPERTY_NAMES[i], cfg.seed, cfg.trials, cfg)
+                for [i] in iter(lambda: os.read(queue, 1), b"")}
+    children, sent = {}, {}  # by pid: its pipe's read end; what it sent and its exit status
+    try:
+        for _ in range(_workers() - 1):
+            out, into = os.pipe()
+            if (pid := os.fork()) == 0:  # the child sends its reports, or what a property raised
+                try:
+                    try:
+                        outcome = drain()
+                    except Exception as exc:
+                        outcome = exc
+                    with open(into, "wb") as fh:
+                        fh.write(pickle.dumps(outcome))
+                finally:  # never the parent's atexit handlers or stdout flush
+                    os._exit(0)
+            os.close(into)
+            children[pid] = open(out, "rb")
+        reports = drain()
+    finally:
+        os.close(queue)
+        for pid, fh in children.items():  # read to the end first: a worker waits on a full pipe
+            with fh:
+                sent[pid] = fh.read(), os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for pid, (data, status) in sent.items():
+        outcome = pickle.loads(data) if data and not status else RuntimeError(
+            f"suite worker {pid} sent no reports (exit status {status})")
+        if isinstance(outcome, Exception):
+            raise outcome
+        reports.update(outcome)
+    return SuiteSummary(cfg, tuple(map(reports.get, sorted(reports))), time.perf_counter() - start)

@@ -855,6 +855,39 @@ class TestSuiteCli:
         assert run(["suite", *argv, "--trials", "2"]) == 0
         assert capsys.readouterr().out == out
 
+    @pytest.mark.parametrize("failing", [False, True], ids=["passing", "raising"])
+    def test_workers_leave_one_document(self, failing):
+        # the suite forks 3 workers after a line is left in stdout's buffer:
+        # a worker that flushed it, or went on past the suite, would print
+        # it or a document twice
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
+            "from maxplus_tc import cli, suite\n"
+            "def fail(rng, cfg):\n"
+            "    raise ValueError('property broken on purpose')\n"
+            f"if {failing}:\n"
+            "    suite.PROPERTIES = tuple((name, fail) for name in suite.PROPERTY_NAMES)\n"
+            "sys.stdout.write('before\\n')\n"
+            "sys.argv[1:] = ['suite', '--seed', '5', '--trials', '3', '--max-packets', '50']\n"
+            "cli.main()\n"
+        )
+        src = str(Path(maxplus_tc.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        before, _, document = proc.stdout.partition("\n")
+        assert before == "before"
+        if failing:
+            assert (proc.returncode, document) == (2, "")
+            assert json.loads(proc.stderr) == {
+                "error": {"kind": "usage", "message": "property broken on purpose"}
+            }
+        else:
+            assert proc.returncode == 0
+            summary = maxplus_tc.run_property_suite(
+                maxplus_tc.SuiteConfig(seed=5, trials=3, max_packets=50))
+            assert document == _indented(summary.to_json_dict())
+
     def test_zero_trials_warns(self, capsys):
         assert run(["suite", "--trials", "0"]) == 0
         captured = capsys.readouterr()
@@ -917,11 +950,16 @@ SUBCOMMAND_MODULES = {
     "merge": {"_record", "aggregation", "trace"},
     "generate": {"_record", "conformance", "generators", "models", "rational", "trace"},
     "table1": {"_record", "algebra", "models", "rational", "table1"},
+    "suite": {"_record", "aggregation", "algebra", "conformance", "generators", "models",
+              "rational", "reference", "suite", "trace"},
 }
 # stdlib modules no subcommand's start-up may load: dataclasses compiles each
 # record's methods with exec and imports inspect, ast and dis; typing and
-# pathlib cost import time for what collections.abc, io and open() give
-STARTUP_SKIPS = {"dataclasses", "inspect", "typing", "pathlib"}
+# pathlib cost import time for what collections.abc, io and open() give;
+# multiprocessing and concurrent.futures take ~14 ms to import, where the
+# suite splits its properties over bare os.fork
+STARTUP_SKIPS = {"dataclasses", "inspect", "typing", "pathlib", "multiprocessing",
+                 "concurrent.futures"}
 
 
 @pytest.mark.parametrize("sub", sorted(SUBCOMMAND_MODULES))
@@ -936,6 +974,7 @@ def test_subcommand_loads_only_the_modules_it_runs(tmp_path, lam_nu_model, sub):
         "merge": ["--traces", trace, trace, "--out", out, "--provenance", out + ".json"],
         "generate": ["--kind", "periodic", "--period", "3", "--count", "2", "--out", out],
         "table1": [],
+        "suite": ["--trials", "1", "--max-packets", "10"],
     }[sub]
     code = (
         "import sys\n"

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import signal
+import threading
+import time
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
@@ -213,6 +217,99 @@ class TestSuite:
         )
 
 
+def _fail_in(monkeypatch, tmp_path, failing: str, fail) -> None:
+    """Make the suite split over the parent and three forked workers, and
+    make every property call ``fail`` in the parent, or in the workers
+    (``failing``), after leaving a mark.  Elsewhere a property waits for the
+    mark, so that a failing process takes at least one property, and then
+    returns a failure record larger than a pipe's buffer."""
+    parent, mark = os.getpid(), tmp_path / "failed"
+
+    def prop(rng, cfg):
+        if (os.getpid() == parent) == (failing == "parent"):
+            mark.touch()
+            fail()
+        deadline = time.monotonic() + 10
+        while not mark.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return {"padding": "x" * 100_000}
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(suite, "PROPERTIES", tuple((name, prop) for name in PROPERTY_NAMES))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def _time_bound():
+    """End a test whose workers never finish, as a deadlock would, in 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the suite's workers did not finish in 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("_time_bound")
+class TestWorkers:
+    @pytest.mark.parametrize("cfg", [
+        SuiteConfig(seed=7, trials=30, max_packets=100),
+        SuiteConfig(seed=701, trials=30, max_packets=100),
+        SuiteConfig(trials=0),
+    ], ids=["seed-7", "seed-701", "trials-0"])
+    def test_worker_count_changes_no_summary(self, monkeypatch, cfg):
+        texts = []
+        for cpus, workers in (({0}, 1), ({0, 1, 2, 3}, 4)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            assert suite._workers() == workers
+            texts.append(json.dumps(run_property_suite(cfg).to_json_dict()))
+        assert texts[0] == texts[1]
+        _assert_no_child_left()
+
+    def test_workers_at_most_one_per_property(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert suite._workers() == len(PROPERTIES)
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = SuiteConfig(seed=3, trials=2, max_packets=50)
+        expected = json.dumps(run_property_suite(cfg).to_json_dict())
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside a thread"))
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert suite._workers() == 1
+            assert json.dumps(run_property_suite(cfg).to_json_dict()) == expected
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("failing", ["parent", "child"])
+    def test_what_a_property_raises_reaches_the_caller(self, monkeypatch, tmp_path, failing):
+        def fail():
+            raise ValueError("property broken on purpose")
+
+        _fail_in(monkeypatch, tmp_path, failing, fail)
+        with pytest.raises(ValueError, match="^property broken on purpose$"):
+            run_property_suite(SuiteConfig(trials=1))
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("status", [0, 3])
+    def test_a_worker_that_sends_nothing_raises(self, monkeypatch, tmp_path, status):
+        _fail_in(monkeypatch, tmp_path, "child", lambda: os._exit(status))
+        with pytest.raises(RuntimeError, match=rf"sent no reports \(exit status {status}\)"):
+            run_property_suite(SuiteConfig(trials=1))
+        _assert_no_child_left()
+
+
 # the bounded-exhaustive scope: rate/burst models of rates 1/4..2 and
 # allowances 0..2, and TSpec models of windows 1..5 (3/2 among them), one or
 # two packets, closed and open
@@ -225,24 +322,32 @@ EXHAUSTIVE_MODELS = [
 ]
 
 
+# the reference route of each family, looked up in the suite module, where
+# WEAKENED patches it
+EXHAUSTIVE_REFERENCES = {
+    LambdaNuModel: "check_lambda_nu_via_convolution",
+    TSpecModel: "check_tspec_pairwise",
+}
+
+
 def _exhaustive_mismatches(packets: int, ticks: int) -> tuple[int, int]:
     """The checks made and the mismatches among them, over every
     nondecreasing trace of at most ``packets`` packets on ticks 0..``ticks``
     and every model of EXHAUSTIVE_MODELS.  A check mismatches when the
-    suite's differential predicate fails, or when the verdict alone
-    (FIRST_VIOLATION) is not the full report's witness."""
+    production checker's report is not the reference route's, or when the
+    verdict alone (FIRST_VIOLATION) is not that report's witness."""
     checks = mismatches = 0
     for n in range(packets + 1):
         for arrivals in combinations_with_replacement(range(ticks + 1), n):
             trace = Trace(arrivals)
             for model in EXHAUSTIVE_MODELS:
                 family = type(model)
-                agree = (suite.lambda_nu_routes_agree if family is LambdaNuModel
-                         else suite.tspec_routes_agree)
-                witness = conformance.CHECKERS[family](trace, model).witness
+                report = conformance.CHECKERS[family](trace, model)
+                reference = getattr(suite, EXHAUSTIVE_REFERENCES[family])(trace, model)
                 first = conformance.FIRST_VIOLATION[family](trace, model)
+                witness = report.witness
                 checks += 1
-                mismatches += (agree(trace, model) is not None
+                mismatches += (report != reference
                                or first != (witness and (witness.m, witness.n)))
     return checks, mismatches
 
