@@ -14,6 +14,7 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Iterable
 from itertools import chain
 
 from .errors import FormatError, TrafficModelError
@@ -53,7 +54,7 @@ def _print(obj, fmt: str, text: str | None = None) -> None:
         sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _write_out(path: str, *pieces: str) -> None:
+def _write_out(path: str, pieces: Iterable[str]) -> None:
     """Write ``pieces`` to the output path ``path``: to stdout when it is ``-``."""
     if path == "-":
         sys.stdout.writelines(pieces)
@@ -184,22 +185,15 @@ def _cmd_superpose(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    from .aggregation import _merge, _origins
-    from .trace import read_trace_csv, write_trace_csv
+    from .aggregation import _merge, _provenance_pieces
+    from .trace import _csv_pieces, read_trace_csv
 
     traces = [read_trace_csv(path) for path in args.traces]
-    merged, order = _merge(traces)
-    _write_out(args.out, write_trace_csv(merged))
-    del merged  # the aggregate, the flows and the order never sit beside the text
-    if args.provenance:  # in the layout of json.dumps(..., indent=2)
-        record = '{\n      "flow": %d,\n      "index": %%d\n    }'
-        records = [record % f for f in range(len(traces))]
-        flows, indices = _origins(traces, order)
-        del traces, order
-        text = ",\n    ".join(map(records.__getitem__, flows)) % indices
-        # the text is written between its brackets, never copied into them
-        opening, closing = ("[\n    ", "\n  ]") if flows else ("[", "]")
-        _write_out(args.provenance, '{\n  "packets": ', opening, text, closing, "\n}\n")
+    merged, order, gather = _merge(traces)
+    _write_out(args.out, _csv_pieces(merged))
+    del merged  # its columns are gone before the provenance columns are gathered
+    if args.provenance:
+        _write_out(args.provenance, _provenance_pieces(traces, order, gather))
     return 0
 
 
@@ -215,7 +209,7 @@ _GENERATE_READS = {
 def _cmd_generate(args) -> int:
     from .generators import gen_extremal_lambda_nu, gen_jittered, gen_periodic, gen_tspec_extremal
     from .models import LambdaNuModel, TSpecModel, WindowMode, model_to_json
-    from .trace import write_trace_csv
+    from .trace import _csv_pieces
 
     kind = args.kind
     reads = _GENERATE_READS[kind]
@@ -245,9 +239,9 @@ def _cmd_generate(args) -> int:
         trace, fitted = gen_jittered(
             need("period"), args.jitter or 0, args.seed or 0, count
         )
-    _write_out(args.out, write_trace_csv(trace))
+    _write_out(args.out, _csv_pieces(trace))
     if args.model_out:  # given only with --kind jittered
-        _write_out(args.model_out, json.dumps(model_to_json(fitted), indent=2), "\n")
+        _write_out(args.model_out, (json.dumps(model_to_json(fitted), indent=2), "\n"))
     return 0
 
 
@@ -427,7 +421,8 @@ def main() -> None:
     try:
         sys.stdout.flush()
     except OSError as exc:  # output still buffered, as to a full disk or a closed pipe
-        _emit_error("io", str(exc))
+        if code != 3:  # else run() reported an io error, as a failed write of what is still buffered
+            _emit_error("io", str(exc))
         code = 3
     sys.stderr.flush()
     os._exit(code)

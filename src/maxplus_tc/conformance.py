@@ -37,7 +37,7 @@ from collections import defaultdict
 from fractions import Fraction
 from heapq import merge
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, and_, eq, ge, ne, sub
+from operator import add, eq, ge, ne, sub
 
 from ._record import Record
 from .errors import InfeasibleFitError, MissingLengthsError, UnboundedFitError
@@ -255,9 +255,9 @@ def _tspec_runs(arrivals: tuple[int, ...], tspec: TSpecModel):
     max_gap = tspec.max_gap_in_window()
     k = min(tspec.k_max, len(arrivals) + 1)
     full = list(map(ge, map(add, arrivals, repeat(max_gap)), islice(arrivals, k - 1, None)))
-    # k+1 packets from i fit only if the k from i and the k from i+1 do
-    both = compress(count(), map(and_, full, islice(full, 1, None)))
-    j = next((i + k for i in both if arrivals[i + k] - arrivals[i] <= max_gap), None)
+    # k+1 packets from i fit only if the k from i do: only full windows are tried
+    j = next((i + k for i in compress(range(len(arrivals) - k), full)
+              if arrivals[i + k] - arrivals[i] <= max_gap), None)
     if j is None:
         return full, None
     return full, (bisect_left(arrivals, arrivals[j] - max_gap) + 1, j + 1)

@@ -641,7 +641,13 @@ def run_property_suite(cfg: SuiteConfig) -> SuiteSummary:
     try:
         for _ in range(_workers() - 1):
             out, into = os.pipe()
-            if (pid := os.fork()) == 0:  # the child sends its reports, or what a property raised
+            try:
+                pid = os.fork()
+            except OSError:  # as at the process limit: run on with the workers there are
+                os.close(out)
+                os.close(into)
+                break
+            if pid == 0:  # the child sends its reports, or what a property raised
                 try:
                     try:
                         outcome = drain()

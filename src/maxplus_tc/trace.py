@@ -10,16 +10,18 @@ length, enabling the cumulative (bit-domain) view.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from io import TextIOBase
-from itertools import chain, repeat
-from operator import le
+from itertools import chain
 
 from ._record import Record
 from .errors import FormatError
 
 CSV_HEADER_TICKS = "arrival_ticks"
 CSV_HEADER_LENGTHS = "length_bits"
+
+# the rows (or provenance records) in one piece of written text: ~100 KB of CSV
+_PIECE = 8192
 
 
 class Trace(Record):
@@ -62,9 +64,9 @@ class Trace(Record):
 
 def _check(arrivals: Sequence[int], lengths: Sequence[int] | None) -> None:
     """Raise ValueError for the first condition of :class:`Trace` the int columns break."""
-    # a(0) = 0 and a nondecreasing is one condition, 0 <= a(1) <= a(2) <= ...;
-    # the first packet that breaks it is looked up only on failure
-    if not all(map(le, chain((0,), arrivals), arrivals)):
+    # a(0) = 0 and a nondecreasing is one condition, 0 <= a(1) <= a(2) <= ...,
+    # which Timsort checks in one run; a packet that breaks it is looked up on failure
+    if sorted(arrivals) != list(arrivals) or arrivals and arrivals[0] < 0:
         n, prev, a = next(
             (n, prev, a)
             for n, (prev, a) in enumerate(zip(chain((0,), arrivals), arrivals), start=1)
@@ -120,10 +122,10 @@ def read_trace_csv(source: str | TextIOBase) -> Trace:
     # the text is split into rows only when its bulk decode fails; its
     # stripped, non-blank rows are then decoded in bulk once more, and read
     # one by one only when that fails too
-    parsed = _bulk_integers(text, header, len(head) + 1 if header else 0)
+    parsed = _bulk_integers(text[len(head) + 1 if header else 0:], header)
     if parsed is None:
         text = "\n".join(filter(None, map(str.strip, text.split("\n"))))
-        parsed = _bulk_integers(text, header, len(head.strip()) + 1 if header else 0)
+        parsed = _bulk_integers(text[len(head.strip()) + 1 if header else 0:], header)
     if parsed is None:
         parsed = _row_integers(text.split("\n")[1 if header else 0:], header)
     values, width = parsed
@@ -142,13 +144,13 @@ def read_trace_csv(source: str | TextIOBase) -> Trace:
 _NOT_SEPARATOR = str.maketrans("", "", "0123456789- \t\r\v\f")
 
 
-def _bulk_integers(text: str, header: int, start: int) -> tuple[list[int], int] | None:
-    """The fields of the rows from offset ``start`` of ``text``, and their width, or None."""
+def _bulk_integers(body: str, header: int) -> tuple[list[int], int] | None:
+    """The fields of the rows of ``body``, the text past its header, and their width, or None."""
     # every other character (non-ASCII, "_", "+", a letter) stays in the
     # skeleton and fails the comparison
-    skeleton = text[start:].translate(_NOT_SEPARATOR)
+    skeleton = body.translate(_NOT_SEPARATOR)
     sep = "," if header == 2 else skeleton.partition("\n")[0]
-    if sep not in ("", ",") or skeleton != "\n".join(repeat(sep, skeleton.count("\n") + 1)):
+    if sep not in ("", ",") or skeleton != (sep + "\n") * skeleton.count("\n") + sep:
         return None
     # Each field is now digits, "-" and padding between separators, and the
     # rows have the right width.  On such text the JSON number grammar
@@ -157,7 +159,7 @@ def _bulk_integers(text: str, header: int, start: int) -> tuple[list[int], int] 
     # raises.  What it refuses and int() may still take ("007", "\v"
     # padding, a blank row) is left to the row loop, which reads it as int() does.
     try:
-        return json.loads("[%s]" % text[start:].replace("\n", ",")), len(sep) + 1
+        return json.loads("[%s]" % body.replace("\n", ",")), len(sep) + 1
     except ValueError:
         return None
 
@@ -193,10 +195,18 @@ def _row_integers(rows: list[str], header: int) -> tuple[list[int], int]:
     return values, width
 
 
+def _csv_pieces(trace: Trace) -> Iterator[str]:
+    """The trace's CSV text: the header, then its rows in pieces of at most _PIECE rows."""
+    lengths = trace.lengths
+    yield f"{CSV_HEADER_TICKS}\n" if lengths is None else f"{CSV_HEADER_TICKS},{CSV_HEADER_LENGTHS}\n"
+    for start in range(0, len(trace), _PIECE):
+        values = ticks = trace.arrivals[start:start + _PIECE]
+        if lengths is not None:
+            values = [0] * (2 * len(ticks))
+            values[::2], values[1::2] = ticks, lengths[start:start + _PIECE]
+        yield (("%d\n" if lengths is None else "%d,%d\n") * len(ticks)) % tuple(values)
+
+
 def write_trace_csv(trace: Trace) -> str:
     """The trace as CSV text: the header, then one row per packet."""
-    if trace.lengths is None:
-        return f"{CSV_HEADER_TICKS}\n" + ("%d\n" * len(trace)) % trace.arrivals
-    values = [0] * (2 * len(trace))
-    values[::2], values[1::2] = trace.arrivals, trace.lengths
-    return f"{CSV_HEADER_TICKS},{CSV_HEADER_LENGTHS}\n" + ("%d,%d\n" * len(trace)) % tuple(values)
+    return "".join(_csv_pieces(trace))

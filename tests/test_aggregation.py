@@ -1,4 +1,5 @@
 import gc
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from maxplus_tc import (
     PacketOrigin,
     Trace,
     aggregate_eq1,
+    aggregation,
     merge_traces,
     merge_traces_with_provenance,
     reference,
@@ -139,6 +141,22 @@ class TestReferenceMerge:
         assert origins == tuple(
             map(PacketOrigin, (0, 2, 2, 2, 0, 3), (1, 1, 2, 3, 2, 1))
         )
+
+    @pytest.mark.parametrize("with_lengths", [False, True], ids=["ticks", "lengths"])
+    @pytest.mark.parametrize("flows", [[()], [(), ()], [(5,)], [(), (5,), ()]],
+                             ids=["one-empty", "two-empty", "one-packet", "one-of-three"])
+    def test_zero_and_one_packet_aggregates(self, flows, with_lengths):
+        # no gather by itemgetter here: made with one index it returns a bare
+        # value, and with none it cannot be made
+        traces = [Trace(t, lengths=(7,) * len(t) if with_lengths else None) for t in flows]
+        merged, origins = merge_traces_with_provenance(traces)
+        assert (merged, origins) == reference.merge_with_provenance_by_tuples(traces)
+        assert type(merged.arrivals) is tuple and type(origins) is tuple
+        assert type(merged.lengths) is (tuple if with_lengths else type(None))
+        merged, order, gather = aggregation._merge(traces)
+        text = "".join(aggregation._provenance_pieces(traces, order, gather))
+        packets = [{"flow": o.flow, "index": o.index} for o in origins]
+        assert text == json.dumps({"packets": packets}, indent=2) + "\n"
 
 
 class TestCompositionFormula:

@@ -1276,6 +1276,44 @@ class TestMergeOutputs:
         assert hashlib.sha256(out.read_bytes() + prov.read_bytes()).hexdigest() == digest
 
 
+# the packets each piece of merge's and generate's output holds, and counts
+# about it: an empty output, one packet, and one piece short, whole and past
+PIECE = maxplus_tc.trace._PIECE
+PIECE_COUNTS = [0, 1, PIECE - 1, PIECE, PIECE + 1]
+
+
+class TestPieceBoundaries:
+    """``merge`` and ``generate`` write their outputs in pieces of PIECE
+    packets; at each count about a piece the bytes are those of the
+    reference merge, rows written one by one, and ``json.dumps``."""
+
+    @pytest.mark.parametrize("with_lengths", [False, True], ids=["ticks", "lengths"])
+    @pytest.mark.parametrize("packets", PIECE_COUNTS)
+    def test_merge(self, tmp_path, packets, with_lengths):
+        # three flows of packets n % 3 at tick n // 2: ties within and across flows
+        flows = [maxplus_tc.Trace(
+            [n // 2 for n in range(f, packets, 3)],
+            lengths=[64 + n for n in range(f, packets, 3)] if with_lengths else None,
+        ) for f in range(3)]
+        paths = [_write(tmp_path / f"{f}.csv", maxplus_tc.write_trace_csv(t)) for f, t in enumerate(flows)]
+        out, prov = tmp_path / "agg.csv", tmp_path / "prov.json"
+        assert run(["merge", "--traces", *paths, "--out", str(out), "--provenance", str(prov)]) == 0
+        merged, origins = reference.merge_with_provenance_by_tuples(flows)
+        rows = zip(merged.arrivals, merged.lengths) if with_lengths else zip(merged.arrivals)
+        header = "arrival_ticks,length_bits\n" if with_lengths else "arrival_ticks\n"
+        assert out.read_text() == header + "".join(",".join(map(str, row)) + "\n" for row in rows)
+        packets_json = [{"flow": o.flow, "index": o.index} for o in origins]
+        assert prov.read_text() == json.dumps({"packets": packets_json}, indent=2) + "\n"
+        assert len(origins) == packets
+
+    @pytest.mark.parametrize("packets", PIECE_COUNTS)
+    def test_generate(self, tmp_path, packets):
+        out = tmp_path / "gen.csv"
+        args = ["--period", "3", "--phase", "2", "--count", str(packets), "--out", str(out)]
+        assert run(["generate", "--kind", "periodic", *args]) == 0
+        assert out.read_text() == "arrival_ticks\n" + "".join(f"{2 + 3 * n}\n" for n in range(packets))
+
+
 class TestMergeCost:
     """``merge --provenance`` over 5 two-column flows, as read from files."""
 
@@ -1291,9 +1329,8 @@ class TestMergeCost:
         return ["merge", "--traces", *paths, "--out", out, "--provenance", prov]
 
     def test_peak_memory_at_2e4_rows_per_flow(self, tmp_path):
-        # the flows, their order and the aggregate are dropped before the
-        # provenance text is built: 16.8 MiB measured, 26.9 MiB when they
-        # were held beside it
+        # each output is written in pieces and never held whole: 14.2-14.4 MiB
+        # measured, 16.6-16.8 MiB when each was one text
         args = self._args(tmp_path, 2 * 10**4)
         tracemalloc.start()
         try:
@@ -1301,7 +1338,7 @@ class TestMergeCost:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 22 * 2**20
+        assert peak < 16 * 2**20
 
     def test_no_python_code_per_packet(self, tmp_path):
         # the collector is off, as in the command line, so that no gc
@@ -1322,7 +1359,32 @@ class TestMergeCost:
                 gc.enable()
             return seen.count("line")
 
-        assert lines(10**3) == lines(10**4)
+        # 5,000 packets are one piece of each output and 50,000 are seven: the
+        # two writers run at most 10 lines a piece between them (9 measured)
+        assert 5 * 10**3 <= PIECE and 6 * PIECE < 5 * 10**4 <= 7 * PIECE
+        assert 0 <= lines(10**4) - lines(10**3) <= 10 * 6
+
+    def test_no_piece_exceeds_its_packets(self, tmp_path, monkeypatch):
+        # 20,000 packets: two whole pieces and a part of each output
+        written = []
+
+        def write_out(path, pieces):
+            pieces = list(pieces)
+            written.append(pieces)
+            write(path, pieces)
+
+        write = cli._write_out
+        monkeypatch.setattr(cli, "_write_out", write_out)
+        assert run(self._args(tmp_path, 4000)) == 0
+        csv, prov = written
+        assert len(csv) == 4 and len(prov) >= 4
+        for pieces, per_packet in ((csv, "\n"), (prov, '"flow"')):
+            text = "".join(pieces)
+            longest = max(map(len, text.split(per_packet)))
+            assert text.count(per_packet) >= 2 * PIECE
+            # each piece holds at most PIECE packets, and the text of no more
+            assert max(piece.count(per_packet) for piece in pieces) <= PIECE
+            assert max(map(len, pieces)) <= PIECE * (longest + len(per_packet))
 
 
 class TestEntryPoint:

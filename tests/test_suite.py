@@ -292,6 +292,26 @@ class TestWorkers:
             thread.join(10)
         assert not thread.is_alive()
 
+    def test_a_failed_fork_runs_on_with_the_workers_started(self, monkeypatch):
+        cfg = SuiteConfig(seed=11, trials=3, max_packets=50)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        expected = json.dumps(run_property_suite(cfg).to_json_dict())
+        forks, fork = [], os.fork
+
+        def fork_once():  # the second fork fails, as at the process limit
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(os, "fork", fork_once)
+        descriptors = len(os.listdir("/proc/self/fd"))
+        assert json.dumps(run_property_suite(cfg).to_json_dict()) == expected
+        assert len(forks) == 2  # no fork is tried past the failed one
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+        _assert_no_child_left()
+
     @pytest.mark.parametrize("failing", ["parent", "child"])
     def test_what_a_property_raises_reaches_the_caller(self, monkeypatch, tmp_path, failing):
         def fail():
