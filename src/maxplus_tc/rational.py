@@ -35,7 +35,8 @@ def rational_to_json(x: RationalLike) -> dict:
 
 
 def rational_from_json(obj: object) -> Fraction:
-    """Decode ``{"num": int, "den": int}``; bare ints are accepted too."""
+    """Decode ``{"num": int, "den": int}``; bare ints are accepted too, and
+    any other key is refused by name."""
     if isinstance(obj, bool):
         raise FormatError(f"not a rational: {obj!r}")
     if isinstance(obj, int):
@@ -45,6 +46,8 @@ def rational_from_json(obj: object) -> Fraction:
             num, den = obj["num"], obj["den"]
         except KeyError as exc:
             raise FormatError(f"rational object missing key: {exc}") from None
+        if len(obj) > 2:
+            raise FormatError(f"rational JSON key {min(obj.keys() - {'num', 'den'})!r} is not read")
         if not isinstance(num, int) or not isinstance(den, int) or isinstance(num, bool) or isinstance(den, bool):
             raise FormatError(f"rational num/den must be integers: {obj!r}")
         if den == 0:

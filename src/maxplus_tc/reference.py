@@ -7,7 +7,10 @@ fast path cannot hide in code both sides use.  Each route has the signature
 and result type of the production function it checks, so a test can compare
 whole outcomes.  Most cost O(N^2) or more (``aggregate_eq1`` is exponential
 in the flow count) and are meant for small inputs: the test suite and the
-randomized validation suite.
+randomized validation suite.  The row-by-row CSV reader, which is O(N), is
+also :func:`~maxplus_tc.read_trace_csv`'s route for a text its bulk decodes
+refuse, to name the first bad row: its one use outside the tests and the
+randomized suite.
 """
 
 from __future__ import annotations
@@ -56,8 +59,7 @@ def read_trace_csv_by_rows(source: str | TextIOBase) -> Trace:
         rows = rows[1:]
     if width is None:
         width = rows[0].count(",") + 1 if rows else 1
-    arrivals: list[int] = []
-    lengths: list[int] = []
+    values: list[int] = []
     for lineno, row in enumerate(rows, start=1):
         cols = row.split(",")
         if len(cols) > 2:
@@ -67,7 +69,7 @@ def read_trace_csv_by_rows(source: str | TextIOBase) -> Trace:
         if not row.isascii() or "_" in row or "+" in row:
             raise FormatError(f"row {lineno}: fields must be ASCII base-10 integers, got {row!r}")
         try:
-            values = [int(col) for col in cols]
+            values.extend(map(int, cols))
         except ValueError:
             # name the first field int() rejects even without its padding
             for col in cols:
@@ -78,10 +80,8 @@ def read_trace_csv_by_rows(source: str | TextIOBase) -> Trace:
             raise FormatError(
                 f"row {lineno}: fields must be ASCII base-10 integers, got {row!r}"
             ) from None
-        arrivals.append(values[0])
-        lengths.extend(values[1:])
     try:
-        return Trace(arrivals=arrivals, lengths=lengths if width == 2 else None)
+        return Trace(arrivals=values[::width], lengths=values[1::2] if width == 2 else None)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 

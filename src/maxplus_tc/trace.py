@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator, Sequence
-from io import TextIOBase
+from io import BytesIO, StringIO, TextIOBase
 from itertools import chain
 
 from ._record import Record
@@ -120,14 +120,16 @@ def read_trace_csv(source: str | TextIOBase) -> Trace:
     if header and header_cols not in ([CSV_HEADER_TICKS], [CSV_HEADER_TICKS, CSV_HEADER_LENGTHS]):
         raise FormatError(f"unrecognized trace header {head.strip()!r}")
     # the text is split into rows only when its bulk decode fails; its
-    # stripped, non-blank rows are then decoded in bulk once more, and read
-    # one by one only when that fails too
-    parsed = _bulk_integers(text[len(head) + 1 if header else 0:], header)
+    # stripped, non-blank rows are then decoded in bulk once more, and a text
+    # both refuse is read by the reference's row reader, to name its first bad row
+    parsed = _bulk_integers(text[len(head) + 1 if header else 0:], header, False)
     if parsed is None:
         text = "\n".join(filter(None, map(str.strip, text.split("\n"))))
-        parsed = _bulk_integers(text[len(head.strip()) + 1 if header else 0:], header)
+        parsed = _bulk_integers(text[len(head.strip()) + 1 if header else 0:], header, True)
     if parsed is None:
-        parsed = _row_integers(text.split("\n")[1 if header else 0:], header)
+        from .reference import read_trace_csv_by_rows
+
+        return read_trace_csv_by_rows(source if isinstance(source, str) else StringIO(text))
     values, width = parsed
     del text, parsed  # each stage is dropped once the next holds the data
     # both decoders yield ints only, so the columns skip Trace's per-value pass
@@ -144,8 +146,9 @@ def read_trace_csv(source: str | TextIOBase) -> Trace:
 _NOT_SEPARATOR = str.maketrans("", "", "0123456789- \t\r\v\f")
 
 
-def _bulk_integers(body: str, header: int) -> tuple[list[int], int] | None:
-    """The fields of the rows of ``body``, the text past its header, and their width, or None."""
+def _bulk_integers(body: str, header: int, by_int: bool) -> tuple[list[int], int] | None:
+    """The fields of the rows of ``body``, the text past its header, and their
+    width, or None; ``by_int`` lets int() decode what JSON refuses."""
     # every other character (non-ASCII, "_", "+", a letter) stays in the
     # skeleton and fails the comparison
     skeleton = body.translate(_NOT_SEPARATOR)
@@ -156,43 +159,20 @@ def _bulk_integers(body: str, header: int) -> tuple[list[int], int] | None:
     # rows have the right width.  On such text the JSON number grammar
     # -?(0|[1-9][0-9]*), padded by space, tab or CR, is a subset of what int()
     # takes, with the same value: the decoder returns int()'s integers or
-    # raises.  What it refuses and int() may still take ("007", "\v"
-    # padding, a blank row) is left to the row loop, which reads it as int() does.
+    # raises.  int(), which defines the rows, is tried second ("007", "\v"
+    # padding), and only on the stripped, non-blank rows: a text with a blank
+    # row, which both refuse, must not pay for a failed int() pass.  It takes
+    # each field as a line of ASCII bytes, read as the str would be, so that
+    # no string per field is held; the last "\n" keeps an empty last field
     try:
         return json.loads("[%s]" % body.replace("\n", ",")), len(sep) + 1
     except ValueError:
+        if not by_int:
+            return None
+    try:
+        return list(map(int, BytesIO((body.replace(",", "\n") + "\n").encode()))), len(sep) + 1
+    except ValueError:
         return None
-
-
-def _row_integers(rows: list[str], header: int) -> tuple[list[int], int]:
-    """The fields and their width, row by row; raises for the first bad row."""
-    width = 2 if header == 2 else rows[0].count(",") + 1 if rows else 1
-    values: list[int] = []
-    for lineno, row in enumerate(rows, start=1):
-        cols = row.split(",")
-        if len(cols) > 2:
-            raise FormatError(f"row {lineno}: expected 1 or 2 columns, got {len(cols)}")
-        if len(cols) != width:
-            raise FormatError(f"row {lineno}: inconsistent column count")
-        # int() alone would also take "1_0", "+5" and non-ASCII digits
-        if not row.isascii() or "_" in row or "+" in row:
-            raise FormatError(
-                f"row {lineno}: fields must be ASCII base-10 integers, got {row!r}"
-            )
-        try:
-            values.extend(map(int, cols))
-        except ValueError:
-            # name the first bad field without its padding ("1 , x" names 'x')
-            for field in cols:
-                try:
-                    int(field.strip())
-                except ValueError as exc:
-                    raise FormatError(f"row {lineno}: {exc}") from None
-            # str.strip() drops the separators 0x1c-0x1f around a field, int() does not
-            raise FormatError(
-                f"row {lineno}: fields must be ASCII base-10 integers, got {row!r}"
-            ) from None
-    return values, width
 
 
 def _csv_pieces(trace: Trace) -> Iterator[str]:

@@ -740,6 +740,20 @@ def test_model_keys_the_family_does_not_read_exit_3(tmp_path, capsys, model, key
     }
 
 
+def test_rational_keys_not_read_exit_3(tmp_path, capsys):
+    # a key misplaced inside a rational would otherwise be dropped: nu read
+    # as 0, and (1, 2) a violation
+    trace = _write(tmp_path / "t.csv", "0\n0\n5\n")
+    model = {"type": "lambda_nu", "lambda": {"num": 1, "den": 10, "nu": 3}, "nu": 0}
+    path = _write(tmp_path / "m.json", json.dumps(model))
+    assert run(["check", "--trace", trace, "--model", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "kind": "io", "message": "rational JSON key 'nu' is not read",
+    }
+
+
 @pytest.mark.parametrize("argv", [
     "map --model curve.json", "map --model lam_nu.json", "map --model tspec.json",
     "superpose --models tspec.json tspec.json",

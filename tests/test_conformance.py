@@ -91,16 +91,13 @@ class TestCheckLambdaNu:
         report = check_lambda_nu(Trace((0, 2, 2, 3, 3)), LambdaNuModel(F(1), F(0)))
         assert (report.witness.m, report.witness.n) == (2, 3)
 
-    def test_python_fallback_matches_numpy(self):
-        # ticks beyond 2**63 must give the same report as the small trace
+    def test_ticks_past_2_63_give_the_small_trace_report(self):
+        # a shift by 2**63 changes no field of the report
         huge = 2**63
         small = Trace((0, 1, 1, 5))
         big = Trace(tuple(a + huge for a in small.arrivals))
         model = LambdaNuModel(F(1), F(1))
-        a = check_lambda_nu(small, model)
-        b = check_lambda_nu(big, model)
-        assert a.conforms == b.conforms
-        assert a.tight_pairs == b.tight_pairs
+        assert check_lambda_nu(big, model) == check_lambda_nu(small, model)
 
 
 class TestConvolutionRoute:
@@ -168,8 +165,9 @@ class TestCheckSigmaRho:
         trace = Trace((10, 10), lengths=(100, 100))
         assert not check_sigma_rho(trace, SigmaRhoModel(F(100), F(10))).conforms
 
-    def test_python_fallback_matches_numpy(self):
-        # bit counts and model scaled by 2**62 must give the same report
+    def test_bit_counts_scaled_by_2_62_give_the_same_windows(self):
+        # bit counts and model scaled by 2**62 give the same verdict, tight
+        # windows and witness window
         small = Trace((0, 3, 3, 9), lengths=(50, 20, 20, 50))
         huge = Trace(small.arrivals, lengths=tuple(l * 2**62 for l in small.lengths))
         model = SigmaRhoModel(sigma=F(60), rho=F(9))

@@ -249,6 +249,34 @@ def test_unchecked_trace_constructions_are_allow_listed():
     assert sites == UNCHECKED_TRACE_BUILDERS
 
 
+# the production imports of the reference module, each named by its
+# top-level function (or "module") and the routes it imports: the suite's
+# compare routes, and the row reader that names a refused trace's first bad
+# row.  Any other would be brute force doing production work
+REFERENCE_IMPORTS = [
+    "suite.py module: aggregate_eq1 check_lambda_nu_via_convolution check_tspec_pairwise",
+    "trace.py read_trace_csv: read_trace_csv_by_rows",
+]
+
+
+def test_reference_imports_are_allow_listed():
+    # "from .reference import ...", and any import that names the module
+    # itself, such as "from . import reference", counts
+    sites = []
+    for path in sorted((ROOT / "src" / "maxplus_tc").glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            site = f"{path.name} {getattr(statement, 'name', 'module')}:"
+            for node in ast.walk(statement):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                names = sorted(alias.name for alias in node.names)
+                if (getattr(node, "module", None) or "").rpartition(".")[2] == "reference":
+                    sites.append(" ".join([site, *names]))
+                elif any(name.rpartition(".")[2] == "reference" for name in names):
+                    sites.append(f"{site} the module")
+    assert sorted(sites) == REFERENCE_IMPORTS
+
+
 # the constructors that store fields themselves: Record.__init__ stores those
 # of every plain record, and a record that checks its values keeps its own
 FIELD_STORES = [

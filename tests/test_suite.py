@@ -5,7 +5,7 @@ import signal
 import threading
 import time
 from fractions import Fraction as F
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -39,7 +39,7 @@ from maxplus_tc import (
     superpose_lambda_nu,
     superpose_tspec,
 )
-from maxplus_tc import conformance, suite
+from maxplus_tc import conformance, reference, suite
 from maxplus_tc.generators import Lcg64
 from maxplus_tc.suite import PROPERTIES, _property_seed, merge_conforms_to_sum
 
@@ -372,6 +372,38 @@ def _exhaustive_mismatches(packets: int, ticks: int) -> tuple[int, int]:
     return checks, mismatches
 
 
+# the bit-domain scope: allowances 0..5 bits at rates 1/2..2 bits a tick
+EXHAUSTIVE_SIGMAS = [F(sigma) for sigma in (0, 1, 2, 3, 5)]
+EXHAUSTIVE_RATES = [F(rho) for rho in ("1/2", "1", "3/2", "2")]
+
+
+def _exhaustive_sigma_rho_mismatches(packets: int, ticks: int) -> tuple[int, int]:
+    """The checks made and the mismatches among them, over every
+    nondecreasing trace of at most ``packets`` packets on ticks 0..``ticks``
+    with lengths 1 or 2.  Each trace is checked against every (sigma, rho)
+    model, as _exhaustive_mismatches checks the packet domain, and fitted at
+    every rate against ``reference.sigma_for_rate``.  The routes are looked
+    up in the reference module, which the suite does not import them from."""
+    checks = mismatches = 0
+    for n in range(packets + 1):
+        for arrivals in combinations_with_replacement(range(ticks + 1), n):
+            for lengths in product((1, 2), repeat=n):
+                trace = Trace(arrivals, lengths)
+                for sigma, rho in product(EXHAUSTIVE_SIGMAS, EXHAUSTIVE_RATES):
+                    model = SigmaRhoModel(sigma, rho)
+                    report = check_sigma_rho(trace, model)
+                    first = conformance.FIRST_VIOLATION[SigmaRhoModel](trace, model)
+                    witness = report.witness
+                    checks += 1
+                    mismatches += (report != reference.check_sigma_rho_pairwise(trace, model)
+                                   or first != (witness and (witness.m, witness.n)))
+                for rho in EXHAUSTIVE_RATES:
+                    checks += 1
+                    mismatches += (conformance.fit_sigma_rho(trace, rho=rho).model.sigma
+                                   != reference.sigma_for_rate(trace, rho))
+    return checks, mismatches
+
+
 class TestBoundedExhaustive:
     def test_every_small_trace_against_every_model(self):
         # 792 traces of at most 5 packets on ticks 0..6, times 44 models
@@ -392,3 +424,16 @@ class TestBoundedExhaustive:
         assert _exhaustive_mismatches(packets, ticks)[1] == caught
         smaller = [(packets - 1, 6)] + ([(packets, ticks - 1)] if ticks else [])
         assert all(_exhaustive_mismatches(*s)[1] == 0 for s in smaller)
+
+    def test_every_small_bit_trace_against_every_sigma_rho_model(self):
+        # 799 traces of at most 3 packets on ticks 0..6 with lengths 1 or 2,
+        # times 20 models and 4 fitted rates
+        assert _exhaustive_sigma_rho_mismatches(3, 6) == (19_176, 0)
+
+    def test_weakened_sigma_rho_reference_caught_on_the_empty_trace(self, monkeypatch):
+        # one bit more of allowance leaves the empty trace's one window
+        # [0, 0] untight at sigma = 0, at each of the 4 rates
+        weakened = reference.check_sigma_rho_pairwise
+        monkeypatch.setattr(reference, "check_sigma_rho_pairwise",
+                            lambda t, m: weakened(t, SigmaRhoModel(m.sigma + 1, m.rho)))
+        assert _exhaustive_sigma_rho_mismatches(0, 0) == (24, 4)

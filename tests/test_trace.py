@@ -442,15 +442,19 @@ class TestReaderCost:
         first, second = self._line_events(io.StringIO)
         assert first == second
 
-    @pytest.mark.parametrize("blank_row", ["", "\n \t"], ids=["clean", "blank row"])
-    def test_no_python_code_per_row_from_a_path(self, tmp_path, blank_row):
+    @pytest.mark.parametrize("edit", [
+        lambda text, middle: text,
+        lambda text, middle: text[:middle] + "\n \t" + text[middle:],
+        lambda text, middle: text.replace("\n", "\n0")[:-1],
+    ], ids=["clean", "blank row", "zero-padded"])
+    def test_no_python_code_per_row_from_a_path(self, tmp_path, edit):
         # a path is read by one read(), so its UTF-8 decoder runs one Python
         # frame whatever the rows.  A blank row fails the first bulk decode
-        # and is dropped before the second
+        # and is dropped before the second; every tick zero-padded ("00",
+        # "010") fails both JSON decodes and is read by int() in bulk
         def write(text):
             path = tmp_path / f"{len(text)}.csv"
-            middle = text.index("\n", len(text) // 2)
-            path.write_text(text[:middle] + blank_row + text[middle:])
+            path.write_text(edit(text, text.index("\n", len(text) // 2)))
             return str(path)
 
         first, second = self._line_events(write)
@@ -458,7 +462,8 @@ class TestReaderCost:
 
     @pytest.mark.parametrize("text, decodes", [
         (_two_column_text(10), 1), ("1\n\n 2\n", 2), ("1\n007\n9\n", 2), ("1\nx\n", 2),
-    ], ids=["clean", "blank row", "rows", "refused"])
+        ("0007,064\n0010,128\n", 2), ("5\v,6\n", 2),
+    ], ids=["clean", "blank row", "rows", "refused", "zero-padded", "vt"])
     def test_a_stream_and_a_path_decode_alike(self, tmp_path, monkeypatch, text, decodes):
         # one read() gives both the same text, so both make the same bulk
         # decodes before any row loop ("007" is read there, "x" refused)
@@ -482,11 +487,13 @@ class TestReaderCost:
         assert len(by_path) == decodes
         assert calls_reading(io.StringIO(text)) == by_path
 
-    @pytest.mark.parametrize("text", [_two_column_text(100), "1\n007\n9\n"], ids=["bulk", "rows"])
+    @pytest.mark.parametrize("text", [
+        _two_column_text(100), "1\n007\n9\n", "0007,064\n0010,128\n", "5\v,6\n",
+    ], ids=["bulk", "rows", "zero-padded", "vt"])
     @pytest.mark.parametrize("by_path", [True, False], ids=["path", "stream"])
     def test_decoded_ints_skip_the_per_value_pass(self, tmp_path, monkeypatch, text, by_path):
-        # both decoders yield ints only; the trace read equals the one the
-        # checking constructor builds from its columns
+        # both decodes yield ints only; the trace read equals the one the
+        # checking constructor builds from its columns, and the reference's
         calls = []
         monkeypatch.setattr(trace_module, "_int_column", lambda *args: calls.append(args))
         path = tmp_path / "t.csv"
@@ -496,6 +503,7 @@ class TestReaderCost:
         monkeypatch.undo()
         lengths = None if trace.lengths is None else list(trace.lengths)
         assert trace == Trace(list(trace.arrivals), lengths=lengths)
+        assert trace == reference.read_trace_csv_by_rows(io.StringIO(text))
 
 
 class TestRationalJson:
@@ -514,6 +522,11 @@ class TestRationalJson:
             rational_from_json({"num": 1})
         with pytest.raises(FormatError):
             rational_from_json({"num": 1, "den": 0})
+
+    def test_rejects_keys_other_than_num_and_den(self):
+        with pytest.raises(FormatError) as info:
+            rational_from_json({"num": 1, "den": 10, "nu": 3})
+        assert str(info.value) == "rational JSON key 'nu' is not read"
 
     @pytest.mark.parametrize(
         "value, message",
