@@ -121,15 +121,16 @@ def read_trace_csv(source: str | TextIOBase) -> Trace:
         raise FormatError(f"unrecognized trace header {head.strip()!r}")
     # the text is split into rows only when its bulk decode fails; its
     # stripped, non-blank rows are then decoded in bulk once more, and a text
-    # both refuse is read by the reference's row reader, to name its first bad row
-    parsed = _bulk_integers(text[len(head) + 1 if header else 0:], header, False)
+    # both refuse is read by the reference's row reader, to name its first
+    # bad row.  Those rows are given to it, not the source: a pipe reads once
+    parsed = _bulk_integers(text[len(head) + 1 if header else 0:], header)
     if parsed is None:
         text = "\n".join(filter(None, map(str.strip, text.split("\n"))))
         parsed = _bulk_integers(text[len(head.strip()) + 1 if header else 0:], header, True)
     if parsed is None:
         from .reference import read_trace_csv_by_rows
 
-        return read_trace_csv_by_rows(source if isinstance(source, str) else StringIO(text))
+        return read_trace_csv_by_rows(StringIO(text))
     values, width = parsed
     del text, parsed  # each stage is dropped once the next holds the data
     # both decoders yield ints only, so the columns skip Trace's per-value pass
@@ -146,7 +147,7 @@ def read_trace_csv(source: str | TextIOBase) -> Trace:
 _NOT_SEPARATOR = str.maketrans("", "", "0123456789- \t\r\v\f")
 
 
-def _bulk_integers(body: str, header: int, by_int: bool) -> tuple[list[int], int] | None:
+def _bulk_integers(body: str, header: int, by_int: bool = False) -> tuple[list[int], int] | None:
     """The fields of the rows of ``body``, the text past its header, and their
     width, or None; ``by_int`` lets int() decode what JSON refuses."""
     # every other character (non-ASCII, "_", "+", a letter) stays in the

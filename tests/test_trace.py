@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import io
+import os
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -353,6 +354,19 @@ class TestReaderMatchesReference:
         path.write_bytes(text.encode())
         expected = _outcome(reference.read_trace_csv_by_rows, str(path))
         assert _outcome(read_trace_csv, str(path)) == expected
+
+    def test_a_refused_pipe_is_read_once(self):
+        # a pipe (as in `check --trace /dev/stdin`) gives its text once, so a
+        # refused text's first bad row is named from the text already read
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"1\n2\nx\n")
+        os.close(write_end)
+        try:
+            with pytest.raises(FormatError) as info:
+                read_trace_csv(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert str(info.value) == "row 3: invalid literal for int() with base 10: 'x'"
 
     @pytest.mark.parametrize(
         "text, trace",
