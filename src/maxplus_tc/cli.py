@@ -78,6 +78,11 @@ def _only(applies: bool, args, where: str, *dests: str) -> None:
         raise _UsageError(f"{', '.join(given)}: valid only {where}")
 
 
+def _distinct_outputs(first: str, path: str, second: str, other: str | None) -> None:
+    if other and "-" not in (path, other) and os.path.realpath(path) == os.path.realpath(other):
+        raise _UsageError(f"{first} and {second} name one file, {other!r}")
+
+
 def _report_text(report) -> str:
     lines = [f"conforms: {'yes' if report.conforms else 'no'}"]
     if report.witness is not None:
@@ -111,10 +116,7 @@ def _cmd_check(args) -> int:
     if args.max_tight is None and report.truncated:
         raise _UsageError(f"--max-tight all lists at most {MAX_TIGHT_ALL} tight pairs, not "
                           f"{report.tight_count}; give a count K to list the first K")
-    if args.format == "text":
-        sys.stdout.write(_report_text(report))
-    else:
-        _print(report_to_json(report), args.format)
+    _print(report_to_json(report), args.format, _report_text(report))
     return 0 if report.conforms else 1
 
 
@@ -188,6 +190,7 @@ def _cmd_merge(args) -> int:
     from .aggregation import _merge, _provenance_pieces
     from .trace import _csv_pieces, read_trace_csv
 
+    _distinct_outputs("--out", args.out, "--provenance", args.provenance)
     traces = [read_trace_csv(path) for path in args.traces]
     merged, order, gather = _merge(traces)
     _write_out(args.out, _csv_pieces(merged))
@@ -215,6 +218,7 @@ def _cmd_generate(args) -> int:
     reads = _GENERATE_READS[kind]
     unread = [dest for dest in dict.fromkeys(chain(*_GENERATE_READS.values())) if dest not in reads]
     _only(False, args, f"with a --kind that reads them, not {kind}", *unread)
+    _distinct_outputs("--out", args.out, "--model-out", args.model_out)
 
     def need(dest):
         value = getattr(args, dest)

@@ -5,12 +5,12 @@ row) exactly as the definition reads, with no running minima, window scans,
 bulk parsing or shared helpers of the production modules, so a bug in a
 fast path cannot hide in code both sides use.  Each route has the signature
 and result type of the production function it checks, so a test can compare
-whole outcomes.  Most cost O(N^2) or more (``aggregate_eq1`` is exponential
-in the flow count) and are meant for small inputs: the test suite and the
-randomized validation suite.  The row-by-row CSV reader, which is O(N), is
-also :func:`~maxplus_tc.read_trace_csv`'s route for a text its bulk decodes
-refuse, to name the first bad row: its one use outside the tests and the
-randomized suite.
+whole outcomes.  The one exception is the row-by-row CSV reader, which takes
+the text :func:`~maxplus_tc.read_trace_csv` has read: it is also that
+reader's O(N) route for a text its bulk decodes refuse, to name the first
+bad row, and a pipe gives its text only once.  The other routes cost O(N^2)
+or more (``aggregate_eq1`` is exponential in the flow count) and are meant
+for small inputs: the test suite and the randomized validation suite.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
-from io import TextIOBase
 from itertools import product
 from operator import itemgetter
 
@@ -38,17 +37,14 @@ def _report(witness: Witness | None, tight: list, checked: int) -> ConformanceRe
 # Trace CSV
 
 
-def read_trace_csv_by_rows(source: str | TextIOBase) -> Trace:
-    """Reference for :func:`~maxplus_tc.read_trace_csv`: each row on its own,
-    in file order, split, checked and converted by ``int()``.  The first row
-    that breaks the format is the one reported; the range rules (ticks
-    nonnegative and nondecreasing, lengths positive) are ``Trace``'s, after
-    every row has parsed.  A row is a line of the text ``read()`` returns,
-    ended by a line feed; a path is read with universal newlines."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return read_trace_csv_by_rows(fh)
-    rows = [line for line in map(str.strip, source.read().split("\n")) if line]
+def trace_from_csv_text(text: str) -> Trace:
+    """Reference for :func:`~maxplus_tc.read_trace_csv`, on the text it
+    reads: each row on its own, in file order, split, checked and converted
+    by ``int()``.  The first row that breaks the format is the one reported;
+    the range rules (ticks nonnegative and nondecreasing, lengths positive)
+    are ``Trace``'s, after every row has parsed.  A row is a line of the
+    text, ended by a line feed."""
+    rows = [line for line in map(str.strip, text.split("\n")) if line]
     width = None
     if rows and rows[0].split(",")[0].strip() == CSV_HEADER_TICKS:
         header = [c.strip() for c in rows[0].split(",")]

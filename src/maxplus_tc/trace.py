@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterable, Iterator, Sequence
-from io import BytesIO, StringIO, TextIOBase
+from io import BytesIO, TextIOBase
 from itertools import chain
 
 from ._record import Record
@@ -122,15 +122,15 @@ def read_trace_csv(source: str | TextIOBase) -> Trace:
     # the text is split into rows only when its bulk decode fails; its
     # stripped, non-blank rows are then decoded in bulk once more, and a text
     # both refuse is read by the reference's row reader, to name its first
-    # bad row.  Those rows are given to it, not the source: a pipe reads once
+    # bad row.  It is given that text, neither a copy nor the source: a pipe reads once
     parsed = _bulk_integers(text[len(head) + 1 if header else 0:], header)
     if parsed is None:
         text = "\n".join(filter(None, map(str.strip, text.split("\n"))))
         parsed = _bulk_integers(text[len(head.strip()) + 1 if header else 0:], header, True)
     if parsed is None:
-        from .reference import read_trace_csv_by_rows
+        from .reference import trace_from_csv_text
 
-        return read_trace_csv_by_rows(StringIO(text))
+        return trace_from_csv_text(text)
     values, width = parsed
     del text, parsed  # each stage is dropped once the next holds the data
     # both decoders yield ints only, so the columns skip Trace's per-value pass

@@ -617,6 +617,35 @@ class TestMergeGenerate:
         assert capsys.readouterr().out == (tmp_path / "f.json").read_text()
         assert not (tmp_path / "-").exists()
 
+    @pytest.mark.parametrize("argv, options", [
+        ("generate --kind jittered --period 10 --jitter 3 --seed 7 --count 20 --out f.out "
+         "--model-out", "--out and --model-out"),
+        ("merge --traces a.csv a.csv --out f.out --provenance", "--out and --provenance"),
+    ], ids=["model-out", "provenance"])
+    @pytest.mark.parametrize("second", ["f.out", "./f.out"], ids=["same", "dot-slash"])
+    def test_two_outputs_naming_one_file_exit_two(self, tmp_path, capsys, monkeypatch, argv,
+                                                  options, second):
+        # the second document would replace the first.  No a.csv exists, so
+        # a merge that read its inputs first would exit 3
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv.split(), second]) == 2
+        assert _usage_message(capsys) == f"{options} name one file, {second!r}"
+        assert not (tmp_path / "f.out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        "generate --kind jittered --period 10 --jitter 3 --seed 7 --count 20 --model-out",
+        "merge --traces a.csv a.csv --provenance",
+    ], ids=["model-out", "provenance"])
+    def test_both_outputs_to_stdout_write_one_after_the_other(self, tmp_path, capsys,
+                                                              monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "a.csv", "1\n3\n")
+        assert run([*argv.split(), "f.json", "--out", "f.csv"]) == 0
+        assert run([*argv.split(), "-", "--out", "-"]) == 0
+        assert capsys.readouterr().out == (
+            (tmp_path / "f.csv").read_text() + (tmp_path / "f.json").read_text()
+        )
+
     def test_generate_without_kind_exits_two(self, capsys):
         assert run(["generate", "--count", "3"]) == 2
         assert _usage_message(capsys) == "the following arguments are required: --kind"

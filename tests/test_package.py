@@ -255,7 +255,7 @@ def test_unchecked_trace_constructions_are_allow_listed():
 # row.  Any other would be brute force doing production work
 REFERENCE_IMPORTS = [
     "suite.py module: aggregate_eq1 check_lambda_nu_via_convolution check_tspec_pairwise",
-    "trace.py read_trace_csv: read_trace_csv_by_rows",
+    "trace.py read_trace_csv: trace_from_csv_text",
 ]
 
 

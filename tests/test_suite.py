@@ -13,6 +13,7 @@ from maxplus_tc import (
     PROPERTY_NAMES,
     FitResult,
     LambdaNuModel,
+    MappingVariant,
     SigmaRhoModel,
     SuiteConfig,
     Trace,
@@ -404,6 +405,58 @@ def _exhaustive_sigma_rho_mismatches(packets: int, ticks: int) -> tuple[int, int
     return checks, mismatches
 
 
+def _small_traces(packets: int, ticks: int, with_lengths: bool = False):
+    """Every nondecreasing trace of at most ``packets`` packets on ticks
+    0..``ticks``, with every choice of lengths 1 or 2 when ``with_lengths``."""
+    for n in range(packets + 1):
+        for arrivals in combinations_with_replacement(range(ticks + 1), n):
+            for lengths in product((1, 2), repeat=n) if with_lengths else [None]:
+                yield Trace(arrivals, lengths)
+
+
+def _family_models(family) -> list:
+    """The bounded-exhaustive model grid of one family."""
+    if family is SigmaRhoModel:
+        return [SigmaRhoModel(sigma, rho)
+                for sigma, rho in product(EXHAUSTIVE_SIGMAS, EXHAUSTIVE_RATES)]
+    return [model for model in EXHAUSTIVE_MODELS if type(model) is family]
+
+
+def _conforming_flows(family, packets: int, ticks: int) -> list:
+    """Every (model, trace) of the family's grid and the scope's traces, σ/ρ
+    traces with lengths, in which the trace conforms to the model."""
+    traces = list(_small_traces(packets, ticks, family is SigmaRhoModel))
+    verdict = conformance.FIRST_VIOLATION[family]
+    return [(model, trace) for model in _family_models(family) for trace in traces
+            if verdict(trace, model) is None]
+
+
+def _exhaustive_superposition_failures(family, packets: int, ticks: int) -> tuple[int, int]:
+    """The checks made and the failures among them, over every ordered pair
+    of conforming flows of one family: a check fails when the two merged do
+    not conform to the sum of their models (``merge_conforms_to_sum``, which
+    reads the sum from ``suite.SUPERPOSE``)."""
+    flows = _conforming_flows(family, packets, ticks)
+    failures = sum(merge_conforms_to_sum([m1, m2], [t1, t2]) is not None
+                   for (m1, t1), (m2, t2) in product(flows, repeat=2))
+    return len(flows) ** 2, failures
+
+
+def _exhaustive_mapping_failures(packets: int, ticks: int) -> tuple[int, int]:
+    """The checks made and the failures among them: every conforming λ/ν
+    flow of the scope against its TSpec by both variants at j = 1..3, and
+    every conforming TSpec flow against its rate/burst model.  The maps are
+    looked up in the suite module, where WEAKENED patches them."""
+    checks = []
+    for model, trace in _conforming_flows(LambdaNuModel, packets, ticks):
+        checks += [(trace, suite.map_lambda_nu_to_tspec(model, variant, j))
+                   for variant in MappingVariant for j in (1, 2, 3)]
+    checks += [(trace, suite.map_tspec_to_lambda_nu(tspec))
+               for tspec, trace in _conforming_flows(TSpecModel, packets, ticks)]
+    violation = conformance.FIRST_VIOLATION
+    return len(checks), sum(violation[type(m)](t, m) is not None for t, m in checks)
+
+
 class TestBoundedExhaustive:
     def test_every_small_trace_against_every_model(self):
         # 792 traces of at most 5 packets on ticks 0..6, times 44 models
@@ -437,3 +490,47 @@ class TestBoundedExhaustive:
         monkeypatch.setattr(reference, "check_sigma_rho_pairwise",
                             lambda t, m: weakened(t, SigmaRhoModel(m.sigma + 1, m.rho)))
         assert _exhaustive_sigma_rho_mismatches(0, 0) == (24, 4)
+
+    def test_every_small_superposition(self):
+        # every ordered pair of conforming flows of at most 2 packets on
+        # ticks 0..1, σ/ρ flows with lengths 1 or 2
+        assert [
+            _exhaustive_superposition_failures(family, 2, 1)
+            for family in (LambdaNuModel, TSpecModel, SigmaRhoModel)
+        ] == [(12_996, 0), (8_281, 0), (34_225, 0)]
+
+    @pytest.mark.parametrize("family, weak, scope, caught", [
+        (LambdaNuModel, _no_slack, (1, 0), (2_304, 108)),
+        (LambdaNuModel, WEAKENED_SUMS[LambdaNuModel], (2, 1), (12_996, 91)),
+        (TSpecModel, WEAKENED_SUMS[TSpecModel], (1, 0), (1_600, 100)),
+        (SigmaRhoModel, WEAKENED_SUMS[SigmaRhoModel], (1, 0), (2_304, 432)),
+    ], ids=["no-slack", "lambda_nu-half-rate", "tspec-one-packet-less", "sigma_rho-half-sigma"])
+    def test_weakened_sum_caught_at_its_smallest_scope(self, monkeypatch, family, weak, scope,
+                                                       caught):
+        # the paper's "+ (K - 1)" slack, the full TSpec budget and the full
+        # σ/ρ allowance are each needed already by two one-packet flows on
+        # tick 0; half the summed rate first shows on two packets a tick apart
+        monkeypatch.setitem(suite.SUPERPOSE, family, weak)
+        packets, ticks = scope
+        assert _exhaustive_superposition_failures(family, packets, ticks) == caught
+        smaller = [(packets - 1, 6)] + ([(packets, ticks - 1)] if ticks else [])
+        assert all(_exhaustive_superposition_failures(family, *s)[1] == 0 for s in smaller)
+
+    def test_every_small_trace_through_both_mappings(self):
+        # the 792 traces of at most 5 packets on ticks 0..6, each against
+        # the models it conforms to, mapped into the other family
+        assert _exhaustive_mapping_failures(5, 6) == (36_555, 0)
+
+    @pytest.mark.parametrize("name, scope, caught", [
+        ("map_lambda_nu_to_tspec", (2, 0), (410, 6)),
+        ("map_tspec_to_lambda_nu", (2, 1), (775, 1)),
+    ], ids=["tspec-one-packet-less", "lambda_nu-half-rate"])
+    def test_weakened_mapping_caught_at_its_smallest_scope(self, monkeypatch, name, scope,
+                                                           caught):
+        # a budget one packet short first shows on two packets on one tick,
+        # half the rate on two packets a tick apart
+        monkeypatch.setattr(suite, name, WEAKENED[name])
+        packets, ticks = scope
+        assert _exhaustive_mapping_failures(packets, ticks) == caught
+        smaller = [(packets - 1, 6)] + ([(packets, ticks - 1)] if ticks else [])
+        assert all(_exhaustive_mapping_failures(*s)[1] == 0 for s in smaller)

@@ -167,7 +167,7 @@ class TestCsv:
         ],
     )
     def test_malformed_messages(self, text, message):
-        for read in (read_trace_csv, reference.read_trace_csv_by_rows):
+        for read in (read_trace_csv, _read_by_rows):
             with pytest.raises(FormatError) as info:
                 read(io.StringIO(text))
             assert str(info.value) == message
@@ -242,7 +242,7 @@ class TestCsv:
     def test_a_stream_reads_as_the_text_its_read_returns(self, text):
         # a stream that ends lines at "\r" only returns its text untranslated,
         # and its rows end at the line feeds of that text
-        for read in (read_trace_csv, reference.read_trace_csv_by_rows):
+        for read in (read_trace_csv, _read_by_rows):
             assert _read_outcome(read, text, newline="\r") == _outcome(read, io.StringIO(text))
 
     @pytest.mark.parametrize("lengths", [None, (2**63, 1, 2**70)])
@@ -325,6 +325,15 @@ def csv_texts(draw):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
+def _read_by_rows(source):
+    """The reference row reader's trace of the text a path or a stream reads
+    to: a path with universal newlines, a stream by one ``read()``."""
+    if isinstance(source, str):
+        with open(source, encoding="utf-8") as fh:
+            return reference.trace_from_csv_text(fh.read())
+    return reference.trace_from_csv_text(source.read())
+
+
 def _outcome(read, source):
     """The trace read from the source, or the message of the error raised."""
     try:
@@ -343,7 +352,7 @@ class TestReaderMatchesReference:
     @settings(max_examples=400, deadline=None)
     @given(csv_texts())
     def test_same_trace_or_same_message(self, text):
-        expected = _read_outcome(reference.read_trace_csv_by_rows, text)
+        expected = _read_outcome(_read_by_rows, text)
         assert _read_outcome(read_trace_csv, text) == expected
 
     @settings(max_examples=400, deadline=None,
@@ -352,7 +361,7 @@ class TestReaderMatchesReference:
     def test_same_from_a_path(self, tmp_path, text):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode())
-        expected = _outcome(reference.read_trace_csv_by_rows, str(path))
+        expected = _outcome(_read_by_rows, str(path))
         assert _outcome(read_trace_csv, str(path)) == expected
 
     def test_a_refused_pipe_is_read_once(self):
@@ -389,7 +398,7 @@ class TestReaderMatchesReference:
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode())
         assert read_trace_csv(str(path)) == trace
-        assert reference.read_trace_csv_by_rows(str(path)) == trace
+        assert _read_by_rows(str(path)) == trace
 
     @pytest.mark.parametrize("odd", ODD_FIELDS + ["007", "0"] + [f"{c}7{c}" for c in PADDING])
     def test_one_odd_field_in_a_clean_file(self, odd):
@@ -400,9 +409,7 @@ class TestReaderMatchesReference:
                     rows[row][col] = odd
                     lines = ([header] if header else []) + [",".join(r) for r in rows]
                     text = "\n".join(lines) + "\n"
-                    assert _read_outcome(read_trace_csv, text) == _read_outcome(
-                        reference.read_trace_csv_by_rows, text
-                    )
+                    assert _read_outcome(read_trace_csv, text) == _read_outcome(_read_by_rows, text)
 
 
 def _two_column_text(rows):
@@ -423,6 +430,23 @@ class TestReaderCost:
             tracemalloc.stop()
         assert len(trace) == 10**5
         assert peak < 12 * 2**20
+
+    def test_a_refused_text_peaks_near_a_clean_one(self):
+        # the reference names the bad row of the text read, not of a copy:
+        # a StringIO of it would hold 4 bytes a character
+        def peak(text):
+            source = io.StringIO(text)
+            tracemalloc.start()
+            try:
+                with contextlib.suppress(FormatError):
+                    read_trace_csv(source)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        clean = _two_column_text(2 * 10**4)
+        refused = clean[:clean.rindex("\n", 0, -1)] + "\nx,1\n"
+        assert peak(refused) <= 1.6 * peak(clean)
 
     @staticmethod
     def _line_events(source_of):
@@ -517,7 +541,7 @@ class TestReaderCost:
         monkeypatch.undo()
         lengths = None if trace.lengths is None else list(trace.lengths)
         assert trace == Trace(list(trace.arrivals), lengths=lengths)
-        assert trace == reference.read_trace_csv_by_rows(io.StringIO(text))
+        assert trace == _read_by_rows(io.StringIO(text))
 
 
 class TestRationalJson:
