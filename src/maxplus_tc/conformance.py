@@ -179,20 +179,18 @@ def _report(
 # Rate/burst (packet-domain) checking
 
 
-def _excess_keys(
-    arrivals: tuple[int, ...], lam: Fraction, nu: Fraction
-) -> tuple[list[int], int, int]:
-    """Keys, lag and limit of the rate/burst bound for lam = p/q, nu = r/s.
+def _excess_keys(arrivals: tuple[int, ...], model: LambdaNuModel) -> tuple[list[int], int, int]:
+    """Keys, lag and limit of the rate/burst bound, in the integer form
+    ``(s*q, s*p, r*q, lag)`` of :meth:`~maxplus_tc.LambdaNuModel.integer_bound`.
 
     Key ``s*q*k - s*p*arrival(k)`` is how far packet k runs ahead of the
     rate line, so the gain of m < n is ``s*q*(n - m) - s*p*gap``.  The pair
     violates the bound iff its gain exceeds the limit r*q, which needs
-    n - m >= lag = min(floor(nu) + 1, N), as no two of N packets are N apart.
+    n - m >= min(lag, N), as no two of N packets are N apart.
     """
-    p, q = lam.numerator, lam.denominator
-    r, s = nu.numerator, nu.denominator
-    keys = list(map(sub, count(s * q, s * q), map((s * p).__mul__, arrivals)))
-    return keys, min(r // s + 1, len(arrivals)), r * q
+    sq, sp, rq, lag = model.integer_bound()
+    keys = list(map(sub, count(sq, sq), map(sp.__mul__, arrivals)))
+    return keys, min(lag, len(arrivals)), rq
 
 
 def _simultaneous(arrivals: tuple[int, ...], lag: int):
@@ -213,7 +211,7 @@ def _simultaneous(arrivals: tuple[int, ...], lag: int):
 
 
 def _lambda_nu_violation(trace: Trace, model: LambdaNuModel) -> tuple[int, int] | None:
-    keys, lag, limit = _excess_keys(trace.arrivals, model.lam, model.nu)
+    keys, lag, limit = _excess_keys(trace.arrivals, model)
     return _first_over(keys, keys, lag, limit)
 
 
@@ -230,7 +228,7 @@ def check_lambda_nu(
     """
     arrivals = trace.arrivals
     n_pk = len(arrivals)
-    keys, lag, limit = _excess_keys(arrivals, model.lam, model.nu)
+    keys, lag, limit = _excess_keys(arrivals, model)
     witness = None
     pair = _first_over(keys, keys, lag, limit)
     if pair is not None:
@@ -393,16 +391,15 @@ def fit_lambda_nu(
         unbursty = LambdaNuModel(lam, 0)  # refuses lam <= 0
         lam = unbursty.lam
         # nu >= (n - m) - lam*gap for every pair; the largest gain is q*nu
-        keys, _, _ = _excess_keys(arrivals, lam, unbursty.nu)
+        keys, _, _ = _excess_keys(arrivals, unbursty)
         top = _top_gain(keys, keys, 1)
         if top is None or top[2] < 0:
             return FitResult(unbursty, None)
         m, n, gain = top
         return FitResult(LambdaNuModel(lam=lam, nu=Fraction(gain, lam.denominator)), (m, n))
 
-    nu = LambdaNuModel(1, nu).nu  # refuses nu < 0
-    r, s = nu.numerator, nu.denominator
-    lag = r // s + 1  # only pairs more than nu apart constrain the rate
+    probe = LambdaNuModel(1, nu)  # refuses nu < 0
+    nu, lag = probe.nu, probe.integer_bound()[3]  # only pairs lag or more apart bind
     if lag >= n_pk:
         raise UnboundedFitError(
             f"no packet pair exceeds the allowance {nu}; any positive rate conforms"
@@ -417,14 +414,14 @@ def fit_lambda_nu(
         )
     # lam >= (n - m - nu)/gap for every such pair.  Dinkelbach (1967): from
     # the ratio of some pair, move to the ratio of the pair whose gain most
-    # exceeds r*q at the current rate, until none exceeds it.
+    # exceeds the limit at the current rate, until none exceeds it.
     m, n = 1, n_pk
     while True:
-        lam = Fraction(s * (n - m) - r, s * (arrivals[n - 1] - arrivals[m - 1]))
-        keys, _, limit = _excess_keys(arrivals, lam, nu)
+        model = LambdaNuModel((n - m - nu) / (arrivals[n - 1] - arrivals[m - 1]), nu)
+        keys, _, limit = _excess_keys(arrivals, model)
         m, n, gain = _top_gain(keys, keys, lag)
         if gain == limit:
-            return FitResult(LambdaNuModel(lam=lam, nu=nu), (m, n))
+            return FitResult(model, (m, n))
 
 
 def fit_sigma_rho(trace: Trace, *, rho: RationalLike) -> FitResult:

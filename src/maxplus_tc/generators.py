@@ -13,7 +13,6 @@ from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add
 
-from .conformance import FIRST_VIOLATION, fit_lambda_nu
 from .models import LambdaNuModel, TSpecModel
 from .trace import Trace
 
@@ -75,8 +74,8 @@ def gen_extremal_lambda_nu(model: LambdaNuModel, count: int) -> Trace:
     Greedy construction: packet 1 arrives at tick 0 and each later packet
     arrives at the first tick every earlier packet's spacing bound allows,
     i.e. ``arrival(n) = max over m < n of arrival(m) + ceil(min_spacing(n - m))``.
-    With lam = p/q and nu = r/s a term more than nu packets back is
-    ``ceil((s*q*n - r*q - key(m)) / (s*p))``, ``key(m) = s*q*m - s*p*arrival(m)``,
+    In the model's ``integer_bound()`` form a term more than nu packets back
+    is ``ceil((s*q*n - r*q - key(m)) / (s*p))``, ``key(m) = s*q*m - s*p*arrival(m)``,
     so a running minimum of the keys gives the maximum.  When the exact
     bounds land on the tick grid this collapses to
     ``arrival(n) = min_spacing(n - 1)`` anchored at the first packet.  The
@@ -85,10 +84,7 @@ def gen_extremal_lambda_nu(model: LambdaNuModel, count: int) -> Trace:
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    p, q = model.lam.numerator, model.lam.denominator
-    r, s = model.nu.numerator, model.nu.denominator
-    lag = r // s + 1  # closer packets only need arrival(n) >= arrival(n - 1)
-    sq, sp, rq = s * q, s * p, r * q
+    sq, sp, rq, lag = model.integer_bound()  # closer than lag, only the order binds
     arrivals = [0] * count
     keys = [0] * count
     low = 0  # key of packet 1, the first to constrain a later one
@@ -133,6 +129,7 @@ def gen_jittered(period: int, jitter: int, seed: int, count: int) -> tuple[Trace
         raise ValueError(f"jitter must be in [0, period-1], got {jitter}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    from .conformance import FIRST_VIOLATION, fit_lambda_nu
     offsets = Lcg64(seed).randints(0, jitter, count)
     trace = Trace._of(tuple(sorted(map(add, range(0, count * period, period), offsets))), None)
     fitted = fit_lambda_nu(trace, lam=Fraction(1, period)).model

@@ -51,13 +51,18 @@ class LambdaNuModel(Record):
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "nu", nu)
 
+    def integer_bound(self) -> tuple[int, int, int, int]:
+        """The bound in integers ``(s*q, s*p, r*q, lag)`` for lam = p/q and
+        nu = r/s: packets d apart need ``s*p*gap >= s*q*d - r*q``, which binds
+        only from ``lag = floor(nu) + 1``, the least d with d > nu."""
+        p, q = self.lam.numerator, self.lam.denominator
+        r, s = self.nu.numerator, self.nu.denominator
+        return s * q, s * p, r * q, r // s + 1
+
     def min_spacing(self, gap: int) -> Fraction:
         """Required inter-arrival time for packets ``gap`` indices apart."""
-        r, s = self.nu.numerator, self.nu.denominator
-        excess = s * gap - r  # s * (gap - nu), so the spacing is excess / (s * lam)
-        if excess <= 0:
-            return Fraction(0)
-        return Fraction(excess * self.lam.denominator, s * self.lam.numerator)
+        sq, sp, rq, _ = self.integer_bound()
+        return Fraction(max(sq * gap - rq, 0), sp)
 
 
 class TSpecModel(Record):

@@ -265,6 +265,14 @@ class TestIntegerRationalPaths:
         assert LambdaNuModel(lam, nu).min_spacing(gap) == expected
 
     @settings(max_examples=200, deadline=None)
+    @given(lam=POSITIVE, nu=NONNEGATIVE, gap=st.integers(0, 2 * 10**6))
+    def test_integer_bound(self, lam, nu, gap):
+        sq, sp, rq, lag = LambdaNuModel(lam, nu).integer_bound()
+        assert F(sq * gap - rq, sp) == (gap - nu) / lam
+        # lag is the least gap d with d - nu > 0
+        assert lag - nu > 0 >= lag - 1 - nu
+
+    @settings(max_examples=200, deadline=None)
     @given(lam=POSITIVE, nu=NONNEGATIVE, j=st.integers(1, 50),
            variant=st.sampled_from(MappingVariant))
     def test_map_lambda_nu_to_tspec(self, lam, nu, j, variant):

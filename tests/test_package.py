@@ -36,7 +36,7 @@ EXPORTED = [
 
 # production helpers whose result a reference route would share with the
 # fast path it checks
-SHARED_HELPERS = {"min_spacing", "max_gap_in_window"}
+SHARED_HELPERS = {"integer_bound", "min_spacing", "max_gap_in_window"}
 
 
 def test_exported_names_are_pinned_and_resolve():

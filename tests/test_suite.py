@@ -358,18 +358,16 @@ def _exhaustive_mismatches(packets: int, ticks: int) -> tuple[int, int]:
     production checker's report is not the reference route's, or when the
     verdict alone (FIRST_VIOLATION) is not that report's witness."""
     checks = mismatches = 0
-    for n in range(packets + 1):
-        for arrivals in combinations_with_replacement(range(ticks + 1), n):
-            trace = Trace(arrivals)
-            for model in EXHAUSTIVE_MODELS:
-                family = type(model)
-                report = conformance.CHECKERS[family](trace, model)
-                reference = getattr(suite, EXHAUSTIVE_REFERENCES[family])(trace, model)
-                first = conformance.FIRST_VIOLATION[family](trace, model)
-                witness = report.witness
-                checks += 1
-                mismatches += (report != reference
-                               or first != (witness and (witness.m, witness.n)))
+    for trace in _small_traces(packets, ticks):
+        for model in EXHAUSTIVE_MODELS:
+            family = type(model)
+            report = conformance.CHECKERS[family](trace, model)
+            reference = getattr(suite, EXHAUSTIVE_REFERENCES[family])(trace, model)
+            first = conformance.FIRST_VIOLATION[family](trace, model)
+            witness = report.witness
+            checks += 1
+            mismatches += (report != reference
+                           or first != (witness and (witness.m, witness.n)))
     return checks, mismatches
 
 
@@ -386,22 +384,19 @@ def _exhaustive_sigma_rho_mismatches(packets: int, ticks: int) -> tuple[int, int
     every rate against ``reference.sigma_for_rate``.  The routes are looked
     up in the reference module, which the suite does not import them from."""
     checks = mismatches = 0
-    for n in range(packets + 1):
-        for arrivals in combinations_with_replacement(range(ticks + 1), n):
-            for lengths in product((1, 2), repeat=n):
-                trace = Trace(arrivals, lengths)
-                for sigma, rho in product(EXHAUSTIVE_SIGMAS, EXHAUSTIVE_RATES):
-                    model = SigmaRhoModel(sigma, rho)
-                    report = check_sigma_rho(trace, model)
-                    first = conformance.FIRST_VIOLATION[SigmaRhoModel](trace, model)
-                    witness = report.witness
-                    checks += 1
-                    mismatches += (report != reference.check_sigma_rho_pairwise(trace, model)
-                                   or first != (witness and (witness.m, witness.n)))
-                for rho in EXHAUSTIVE_RATES:
-                    checks += 1
-                    mismatches += (conformance.fit_sigma_rho(trace, rho=rho).model.sigma
-                                   != reference.sigma_for_rate(trace, rho))
+    for trace in _small_traces(packets, ticks, with_lengths=True):
+        for sigma, rho in product(EXHAUSTIVE_SIGMAS, EXHAUSTIVE_RATES):
+            model = SigmaRhoModel(sigma, rho)
+            report = check_sigma_rho(trace, model)
+            first = conformance.FIRST_VIOLATION[SigmaRhoModel](trace, model)
+            witness = report.witness
+            checks += 1
+            mismatches += (report != reference.check_sigma_rho_pairwise(trace, model)
+                           or first != (witness and (witness.m, witness.n)))
+        for rho in EXHAUSTIVE_RATES:
+            checks += 1
+            mismatches += (conformance.fit_sigma_rho(trace, rho=rho).model.sigma
+                           != reference.sigma_for_rate(trace, rho))
     return checks, mismatches
 
 
@@ -455,6 +450,21 @@ def _exhaustive_mapping_failures(packets: int, ticks: int) -> tuple[int, int]:
                for tspec, trace in _conforming_flows(TSpecModel, packets, ticks)]
     violation = conformance.FIRST_VIOLATION
     return len(checks), sum(violation[type(m)](t, m) is not None for t, m in checks)
+
+
+def _exhaustive_order_failures(packets: int, ticks: int) -> tuple[int, int]:
+    """The checks made and the failures among them, over every ordered list
+    of 2 or 3 traces of the scope: a check fails when merging the flows
+    rotated, or the first two first, gives other ticks
+    (``merge_order_insensitive``, which merges through ``suite.merge_traces``)."""
+    traces = list(_small_traces(packets, ticks))
+    lists = [list(flows) for k in (2, 3) for flows in product(traces, repeat=k)]
+    return len(lists), sum(suite.merge_order_insensitive(flows) is not None for flows in lists)
+
+
+def _joined(traces):
+    """A merge that lays the flows' ticks end to end, unsorted."""
+    return Trace._of(sum((t.arrivals for t in traces), ()), None)
 
 
 class TestBoundedExhaustive:
@@ -534,3 +544,15 @@ class TestBoundedExhaustive:
         assert _exhaustive_mapping_failures(packets, ticks) == caught
         smaller = [(packets - 1, 6)] + ([(packets, ticks - 1)] if ticks else [])
         assert all(_exhaustive_mapping_failures(*s)[1] == 0 for s in smaller)
+
+    def test_every_small_merge_order(self):
+        # every ordered list of 2 or 3 of the 6 traces of at most 2 packets
+        # on ticks 0..1: 36 + 216 lists
+        assert _exhaustive_order_failures(2, 1) == (252, 0)
+
+    def test_unsorted_merge_caught_by_two_one_packet_flows(self, monkeypatch):
+        # flows joined without sorting first differ from their rotation on
+        # two one-packet flows on different ticks
+        monkeypatch.setattr(suite, "merge_traces", _joined)
+        assert _exhaustive_order_failures(1, 1) == (36, 12)
+        assert all(_exhaustive_order_failures(*s)[1] == 0 for s in [(0, 6), (1, 0)])
