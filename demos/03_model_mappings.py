@@ -12,9 +12,9 @@ from fractions import Fraction as F
 
 from maxplus_tc import (
     LambdaNuModel,
-    MappingVariant,
     MaxPlusCurve,
     TSpecModel,
+    WindowMode,
     check_tspec,
     curve_to_lambda_nu,
     gen_extremal_lambda_nu,
@@ -25,11 +25,11 @@ from maxplus_tc import (
 envelope = LambdaNuModel(lam=F(1, 2), nu=F(4))
 print("envelope: rate", envelope.lam, "burst", envelope.nu)
 
-# Variant A keeps the window boundary inside (closed windows) and pays one
-# extra packet; variant B shaves the boundary (open windows) and saves it.
+# Closed windows keep the window boundary inside and pay one extra packet;
+# open windows shave the boundary and save it.
 for j in (1, 2, 3):
-    a = map_lambda_nu_to_tspec(envelope, MappingVariant.A, j)
-    b = map_lambda_nu_to_tspec(envelope, MappingVariant.B, j)
+    a = map_lambda_nu_to_tspec(envelope, WindowMode.CLOSED, j)
+    b = map_lambda_nu_to_tspec(envelope, WindowMode.OPEN, j)
     print(
         f"  j={j}: closed {a.k_max} packets per {a.tau} ticks | "
         f"open {b.k_max} packets per <{b.tau} ticks"
@@ -39,9 +39,9 @@ for j in (1, 2, 3):
 # mapped budget.
 worst = gen_extremal_lambda_nu(envelope, 40)
 ok = all(
-    check_tspec(worst, map_lambda_nu_to_tspec(envelope, variant, j)).conforms
+    check_tspec(worst, map_lambda_nu_to_tspec(envelope, mode, j)).conforms
     for j in range(1, 6)
-    for variant in (MappingVariant.A, MappingVariant.B)
+    for mode in WindowMode
 )
 print("extremal trace passes all mapped budgets:", ok)
 
@@ -52,9 +52,9 @@ back = map_tspec_to_lambda_nu(tspec)
 print("\nwindow budget", tspec.k_max, "per", tspec.tau, "->", "rate", back.lam, "burst", back.nu)
 
 # Round-tripping does not return where we started: through the tight
-# variant (open, j=1) the rate comes back multiplied by burst + 1.
+# mapping (open, j=1) the rate comes back multiplied by burst + 1.
 start = LambdaNuModel(lam=F(1, 10), nu=F(3))
-roundtrip = map_tspec_to_lambda_nu(map_lambda_nu_to_tspec(start, MappingVariant.B, 1))
+roundtrip = map_tspec_to_lambda_nu(map_lambda_nu_to_tspec(start, WindowMode.OPEN, 1))
 print("\nround trip:", start.lam, "->", roundtrip.lam, "=", f"(nu+1) = {start.nu + 1}x")
 
 # General curves reduce to the envelope family too: the tightest rate/burst

@@ -27,8 +27,8 @@ _EXPORTS = {
     "errors": "DegenerateCurveError FormatError InconsistentInputError "
               "InfeasibleFitError MissingLengthsError TrafficModelError UnboundedFitError",
     "generators": "Lcg64 gen_extremal_lambda_nu gen_jittered gen_periodic gen_tspec_extremal",
-    "models": "LambdaNuModel MappingVariant MaxPlusCurve SigmaRhoModel TSpecModel "
-              "WindowMode model_from_json model_to_json",
+    "models": "LambdaNuModel MaxPlusCurve SigmaRhoModel TSpecModel WindowMode "
+              "model_from_json model_to_json",
     "rational": "rational_from_json rational_to_json",
     "reference": "aggregate_eq1 check_lambda_nu_via_convolution check_tspec_pairwise",
     "suite": "PROPERTY_NAMES PropertyReport SuiteConfig SuiteSummary run_property "

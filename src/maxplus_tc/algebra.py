@@ -24,30 +24,27 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DegenerateCurveError, InconsistentInputError
-from .models import (
-    LambdaNuModel, MappingVariant, MaxPlusCurve, SigmaRhoModel, TSpecModel, WindowMode,
-)
+from .models import LambdaNuModel, MaxPlusCurve, SigmaRhoModel, TSpecModel, WindowMode
 from .rational import RationalLike, as_fraction
 
 
 def map_lambda_nu_to_tspec(
-    model: LambdaNuModel, variant: MappingVariant, j: int
+    model: LambdaNuModel, window_mode: WindowMode, j: int
 ) -> TSpecModel:
-    """Derive a TSpec the flow is guaranteed to satisfy, for any window
-    multiple j >= 1.
+    """Derive a TSpec with windows of ``window_mode`` that the flow is
+    guaranteed to satisfy, for any window multiple j >= 1.
 
     Packets ceil(nu) + j + 1 apart in count must be spaced strictly more
     than j/lam apart in time, so a closed window of length j/lam holds at
-    most ceil(nu) + j + 1 packets (variant A).  Shrinking the window just
-    below j/lam (open mode) saves one more packet (variant B).
+    most ceil(nu) + j + 1 packets.  Shrinking the window just below j/lam
+    (open mode) saves one more packet.
     """
     if j < 1:
         raise ValueError(f"window multiple j must be >= 1, got {j}")
     tau = Fraction(j * model.lam.denominator, model.lam.numerator)
     ceil_nu = -(-model.nu.numerator // model.nu.denominator)
-    if variant is MappingVariant.A:
-        return TSpecModel(tau=tau, k_max=ceil_nu + j + 1, window_mode=WindowMode.CLOSED)
-    return TSpecModel(tau=tau, k_max=ceil_nu + j, window_mode=WindowMode.OPEN)
+    k_max = ceil_nu + j + (window_mode is WindowMode.CLOSED)
+    return TSpecModel(tau=tau, k_max=k_max, window_mode=window_mode)
 
 
 def map_tspec_to_lambda_nu(tspec: TSpecModel) -> LambdaNuModel:

@@ -143,14 +143,14 @@ def _cmd_fit(args) -> int:
 def _cmd_map(args) -> int:
     from .algebra import curve_to_lambda_nu, map_lambda_nu_to_tspec, map_tspec_to_lambda_nu
     from .models import (
-        LambdaNuModel, MappingVariant, MaxPlusCurve, TSpecModel, model_from_json, model_to_json,
+        LambdaNuModel, MaxPlusCurve, TSpecModel, WindowMode, model_from_json, model_to_json,
     )
 
     model = model_from_json(_load_json(args.model))
     _only(isinstance(model, LambdaNuModel), args, "for a lambda_nu model", "variant", "j")
     if isinstance(model, LambdaNuModel):
-        variant = MappingVariant(args.variant or "a")
-        obj = model_to_json(map_lambda_nu_to_tspec(model, variant, 1 if args.j is None else args.j))
+        mode = WindowMode.OPEN if args.variant == "b" else WindowMode.CLOSED
+        obj = model_to_json(map_lambda_nu_to_tspec(model, mode, 1 if args.j is None else args.j))
     elif isinstance(model, TSpecModel):
         obj = model_to_json(map_tspec_to_lambda_nu(model))
     elif isinstance(model, MaxPlusCurve):
@@ -341,7 +341,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("map", help="map a model into the other family")
     p.add_argument("--model", required=True)
-    p.add_argument("--variant", choices=("a", "b"), help="lambda_nu models; default a")
+    p.add_argument("--variant", choices=("a", "b"),
+                   help="lambda_nu models: a for closed windows, b for open; default a")
     p.add_argument("--j", type=_integer,
                    help="window multiple (>= 1) for lambda_nu models; default 1")
     _add_format(p)

@@ -287,9 +287,13 @@ def check_tspec(
 # Bit-domain (cumulative traffic) checking
 
 
-def _breakpoints(trace: Trace) -> tuple[list[int], list[int], list[int]]:
-    """Distinct time points {0} + arrival ticks, with bits at each point and
-    cumulative bits up to and including each point."""
+def _bit_keys(trace: Trace, model: SigmaRhoModel):
+    """The breakpoints {0} + arrival ticks, their start and end keys, and the
+    scale, rate and limit of the bit-domain bound: the closed window
+    [points[i], points[j]] (1-based i <= j) has gain ``ends[j] - starts[i] =
+    scale*bits - rate*width`` and violates iff its gain exceeds the limit."""
+    if trace.lengths is None and len(trace) > 0:
+        raise MissingLengthsError("bit-domain check needs per-packet lengths")
     arrivals = trace.arrivals
     # the running total after the last packet of each tick is that tick's
     last_of_tick = list(map(ne, arrivals, arrivals[1:] + (None,)))
@@ -298,28 +302,17 @@ def _breakpoints(trace: Trace) -> tuple[list[int], list[int], list[int]]:
     if not points or points[0] > 0:
         points.insert(0, 0)
         cum.insert(0, 0)
-    at = list(map(sub, cum, chain((0,), cum)))
-    return points, at, cum
-
-
-def _bit_keys(trace: Trace, model: SigmaRhoModel):
-    """The breakpoints with :func:`_breakpoints`' bits, then start and end keys
-    and the limit of the bit-domain bound: the closed window [points[i],
-    points[j]] (1-based i <= j) has gain ``ends[j] - starts[i] = scale*bits -
-    rate*width`` and violates iff its gain exceeds the limit."""
-    if trace.lengths is None and len(trace) > 0:
-        raise MissingLengthsError("bit-domain check needs per-packet lengths")
-    points, at, cum = _breakpoints(trace)
     rho_n, rho_d = model.rho.numerator, model.rho.denominator
     sig_n, sig_d = model.sigma.numerator, model.sigma.denominator
     scale, rate = rho_d * sig_d, rho_n * sig_d  # bits*scale vs rate*width + sig_n*rho_d
     ends = [scale * c - rate * t for t, c in zip(points, cum)]
-    starts = [e - scale * a for e, a in zip(ends, at)]
-    return points, at, cum, starts, ends, sig_n * rho_d
+    # a window starting at a point holds that point's bits: count from the total before it
+    starts = [scale * c - rate * t for t, c in zip(points, chain((0,), cum))]
+    return points, starts, ends, scale, rate, sig_n * rho_d
 
 
 def _sigma_rho_violation(trace: Trace, model: SigmaRhoModel) -> tuple[int, int] | None:
-    points, _, _, starts, ends, limit = _bit_keys(trace, model)
+    points, starts, ends, _, _, limit = _bit_keys(trace, model)
     pair = _first_over(starts, ends, 0, limit)
     return None if pair is None else (points[pair[0] - 1], points[pair[1] - 1])
 
@@ -336,14 +329,14 @@ def check_sigma_rho(
     window starting at it).  Witness and tight pairs label windows by their
     endpoint ticks, not packet indices.
     """
-    points, at, cum, starts, ends, limit = _bit_keys(trace, model)
+    points, starts, ends, scale, rate, limit = _bit_keys(trace, model)
     b = len(points)
     witness = None
     pair = _first_over(starts, ends, 0, limit)
     if pair is not None:
         i, j = pair
         s, t = points[i - 1], points[j - 1]
-        bits = Fraction(cum[j - 1] - cum[i - 1] + at[i - 1])
+        bits = Fraction(ends[j - 1] - starts[i - 1] + rate * (t - s), scale)
         witness = Witness(m=s, n=t, required=model.rho * (t - s) + model.sigma, actual=bits)
     total, pairs = _gain_exactly(starts, ends, 0, limit)
     windows = ((points[i - 1], points[j - 1]) for i, j in pairs)
@@ -440,12 +433,10 @@ def fit_sigma_rho(trace: Trace, *, rho: RationalLike) -> FitResult:
         return FitResult(unbursty, None)
     if trace.lengths is None:
         raise MissingLengthsError("bit-domain fit needs per-packet lengths")
-    points, _, _, starts, ends, _ = _bit_keys(trace, unbursty)
+    points, starts, ends, scale, _, _ = _bit_keys(trace, unbursty)
     i, j, gain = _top_gain(starts, ends, 0)
-    return FitResult(
-        SigmaRhoModel(sigma=Fraction(gain, unbursty.rho.denominator), rho=unbursty.rho),
-        (points[i - 1], points[j - 1]),
-    )
+    return FitResult(SigmaRhoModel(Fraction(gain, scale), unbursty.rho),
+                     (points[i - 1], points[j - 1]))
 
 
 def fit_tspec(

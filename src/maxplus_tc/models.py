@@ -134,17 +134,6 @@ class MaxPlusCurve(Record):
         return len(self.values) - 1
 
 
-class MappingVariant(enum.Enum):
-    """Flavor of the packet-envelope to TSpec mapping.
-
-    Variant A keeps the full window (closed) and grants one extra packet;
-    variant B shaves the window boundary (open) and saves that packet.
-    """
-
-    A = "a"
-    B = "b"
-
-
 Model = LambdaNuModel | TSpecModel | SigmaRhoModel | MaxPlusCurve
 
 

@@ -5,12 +5,13 @@ row) exactly as the definition reads, with no running minima, window scans,
 bulk parsing or shared helpers of the production modules, so a bug in a
 fast path cannot hide in code both sides use.  Each route has the signature
 and result type of the production function it checks, so a test can compare
-whole outcomes.  The one exception is the row-by-row CSV reader, which takes
-the text :func:`~maxplus_tc.read_trace_csv` has read: it is also that
-reader's O(N) route for a text its bulk decodes refuse, to name the first
-bad row, and a pipe gives its text only once.  The other routes cost O(N^2)
-or more (``aggregate_eq1`` is exponential in the flow count) and are meant
-for small inputs: the test suite and the randomized validation suite.
+whole outcomes.  One exception is ``aggregate_eq1``, eq. 1 for one packet of
+a merge.  The other is the row-by-row CSV reader, which takes the text
+:func:`~maxplus_tc.read_trace_csv` has read: it is also that reader's O(N)
+route for a text its bulk decodes refuse, to name the first bad row, and a
+pipe gives its text only once.  The other routes cost O(N^2) or more
+(``aggregate_eq1`` is exponential in the flow count) and are meant for small
+inputs: the test suite and the randomized validation suite.
 """
 
 from __future__ import annotations
@@ -221,20 +222,21 @@ def check_tspec_pairwise(trace: Trace, tspec: TSpecModel) -> ConformanceReport:
     return _report(witness, tight, n_pk * (n_pk + 1) // 2)
 
 
-def max_window(
-    trace: Trace, tau: RationalLike, window_mode: WindowMode
-) -> tuple[int, tuple[int, int] | None]:
-    """Reference for the busiest window of :func:`~maxplus_tc.fit_tspec`:
-    the most packets a pair m <= n fitting in one window spans, and the
-    first such pair in (n, m) order; (0, None) for an empty trace."""
+def fit_tspec_pairwise(
+    trace: Trace, tau: RationalLike, window_mode: WindowMode = WindowMode.CLOSED
+) -> FitResult:
+    """Reference for :func:`~maxplus_tc.fit_tspec`: k_max is the most packets
+    a pair m <= n fitting in one window spans (at least 1), and the binding
+    pair is the first such pair in (n, m) order; none binds an empty trace."""
+    tau = TSpecModel(tau, 1, window_mode).tau  # refuses tau <= 0
     arrivals = trace.arrivals
-    q, limit = _window_limit(Fraction(tau), window_mode)
+    q, limit = _window_limit(tau, window_mode)
     best, best_pair = 0, None
     for n in range(1, len(arrivals) + 1):
         for m in range(1, n + 1):
             if q * (arrivals[n - 1] - arrivals[m - 1]) <= limit and n - m + 1 > best:
                 best, best_pair = n - m + 1, (m, n)
-    return best, best_pair
+    return FitResult(TSpecModel(tau, max(1, best), window_mode), best_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +274,20 @@ def check_sigma_rho_pairwise(trace: Trace, model: SigmaRhoModel) -> ConformanceR
     return _report(witness, tight, checked)
 
 
-def sigma_for_rate(trace: Trace, rho: Fraction) -> Fraction:
-    """Reference for the burst :func:`~maxplus_tc.conformance.fit_sigma_rho`
-    fits: the smallest sigma such that (sigma, rho) covers the trace, the
-    largest excess ``bits - rho*(t - s)`` of any window, scaled by the
+def fit_sigma_rho_pairwise(trace: Trace, *, rho: RationalLike) -> FitResult:
+    """Reference for :func:`~maxplus_tc.conformance.fit_sigma_rho`: sigma is
+    the largest excess ``bits - rho*(t - s)`` of any window, scaled by the
     denominator of rho so that each window costs integer work only.  The
-    one-point windows have no negative excess, so the result is >= 0."""
-    p, q = rho.numerator, rho.denominator
-    return Fraction(max(q * bits - p * (t - s) for s, t, bits in _windows(trace)), q)
+    one-point windows have no negative excess, so sigma >= 0.  The first
+    window in (t, s) order with the largest excess binds; none binds an
+    empty trace."""
+    unbursty = SigmaRhoModel(0, rho)  # refuses rho <= 0
+    if len(trace) == 0:
+        return FitResult(unbursty, None)
+    p, q = unbursty.rho.numerator, unbursty.rho.denominator
+    excesses = ((q * bits - p * (t - s), (s, t)) for s, t, bits in _windows(trace))
+    excess, window = max(excesses, key=itemgetter(0))
+    return FitResult(SigmaRhoModel(Fraction(excess, q), unbursty.rho), window)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ from .generators import (
 )
 from .models import (
     LambdaNuModel,
-    MappingVariant,
     MaxPlusCurve,
     TSpecModel,
     WindowMode,
@@ -364,9 +363,9 @@ def _prop_rate_burst_maps_into_tspec(rng: Lcg64, cfg: SuiteConfig) -> dict | Non
     model = _rand_rate_burst(rng)
     trace = _conforming_rate_burst_trace(rng, model, min(cfg.max_packets, 300))
     for j in range(1, 6):
-        for variant in (MappingVariant.A, MappingVariant.B):
-            tspec = map_lambda_nu_to_tspec(model, variant, j)
-            failure = _violation(trace, tspec, model=model, j=j, variant=variant,
+        for mode in WindowMode:
+            tspec = map_lambda_nu_to_tspec(model, mode, j)
+            failure = _violation(trace, tspec, model=model, j=j, window_mode=mode,
                                  tspec=tspec, trace=trace)
             if failure is not None:
                 return failure
@@ -529,7 +528,7 @@ def _prop_mapping_roundtrip_scales_rate(rng: Lcg64, cfg: SuiteConfig) -> dict | 
         lam=Fraction(rng.randint(1, 12), rng.randint(1, 48)),
         nu=Fraction(rng.randint(0, 20)),
     )
-    tspec = map_lambda_nu_to_tspec(model, MappingVariant.B, 1)
+    tspec = map_lambda_nu_to_tspec(model, WindowMode.OPEN, 1)
     back = map_tspec_to_lambda_nu(tspec)
     if back.lam == (model.nu + 1) * model.lam and back.nu == model.nu:
         return None

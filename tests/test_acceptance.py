@@ -92,7 +92,7 @@ def test_criterion_04_mappings_sound_in_both_directions():
     elapsed_back = _zero_failures("tspec_maps_into_rate_burst", 200)
     _pass(
         "criterion 4: 200+200 mapping trials sound in both directions, "
-        "window multiples 1..5, both variants "
+        "window multiples 1..5, both window modes "
         f"({elapsed_fwd + elapsed_back:.1f} s)"
     )
 

@@ -9,7 +9,6 @@ from maxplus_tc import (
     DegenerateCurveError,
     LambdaNuModel,
     Lcg64,
-    MappingVariant,
     MaxPlusCurve,
     SigmaRhoModel,
     TSpecModel,
@@ -28,24 +27,24 @@ F = Fraction
 
 class TestMappings:
     def test_into_tspec_variant_a(self):
-        tspec = map_lambda_nu_to_tspec(LambdaNuModel(F(1, 2), F(4)), MappingVariant.A, 1)
+        tspec = map_lambda_nu_to_tspec(LambdaNuModel(F(1, 2), F(4)), WindowMode.CLOSED, 1)
         assert tspec == TSpecModel(tau=F(2), k_max=6, window_mode=WindowMode.CLOSED)
 
     def test_into_tspec_variant_b(self):
-        tspec = map_lambda_nu_to_tspec(LambdaNuModel(F(1, 2), F(4)), MappingVariant.B, 1)
+        tspec = map_lambda_nu_to_tspec(LambdaNuModel(F(1, 2), F(4)), WindowMode.OPEN, 1)
         assert tspec == TSpecModel(tau=F(2), k_max=5, window_mode=WindowMode.OPEN)
 
     def test_into_tspec_j3(self):
-        tspec = map_lambda_nu_to_tspec(LambdaNuModel(F(1), F(0)), MappingVariant.A, 3)
+        tspec = map_lambda_nu_to_tspec(LambdaNuModel(F(1), F(0)), WindowMode.CLOSED, 3)
         assert tspec == TSpecModel(tau=F(3), k_max=4, window_mode=WindowMode.CLOSED)
 
     def test_fractional_burst_rounds_up(self):
-        tspec = map_lambda_nu_to_tspec(LambdaNuModel(F(1), F(5, 2)), MappingVariant.A, 1)
+        tspec = map_lambda_nu_to_tspec(LambdaNuModel(F(1), F(5, 2)), WindowMode.CLOSED, 1)
         assert tspec.k_max == 3 + 1 + 1
 
     def test_j_must_be_positive(self):
         with pytest.raises(ValueError):
-            map_lambda_nu_to_tspec(LambdaNuModel(F(1), F(0)), MappingVariant.A, 0)
+            map_lambda_nu_to_tspec(LambdaNuModel(F(1), F(0)), WindowMode.CLOSED, 0)
 
     def test_into_rate_burst(self):
         model = map_tspec_to_lambda_nu(TSpecModel(tau=F(10), k_max=5))
@@ -61,14 +60,14 @@ class TestMappings:
 
     def test_roundtrip_is_not_identity(self):
         # the two families are not equivalent: going there and back through
-        # the boundary-tight variant multiplies the rate by nu + 1
+        # the boundary-tight open windows multiplies the rate by nu + 1
         rng = Lcg64(17)
         for _ in range(50):
             model = LambdaNuModel(
                 lam=F(rng.randint(1, 9), rng.randint(1, 30)), nu=F(rng.randint(0, 15))
             )
             back = map_tspec_to_lambda_nu(
-                map_lambda_nu_to_tspec(model, MappingVariant.B, 1)
+                map_lambda_nu_to_tspec(model, WindowMode.OPEN, 1)
             )
             assert back.lam == (model.nu + 1) * model.lam
             assert back.nu == model.nu
@@ -274,10 +273,11 @@ class TestIntegerRationalPaths:
 
     @settings(max_examples=200, deadline=None)
     @given(lam=POSITIVE, nu=NONNEGATIVE, j=st.integers(1, 50),
-           variant=st.sampled_from(MappingVariant))
-    def test_map_lambda_nu_to_tspec(self, lam, nu, j, variant):
-        tspec = map_lambda_nu_to_tspec(LambdaNuModel(lam, nu), variant, j)
-        extra, mode = (1, WindowMode.CLOSED) if variant is MappingVariant.A else (0, WindowMode.OPEN)
+           mode=st.sampled_from(WindowMode))
+    def test_map_lambda_nu_to_tspec(self, lam, nu, j, mode):
+        tspec = map_lambda_nu_to_tspec(LambdaNuModel(lam, nu), mode, j)
+        # a closed window holds the one packet an open one shaves off
+        extra = 1 if mode is WindowMode.CLOSED else 0
         assert tspec == TSpecModel(F(j) / lam, ceil(nu) + j + extra, mode)
 
     @settings(max_examples=200, deadline=None)

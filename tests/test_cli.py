@@ -1119,11 +1119,14 @@ class TestJsonBytes:
 
     def test_map(self, tmp_path, capsys):
         obj = {"type": "lambda_nu", "lambda": {"num": 1, "den": 2}, "nu": 4}
-        assert run(["map", "--model", self._model(tmp_path, "m.json", obj), "--j", "2"]) == 0
-        mapped = maxplus_tc.map_lambda_nu_to_tspec(
-            maxplus_tc.model_from_json(obj), maxplus_tc.MappingVariant("a"), 2
-        )
-        assert capsys.readouterr().out == _indented(maxplus_tc.model_to_json(mapped))
+        model = self._model(tmp_path, "m.json", obj)
+        # no letter maps into closed windows, --variant b into open ones
+        for variant, mode in [([], "closed"), (["--variant", "b"], "open")]:
+            assert run(["map", "--model", model, *variant, "--j", "2"]) == 0
+            mapped = maxplus_tc.map_lambda_nu_to_tspec(
+                maxplus_tc.model_from_json(obj), maxplus_tc.WindowMode(mode), 2
+            )
+            assert capsys.readouterr().out == _indented(maxplus_tc.model_to_json(mapped))
         obj = {"type": "tspec", "tau": {"num": 7, "den": 2}, "k_max": 3, "window_mode": "open"}
         assert run(["map", "--model", self._model(tmp_path, "ts.json", obj)]) == 0
         mapped = maxplus_tc.map_tspec_to_lambda_nu(maxplus_tc.model_from_json(obj))

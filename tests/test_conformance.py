@@ -188,7 +188,7 @@ class TestCheckSigmaRho:
                 rho=F(rng.randint(1, 400), rng.randint(1, 4)),
             )
             # the drawn model, and the tightest burst at its rate
-            covering = SigmaRhoModel(reference.sigma_for_rate(trace, model.rho), model.rho)
+            covering = reference.fit_sigma_rho_pairwise(trace, rho=model.rho).model
             for model in (model, covering):
                 assert report_to_json(check_sigma_rho(trace, model)) == report_to_json(
                     reference.check_sigma_rho_pairwise(trace, model)
@@ -393,8 +393,7 @@ class TestFitTspec:
             tau = F(rng.randint(1, 60), rng.randint(1, 2))
             mode = rng.choice((WindowMode.CLOSED, WindowMode.OPEN))
             fit = fit_tspec(trace, tau, mode)
-            count, pair = reference.max_window(trace, tau, mode)
-            assert (fit.model.k_max, fit.binding_pair) == (max(1, count), pair)
+            assert fit == reference.fit_tspec_pairwise(trace, tau, mode)
             assert check_tspec(trace, fit.model).conforms
             if fit.model.k_max > 1:
                 smaller = TSpecModel(tau, fit.model.k_max - 1, mode)
@@ -404,7 +403,7 @@ class TestFitTspec:
         trace = Trace((0, 1, 2))
         fit = fit_tspec(trace, F(2), WindowMode.CLOSED)
         assert (fit.model.k_max, fit.binding_pair) == (3, (1, 3))
-        assert reference.max_window(trace, F(2), WindowMode.CLOSED) == (3, (1, 3))
+        assert reference.fit_tspec_pairwise(trace, F(2), WindowMode.CLOSED) == fit
 
     @pytest.mark.parametrize(
         "arrivals, tau, mode",
@@ -419,9 +418,7 @@ class TestFitTspec:
     )
     def test_max_window_count_edges_match_reference(self, arrivals, tau, mode):
         trace = Trace(arrivals)
-        fit = fit_tspec(trace, tau, mode)
-        count, pair = reference.max_window(trace, tau, mode)
-        assert (fit.model.k_max, fit.binding_pair) == (max(1, count), pair)
+        assert fit_tspec(trace, tau, mode) == reference.fit_tspec_pairwise(trace, tau, mode)
 
     @pytest.mark.parametrize("mode", [WindowMode.CLOSED, WindowMode.OPEN])
     @pytest.mark.parametrize("tau", [F(1), F(5, 2), F(3)])
@@ -431,8 +428,7 @@ class TestFitTspec:
             for gaps in product(range(4), repeat=max(0, size - 1)):
                 trace = Trace(tuple(accumulate(gaps, initial=0))[:size])
                 fit = fit_tspec(trace, tau, mode)
-                count, pair = reference.max_window(trace, tau, mode)
-                assert (fit.model.k_max, fit.binding_pair) == (max(1, count), pair)
+                assert fit == reference.fit_tspec_pairwise(trace, tau, mode)
 
     @pytest.mark.parametrize("arrivals", [(), (1,)])
     @pytest.mark.parametrize("tau", [F(-3), F(0)])
@@ -492,7 +488,7 @@ class TestBoundedReports:
             steady = Trace(tuple(range(0, period * n, period)), lengths=(bits,) * n)
             for trace, rho in ((trace, rho), (steady, F(bits, period))):
                 for trace in (trace, _shifted(trace)):
-                    covering = SigmaRhoModel(reference.sigma_for_rate(trace, rho), rho)
+                    covering = reference.fit_sigma_rho_pairwise(trace, rho=rho).model
                     for model in (drawn, covering):
                         self._assert_bounded(
                             check_sigma_rho, reference.check_sigma_rho_pairwise, trace, model

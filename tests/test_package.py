@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ EXPORTED = [
     "ConformanceReport", "DegenerateCurveError",
     "FitResult", "FormatError", "InconsistentInputError",
     "InfeasibleFitError", "LambdaNuModel", "Lcg64",
-    "MappingVariant", "MaxPlusCurve", "MissingLengthsError", "PROPERTY_NAMES",
+    "MaxPlusCurve", "MissingLengthsError", "PROPERTY_NAMES",
     "PacketOrigin", "PropertyReport", "SigmaRhoModel", "SuiteConfig",
     "SuiteSummary", "TSpecModel", "Table1Row", "Trace", "TrafficModelError",
     "UnboundedFitError", "WindowMode", "Witness", "aggregate_eq1",
@@ -103,6 +104,41 @@ def test_reference_routes_stay_independent():
             if name in SHARED_HELPERS:
                 problems.append(f"calls {name} on line {node.lineno}")
     assert problems == []
+
+
+# each reference route and the production function it checks; the row
+# reader, which takes the text read_trace_csv has read, and aggregate_eq1,
+# eq. 1 for one packet of a merge, are the documented exceptions
+REFERENCE_ROUTES = {
+    "check_lambda_nu_via_convolution": "conformance.check_lambda_nu",
+    "check_sigma_rho_pairwise": "conformance.check_sigma_rho",
+    "check_tspec_pairwise": "conformance.check_tspec",
+    "extremal_arrivals": "generators.gen_extremal_lambda_nu",
+    "fit_lambda_nu_pairwise": "conformance.fit_lambda_nu",
+    "fit_sigma_rho_pairwise": "conformance.fit_sigma_rho",
+    "fit_tspec_pairwise": "conformance.fit_tspec",
+    "merge_with_provenance_by_tuples": "aggregation.merge_traces_with_provenance",
+    "periodic_arrivals": "generators.gen_periodic",
+    "tspec_burst_arrivals": "generators.gen_tspec_extremal",
+}
+
+
+def _shape(function) -> tuple:
+    """A function's parameters, less the checkers' max_tight, and its return annotation."""
+    signature = inspect.signature(function)
+    parameters = [p for p in signature.parameters.values() if p.name != "max_tight"]
+    return parameters, signature.return_annotation
+
+
+def test_reference_routes_have_their_production_signatures():
+    routes = {name for name, value in vars(reference).items()
+              if inspect.isfunction(value) and value.__module__ == reference.__name__
+              and not name.startswith("_")}
+    assert routes == REFERENCE_ROUTES.keys() | {"trace_from_csv_text", "aggregate_eq1"}
+    for route, production in REFERENCE_ROUTES.items():
+        module, _, name = production.partition(".")
+        home = import_module(f"maxplus_tc.{module}")
+        assert _shape(getattr(reference, route)) == _shape(getattr(home, name)), route
 
 
 def test_suite_uses_reference_routes_only_to_compare():

@@ -217,16 +217,9 @@ class TestFitSigmaRho:
     @settings(max_examples=300)
     def test_least_burst_matches_reference(self, trace, rho, cut):
         fit = fit_sigma_rho(trace, rho=rho)
-        assert fit.model == SigmaRhoModel(reference.sigma_for_rate(trace, rho), rho)
-        report = reference.check_sigma_rho_pairwise(trace, fit.model)
-        assert report.conforms
-        if len(trace) == 0:
-            # no window holds a packet, so none binds sigma = 0
-            assert fit.binding_pair is None
-            return
-        # the tight windows are those of the largest excess; the binding
-        # pair is the first of them in (t, s) order
-        assert fit.binding_pair == min(report.tight_pairs, key=lambda w: (w[1], w[0]))
+        # the same sigma, and the same window binding it (none for no packet)
+        assert fit == reference.fit_sigma_rho_pairwise(trace, rho=rho)
+        assert reference.check_sigma_rho_pairwise(trace, fit.model).conforms
         if fit.model.sigma > 0 and cut > 0:
             smaller = SigmaRhoModel(fit.model.sigma * (1 - cut), rho)
             assert not reference.check_sigma_rho_pairwise(trace, smaller).conforms

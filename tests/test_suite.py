@@ -13,7 +13,6 @@ from maxplus_tc import (
     PROPERTY_NAMES,
     FitResult,
     LambdaNuModel,
-    MappingVariant,
     SigmaRhoModel,
     SuiteConfig,
     Trace,
@@ -27,6 +26,7 @@ from maxplus_tc import (
     check_tspec_pairwise,
     curve_to_lambda_nu,
     fit_lambda_nu,
+    fit_tspec,
     gen_tspec_extremal,
     map_lambda_nu_to_tspec,
     map_tspec_to_lambda_nu,
@@ -43,6 +43,7 @@ from maxplus_tc import (
 from maxplus_tc import conformance, reference, suite
 from maxplus_tc.generators import Lcg64
 from maxplus_tc.suite import PROPERTIES, _property_seed, merge_conforms_to_sum
+from test_conformance import _fit_outcome
 
 
 def _half_rate(model):
@@ -81,7 +82,7 @@ WEAKENED = {
     "check_tspec_pairwise": lambda t, s: check_tspec_pairwise(t, _one_packet_more(s)),
     "superpose_lambda_nu": _no_slack,
     "superpose_indirect": lambda ms, ls, l: _half_rate(superpose_indirect(ms, ls, l)),
-    "map_lambda_nu_to_tspec": lambda m, v, j: _one_packet_less(map_lambda_nu_to_tspec(m, v, j)),
+    "map_lambda_nu_to_tspec": lambda m, w, j: _one_packet_less(map_lambda_nu_to_tspec(m, w, j)),
     "map_tspec_to_lambda_nu": lambda s: _half_rate(map_tspec_to_lambda_nu(s)),
     "curve_to_lambda_nu": lambda c: _half_rate(curve_to_lambda_nu(c)),
     "aggregate_eq1": lambda ts, n: aggregate_eq1(ts, n) + (n > 0),
@@ -214,7 +215,7 @@ class TestSuite:
         ]
         text = json.dumps(summary.to_json_dict(), indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "e817a63afb49c70c0e77ccd2c63ea6d2f38a3cf058ecc83d71a9e529a070ae49"
+            "3b92fba514afebe660046587d3f0f98ed8035e5b7ce151a85b00ba9aa2c2317d"
         )
 
 
@@ -381,8 +382,9 @@ def _exhaustive_sigma_rho_mismatches(packets: int, ticks: int) -> tuple[int, int
     nondecreasing trace of at most ``packets`` packets on ticks 0..``ticks``
     with lengths 1 or 2.  Each trace is checked against every (sigma, rho)
     model, as _exhaustive_mismatches checks the packet domain, and fitted at
-    every rate against ``reference.sigma_for_rate``.  The routes are looked
-    up in the reference module, which the suite does not import them from."""
+    every rate against ``reference.fit_sigma_rho_pairwise``, binding window
+    included.  The routes are looked up in the reference module, which the
+    suite does not import them from."""
     checks = mismatches = 0
     for trace in _small_traces(packets, ticks, with_lengths=True):
         for sigma, rho in product(EXHAUSTIVE_SIGMAS, EXHAUSTIVE_RATES):
@@ -395,9 +397,33 @@ def _exhaustive_sigma_rho_mismatches(packets: int, ticks: int) -> tuple[int, int
                            or first != (witness and (witness.m, witness.n)))
         for rho in EXHAUSTIVE_RATES:
             checks += 1
-            mismatches += (conformance.fit_sigma_rho(trace, rho=rho).model.sigma
-                           != reference.sigma_for_rate(trace, rho))
+            mismatches += (conformance.fit_sigma_rho(trace, rho=rho)
+                           != reference.fit_sigma_rho_pairwise(trace, rho=rho))
     return checks, mismatches
+
+
+# the fits scope: burst fits at 5 rates, rate fits at 5 allowances and
+# TSpec fits at 5 windows in both modes
+EXHAUSTIVE_FIT_RATES = [F(lam) for lam in ("1/4", "1/3", "1/2", "2/3", "2")]
+EXHAUSTIVE_FIT_BURSTS = [F(nu) for nu in ("0", "1/2", "1", "2", "5/2")]
+EXHAUSTIVE_FIT_WINDOWS = [F(tau) for tau in ("1", "3/2", "2", "3", "5")]
+
+
+def _exhaustive_fit_mismatches(packets: int, ticks: int) -> tuple[int, int]:
+    """The fits made and the mismatches among them, over every nondecreasing
+    trace of at most ``packets`` packets on ticks 0..``ticks``: each fit of
+    the fits scope against its pairwise reference, whole results compared,
+    and a refused rate fit by the type and pair of its error."""
+    fits = []
+    for trace in _small_traces(packets, ticks):
+        fits += [(fit_lambda_nu(trace, lam=lam), reference.fit_lambda_nu_pairwise(trace, lam=lam))
+                 for lam in EXHAUSTIVE_FIT_RATES]
+        fits += [(_fit_outcome(fit_lambda_nu, trace, nu),
+                  _fit_outcome(reference.fit_lambda_nu_pairwise, trace, nu))
+                 for nu in EXHAUSTIVE_FIT_BURSTS]
+        fits += [(fit_tspec(trace, tau, mode), reference.fit_tspec_pairwise(trace, tau, mode))
+                 for tau in EXHAUSTIVE_FIT_WINDOWS for mode in WindowMode]
+    return len(fits), sum(production != pairwise for production, pairwise in fits)
 
 
 def _small_traces(packets: int, ticks: int, with_lengths: bool = False):
@@ -439,13 +465,13 @@ def _exhaustive_superposition_failures(family, packets: int, ticks: int) -> tupl
 
 def _exhaustive_mapping_failures(packets: int, ticks: int) -> tuple[int, int]:
     """The checks made and the failures among them: every conforming λ/ν
-    flow of the scope against its TSpec by both variants at j = 1..3, and
+    flow of the scope against its TSpec in both window modes at j = 1..3, and
     every conforming TSpec flow against its rate/burst model.  The maps are
     looked up in the suite module, where WEAKENED patches them."""
     checks = []
     for model, trace in _conforming_flows(LambdaNuModel, packets, ticks):
-        checks += [(trace, suite.map_lambda_nu_to_tspec(model, variant, j))
-                   for variant in MappingVariant for j in (1, 2, 3)]
+        checks += [(trace, suite.map_lambda_nu_to_tspec(model, mode, j))
+                   for mode in WindowMode for j in (1, 2, 3)]
     checks += [(trace, suite.map_tspec_to_lambda_nu(tspec))
                for tspec, trace in _conforming_flows(TSpecModel, packets, ticks)]
     violation = conformance.FIRST_VIOLATION
@@ -492,6 +518,10 @@ class TestBoundedExhaustive:
         # 799 traces of at most 3 packets on ticks 0..6 with lengths 1 or 2,
         # times 20 models and 4 fitted rates
         assert _exhaustive_sigma_rho_mismatches(3, 6) == (19_176, 0)
+
+    def test_every_small_trace_fitted(self):
+        # the 792 traces of at most 5 packets on ticks 0..6, each fitted 20 ways
+        assert _exhaustive_fit_mismatches(5, 6) == (15_840, 0)
 
     def test_weakened_sigma_rho_reference_caught_on_the_empty_trace(self, monkeypatch):
         # one bit more of allowance leaves the empty trace's one window
