@@ -1,4 +1,4 @@
-"""Traffic model types and their JSON wire format.
+"""Traffic model types and their JSON wire format, the table ``_WIRE``.
 
 Three envelope families describe an arrival process:
 
@@ -23,6 +23,7 @@ import enum
 import math
 from collections.abc import Iterable
 from fractions import Fraction
+from operator import attrgetter
 
 from ._record import Record
 from .errors import FormatError
@@ -76,7 +77,7 @@ class TSpecModel(Record):
         if tau.numerator <= 0:
             raise ValueError(f"interval must be positive, got {tau}")
         if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
-            raise ValueError(f"max packet count must be an integer >= 1, got {k_max!r}")
+            raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
         if not isinstance(window_mode, WindowMode):
             raise ValueError(f"window_mode must be a WindowMode, got {window_mode!r}")
         object.__setattr__(self, "tau", tau)
@@ -137,74 +138,65 @@ class MaxPlusCurve(Record):
 Model = LambdaNuModel | TSpecModel | SigmaRhoModel | MaxPlusCurve
 
 
+def _as_is(value):
+    return value
+
+
+def _values_from_json(values: object) -> tuple[Fraction, ...]:
+    if not isinstance(values, list):
+        raise FormatError("curve values must be a list")
+    return tuple([rational_from_json(v) for v in values])
+
+
+_RATIONAL = (rational_to_json, rational_from_json)
+
+# The wire format that model_to_json and model_from_json read: each tag's family,
+# then its keys in written order as (key, field it fills, to JSON, from JSON[,
+# value read when the key is left out]).  The constructors check the values.
+_WIRE = {
+    "lambda_nu": (LambdaNuModel, ("lambda", "lam", *_RATIONAL), ("nu", "nu", *_RATIONAL)),
+    "tspec": (TSpecModel, ("tau", "tau", *_RATIONAL), ("k_max", "k_max", _as_is, _as_is),
+              ("window_mode", "window_mode", attrgetter("value"), WindowMode, "closed")),
+    "sigma_rho": (SigmaRhoModel, ("sigma", "sigma", *_RATIONAL), ("rho", "rho", *_RATIONAL)),
+    "maxplus_curve": (MaxPlusCurve, ("values", "values",
+                                     lambda values: [rational_to_json(v) for v in values],
+                                     _values_from_json)),
+}
+_TAGS = {family: tag for tag, (family, *_) in _WIRE.items()}
+
+
 def model_to_json(model: Model) -> dict:
-    """Encode any model as a tagged JSON object."""
-    if isinstance(model, LambdaNuModel):
-        return {
-            "type": "lambda_nu",
-            "lambda": rational_to_json(model.lam),
-            "nu": rational_to_json(model.nu),
-        }
-    if isinstance(model, TSpecModel):
-        return {
-            "type": "tspec",
-            "tau": rational_to_json(model.tau),
-            "k_max": model.k_max,
-            "window_mode": model.window_mode.value,
-        }
-    if isinstance(model, SigmaRhoModel):
-        return {
-            "type": "sigma_rho",
-            "sigma": rational_to_json(model.sigma),
-            "rho": rational_to_json(model.rho),
-        }
-    if isinstance(model, MaxPlusCurve):
-        return {
-            "type": "maxplus_curve",
-            "values": [rational_to_json(v) for v in model.values],
-        }
-    raise TypeError(f"not a model: {model!r}")
+    """Encode any model as a tagged JSON object, with the keys ``_WIRE`` lists."""
+    tag = _TAGS.get(type(model))
+    if tag is None:
+        raise TypeError(f"not a model: {model!r}")
+    _, *keys = _WIRE[tag]
+    return {"type": tag, **{key: dump(getattr(model, field)) for key, field, dump, *_ in keys}}
 
 
 def model_from_json(obj: object) -> Model:
-    """Decode a tagged JSON object produced by :func:`model_to_json`; a key
-    that the model's family does not read is refused by name."""
+    """Decode a tagged JSON object produced by :func:`model_to_json`, by the
+    keys ``_WIRE`` lists; a key that the model's family does not read is
+    refused by name."""
     if not isinstance(obj, dict):
         raise FormatError(f"model JSON must be an object, got {type(obj).__name__}")
     tag = obj.get("type")
+    if not isinstance(tag, str) or tag not in _WIRE:
+        raise FormatError(f"unknown model type {tag!r}")
+    family, *keys = _WIRE[tag]
     try:
-        if tag == "lambda_nu":
-            model = LambdaNuModel(
-                lam=rational_from_json(obj["lambda"]),
-                nu=rational_from_json(obj["nu"]),
-            )
-        elif tag == "tspec":
-            k_max = obj["k_max"]
-            if not isinstance(k_max, int) or isinstance(k_max, bool):
-                raise FormatError(f"k_max must be an integer, got {k_max!r}")
-            model = TSpecModel(
-                tau=rational_from_json(obj["tau"]),
-                k_max=k_max,
-                window_mode=WindowMode(obj.get("window_mode", "closed")),
-            )
-        elif tag == "sigma_rho":
-            model = SigmaRhoModel(
-                sigma=rational_from_json(obj["sigma"]),
-                rho=rational_from_json(obj["rho"]),
-            )
-        elif tag == "maxplus_curve":
-            values = obj["values"]
-            if not isinstance(values, list):
-                raise FormatError("curve values must be a list")
-            model = MaxPlusCurve(values=tuple(rational_from_json(v) for v in values))
-        else:
-            raise FormatError(f"unknown model type {tag!r}")
+        model = family(**{field: load(obj[key] if key in obj or not left_out else left_out[0])
+                          for key, field, _, load, *left_out in keys})
     except KeyError as exc:
         raise FormatError(f"model JSON missing key {exc}") from None
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    # `map` writes the horizon of a reduced curve beside its rate/burst model
-    read = model_to_json(model).keys() | ({"horizon"} if tag == "lambda_nu" else set())
+    read = {"type", *[key for key, *_ in keys]}
+    if family is LambdaNuModel:  # `map` writes a reduced curve's horizon beside its model
+        read.add("horizon")
+        horizon = obj.get("horizon", 1)
+        if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
+            raise FormatError(f"horizon must be an integer >= 1, got {horizon!r}")
     unread = obj.keys() - read
     if unread:
         raise FormatError(f"model JSON key {min(unread)!r} is not read by a {tag} model")

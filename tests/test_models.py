@@ -1,12 +1,15 @@
 """The refusals of the model wire format and of the model records, by
-message, what building a record costs, and the gap a TSpec window holds."""
+message, the round trip of every family, what building a record costs, and
+the gap a TSpec window holds."""
 
 import json
 import operator
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maxplus_tc import (
     FormatError,
@@ -19,6 +22,7 @@ from maxplus_tc import (
     fit_lambda_nu,
     fit_tspec,
     model_from_json,
+    model_to_json,
     superpose_indirect,
 )
 from maxplus_tc.cli import run
@@ -33,11 +37,24 @@ REFUSALS = [
     ({**LAMBDA_NU, "type": "token_bucket"}, "unknown model type 'token_bucket'"),
     ({"type": "lambda_nu", "lambda": 1}, "model JSON missing key 'nu'"),
     ({"type": "tspec", "tau": 10}, "model JSON missing key 'k_max'"),
-    ({**TSPEC, "k_max": True}, "k_max must be an integer, got True"),
-    ({**TSPEC, "k_max": 2.0}, "k_max must be an integer, got 2.0"),
+    ({**TSPEC, "k_max": True}, "k_max must be an integer >= 1, got True"),
+    ({**TSPEC, "k_max": 2.0}, "k_max must be an integer >= 1, got 2.0"),
     ({**TSPEC, "window_mode": "half"}, "'half' is not a valid WindowMode"),
     ({"type": "maxplus_curve", "values": {"0": 0}}, "curve values must be a list"),
     ({**LAMBDA_NU, "lambda": -1}, "rate must be positive, got -1"),
+    # `map` writes a reduced curve's horizon, which is at least 1
+    ({**LAMBDA_NU, "horizon": "x"}, "horizon must be an integer >= 1, got 'x'"),
+    ({**LAMBDA_NU, "horizon": -5}, "horizon must be an integer >= 1, got -5"),
+    ({**LAMBDA_NU, "horizon": 0}, "horizon must be an integer >= 1, got 0"),
+    ({**LAMBDA_NU, "horizon": True}, "horizon must be an integer >= 1, got True"),
+    ({**LAMBDA_NU, "horizon": None}, "horizon must be an integer >= 1, got None"),
+    ({**LAMBDA_NU, "horizon": {}}, "horizon must be an integer >= 1, got {}"),
+    ({**LAMBDA_NU, "horizon": 2.5}, "horizon must be an integer >= 1, got 2.5"),
+    # a file, a flag and a library call share the constructor's k_max rule, and
+    # a family is refused for its first bad or missing key in written order
+    ({**TSPEC, "k_max": 0}, "k_max must be an integer >= 1, got 0"),
+    ({"type": "tspec"}, "model JSON missing key 'tau'"),
+    ({**TSPEC, "tau": -1, "k_max": "x"}, "interval must be positive, got -1"),
 ]
 
 
@@ -57,8 +74,39 @@ def test_check_reports_a_refused_model_as_an_io_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {
-        "error": {"kind": "io", "message": "k_max must be an integer, got True"}
+        "error": {"kind": "io", "message": "k_max must be an integer >= 1, got True"}
     }
+
+
+# each family's tag and the keys it writes after `type`, in written order
+WRITTEN = {
+    LambdaNuModel: ("lambda_nu", "lambda", "nu"),
+    TSpecModel: ("tspec", "tau", "k_max", "window_mode"),
+    SigmaRhoModel: ("sigma_rho", "sigma", "rho"),
+    MaxPlusCurve: ("maxplus_curve", "values"),
+}
+POSITIVE = st.builds(Fraction, st.integers(1, 2**70), st.integers(1, 2**70))
+NONNEGATIVE = st.builds(Fraction, st.integers(0, 2**70), st.integers(1, 2**70))
+MODELS = st.one_of(
+    st.builds(LambdaNuModel, POSITIVE, NONNEGATIVE),
+    st.builds(TSpecModel, POSITIVE, st.integers(1, 2**70), st.sampled_from(WindowMode)),
+    st.builds(SigmaRhoModel, NONNEGATIVE, POSITIVE),
+    st.lists(NONNEGATIVE, min_size=1, max_size=20).map(
+        lambda steps: MaxPlusCurve(accumulate(steps, initial=Fraction(0)))),
+)
+
+
+@given(MODELS)
+def test_every_family_round_trips_with_its_keys_in_written_order(model):
+    obj = model_to_json(model)
+    tag, *keys = WRITTEN[type(model)]
+    assert list(obj) == ["type", *keys] and obj["type"] == tag
+    assert model_from_json(json.loads(json.dumps(obj))) == model
+
+
+def test_a_tspec_without_window_mode_is_closed():
+    closed = model_from_json({"type": "tspec", "tau": 10, "k_max": 2})
+    assert closed == TSpecModel(10, 2, WindowMode.CLOSED)
 
 
 ONE = LambdaNuModel(1, 0)
