@@ -24,10 +24,10 @@ nu at a fixed rate (:func:`fit_lambda_nu`) and sigma at a fixed bit rate
 (:func:`fit_sigma_rho`).  Tight pairs are counted in O(N) however many
 there are: one C-level pass keeps the starts whose key plus the limit
 occurs among the end keys, and only those are grouped; listing them costs
-the pairs listed.  ``FIRST_VIOLATION`` gives the verdict alone: the
-checker's witness pair, or None, by the same passes, with no pair counted.
-The literal pairwise routes these passes are tested against live in
-:mod:`maxplus_tc.reference`.
+the pairs listed.  ``FIRST_VIOLATION``, read only by the suite, gives the
+verdict alone: the checker's witness pair, or None, by the same passes,
+with no pair counted.  The literal pairwise routes these passes are tested
+against live in :mod:`maxplus_tc.reference`.
 """
 
 from __future__ import annotations

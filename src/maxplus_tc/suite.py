@@ -7,7 +7,8 @@ summary (:meth:`SuiteSummary.to_json_dict`) contains no timing and is
 byte-identical across runs; wall-clock times are carried separately for the
 human-readable rendering.
 
-A failure never aborts the run; it is recorded as a serialized
+A failure never aborts the run, not even a generator's wrong fit (no
+generator checks its own output); it is recorded as a serialized
 counterexample in the property's report and reflected in the exit status of
 the CLI wrapper.
 

@@ -251,6 +251,16 @@ class TestGenJittered:
             )
             assert check_lambda_nu(trace, fitted).conforms
 
+    def test_model_is_the_least_burst_at_the_nominal_rate(self):
+        # jitter below the period keeps each packet in its own period, so the
+        # ticks come out strictly increasing with no sort, and the envelope is
+        # the pairwise least burst at 1/period, not just one the trace fits
+        for period in range(1, 9):
+            for jitter, count in product(range(period), (0, 1, 2, 25)):
+                trace, fitted = gen_jittered(period, jitter, 10 * period + jitter, count)
+                assert all(map(int.__lt__, trace.arrivals, trace.arrivals[1:]))
+                assert fitted == reference.fit_lambda_nu_pairwise(trace, lam=F(1, period)).model
+
     def test_conservative_envelope(self):
         # jitter below the period always fits burst allowance 2 at the nominal rate
         rng = Lcg64(301)

@@ -40,7 +40,7 @@ from maxplus_tc import (
     superpose_lambda_nu,
     superpose_tspec,
 )
-from maxplus_tc import conformance, reference, suite
+from maxplus_tc import cli, conformance, reference, suite
 from maxplus_tc.generators import Lcg64
 from maxplus_tc.suite import PROPERTIES, _property_seed, merge_conforms_to_sum
 from test_conformance import _fit_outcome
@@ -72,6 +72,13 @@ def _loose_burst_fit(trace, *, lam=None, nu=None):
     if lam is None:
         return fit
     return FitResult(LambdaNuModel(fit.model.lam, fit.model.nu + 1), fit.binding_pair)
+
+
+def _half_burst_fit(trace, *, lam=None, nu=None):
+    fit = fit_lambda_nu(trace, lam=lam, nu=nu)
+    if lam is None:
+        return fit
+    return FitResult(LambdaNuModel(fit.model.lam, fit.model.nu / 2), fit.binding_pair)
 
 
 # operators the suite checks, each broken a little: a packet, a slack term or
@@ -217,6 +224,22 @@ class TestSuite:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "3b92fba514afebe660046587d3f0f98ed8035e5b7ce151a85b00ba9aa2c2317d"
         )
+
+    def test_a_wrong_generator_fit_is_recorded_not_raised(self, monkeypatch, capsys):
+        # a rate-fixed fit that halves the burst, in the suite and in the
+        # generators that fit through conformance: gen_jittered's envelope
+        # then fails its own trace, which the suite records as a counterexample
+        monkeypatch.setattr(conformance, "fit_lambda_nu", _half_burst_fit)
+        monkeypatch.setattr(suite, "fit_lambda_nu", _half_burst_fit)
+        cfg = SuiteConfig(seed=5, trials=50, max_packets=100)
+        reports = {name: run_property(name, cfg.seed, cfg.trials, cfg) for name in PROPERTY_NAMES}
+        stages = [f["stage"] for f in reports["generators_pass_their_checkers"].failures]
+        assert "jittered" in stages
+        assert cli.run(["suite", "--seed", "5", "--trials", "50", "--max-packets", "100"]) == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert [(p["name"], len(p["failures"])) for p in summary["properties"]] == [
+            (name, len(report.failures)) for name, report in reports.items()
+        ]
 
 
 def _fail_in(monkeypatch, tmp_path, failing: str, fail) -> None:
