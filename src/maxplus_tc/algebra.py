@@ -10,11 +10,11 @@ Two routes exist for the packet-domain rate/burst family:
 * :func:`superpose_lambda_nu` works directly on the packet-domain
   parameters (rates add; burst allowances add plus one slack packet per
   extra flow) and needs no packet-length information.
-* :func:`superpose_indirect` detours through the bit domain, which
-  requires per-flow maximum packet lengths and the global minimum length.
-  Its result is never better than the direct route (equal only in the limit,
-  since its burst term is strictly larger), which is what makes the direct
-  route the interesting one.
+* :func:`superpose_indirect` is the sigma/rho sum between two conversions:
+  each flow widened to bits at its maximum packet length, the sum read back
+  at the global minimum length.  It never beats the direct route (its burst
+  term is strictly larger), which is what makes the direct route the
+  interesting one.
 """
 
 from __future__ import annotations
@@ -109,12 +109,12 @@ def superpose_indirect(
 ) -> LambdaNuModel:
     """Aggregate envelope via the bit-domain detour.
 
-    Each flow's packet envelope is widened to a bit envelope at its maximum
-    packet length ``max_lengths[i]`` (bits), the bit envelopes are summed,
-    and the sum is read back as a packet envelope at ``min_length``, the
-    smallest packet length of any flow.  Length ratios >= 1 inflate both
-    parameters, so this never beats :func:`superpose_lambda_nu`.  Inputs
-    that do not fit together raise :class:`InconsistentInputError`.
+    Flow i becomes ``SigmaRhoModel((nu_i + 1)*L_i, lam_i*L_i)`` at its
+    maximum packet length ``L_i = max_lengths[i]`` (bits), these are added by
+    :func:`superpose_sigma_rho`, and the sum is read back as
+    ``LambdaNuModel(rho/min_length, sigma/min_length)``.  Length ratios >= 1
+    inflate both parameters, so this never beats :func:`superpose_lambda_nu`.
+    Inputs that do not fit together raise :class:`InconsistentInputError`.
     """
     max_lengths = [as_fraction(l, "max length") for l in max_lengths]
     min_length = as_fraction(min_length, "minimum length")
@@ -124,18 +124,17 @@ def superpose_indirect(
         raise InconsistentInputError(f"{len(max_lengths)} max lengths for {len(models)} flows")
     if min_length <= 0:
         raise InconsistentInputError("minimum packet length must be positive")
-    lam = nu = Fraction(0)
-    for i, (model, l) in enumerate(zip(models, max_lengths)):
+    for i, l in enumerate(max_lengths):
         if l <= 0:
             raise InconsistentInputError(f"max length of flow {i} must be positive")
         if min_length > l:
             raise InconsistentInputError(
                 f"minimum length {min_length} exceeds max length {l} of flow {i}"
             )
-        ratio = l / min_length
-        lam += ratio * model.lam
-        nu += (model.nu + 1) * ratio
-    return LambdaNuModel(lam=lam, nu=nu)
+    bits = superpose_sigma_rho(
+        [SigmaRhoModel((m.nu + 1) * l, m.lam * l) for m, l in zip(models, max_lengths)]
+    )
+    return LambdaNuModel(lam=bits.rho / min_length, nu=bits.sigma / min_length)
 
 
 def curve_to_lambda_nu(curve: MaxPlusCurve) -> LambdaNuModel:

@@ -293,7 +293,7 @@ def _bit_keys(trace: Trace, model: SigmaRhoModel):
     [points[i], points[j]] (1-based i <= j) has gain ``ends[j] - starts[i] =
     scale*bits - rate*width`` and violates iff its gain exceeds the limit."""
     if trace.lengths is None and len(trace) > 0:
-        raise MissingLengthsError("bit-domain check needs per-packet lengths")
+        raise MissingLengthsError("bit-domain models need per-packet lengths")
     arrivals = trace.arrivals
     # the running total after the last packet of each tick is that tick's
     last_of_tick = list(map(ne, arrivals, arrivals[1:] + (None,)))
@@ -425,14 +425,12 @@ def fit_sigma_rho(trace: Trace, *, rho: RationalLike) -> FitResult:
     :func:`check_sigma_rho`'s keys at sigma = 0, divided by q; a one-point
     window never has a negative excess, so sigma >= 0.  The binding pair is
     the first window in (t, s) order with that excess, labelled by its end
-    ticks like the check's witness; an empty trace fits sigma = 0 and has
-    none.
+    ticks like the check's witness.  An empty trace fits sigma = 0 with
+    none; any other trace without lengths is refused as the check refuses it.
     """
     unbursty = SigmaRhoModel(0, rho)  # refuses rho <= 0
     if len(trace) == 0:
         return FitResult(unbursty, None)
-    if trace.lengths is None:
-        raise MissingLengthsError("bit-domain fit needs per-packet lengths")
     points, starts, ends, scale, _, _ = _bit_keys(trace, unbursty)
     i, j, gain = _top_gain(starts, ends, 0)
     return FitResult(SigmaRhoModel(Fraction(gain, scale), unbursty.rho),

@@ -247,7 +247,7 @@ def _windows(trace: Trace):
     """Every closed window [s, t] between breakpoints {0} + arrival ticks, as
     (s, t, bits arrived in it), in (t, s) order."""
     if trace.lengths is None and trace.arrivals:
-        raise MissingLengthsError("bit-domain check needs per-packet lengths")
+        raise MissingLengthsError("bit-domain models need per-packet lengths")
     points = sorted({0, *trace.arrivals})
     packets = list(zip(trace.arrivals, trace.lengths or ()))
     before = [sum(b for a, b in packets if a < x) for x in points]

@@ -55,10 +55,12 @@ def reproduce_table1() -> list[Table1Row]:
     ]
 
 
-def _curve_json(model: LambdaNuModel | None) -> dict | None:
+def _curve_json(case_id: int, model: LambdaNuModel | None) -> dict | None:
     if model is None:
         return None
-    return {"coeff": rational_to_json(1 / model.lam), "offset": int(model.nu)}
+    if model.nu.denominator != 1:  # the JSON offset is an int: never round nu
+        raise ValueError(f"case {case_id}: offset nu = {model.nu} is not an integer")
+    return {"coeff": rational_to_json(1 / model.lam), "offset": model.nu.numerator}
 
 
 def _format_curve(model: LambdaNuModel | None) -> str:
@@ -80,8 +82,8 @@ def table1_to_json(rows: list[Table1Row]) -> list[dict]:
     return [
         {
             "case_id": row.case_id,
-            "direct_curve": _curve_json(row.direct),
-            "indirect_curve": _curve_json(row.indirect),
+            "direct_curve": _curve_json(row.case_id, row.direct),
+            "indirect_curve": _curve_json(row.case_id, row.indirect),
         }
         for row in rows
     ]

@@ -8,8 +8,9 @@ Each mutant flips one operator of the module: a comparison (``<``/``<=``,
 ``demos/`` and ``pyproject.toml``, never into the checkout, and tier-1 runs
 on that copy with ``-x``.  A mutant is killed when tier-1 fails, survives when
 it passes, and times out when it runs past twice the unmutated run plus 10 s;
-its whole process tree is then ended.  pytest does not collect this file, as
-its name does not start with ``test_``.
+its whole process tree is then ended.  A survivor listed in ``EQUIVALENT``
+is reported as equivalent; any other survivor makes the run exit 1.  pytest
+does not collect this file, as its name does not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,19 @@ FLIPS = {
     ast.Add: ("+", "-"), ast.Sub: ("-", "+"),
 }
 OPERATOR = re.compile(rb"<=|>=|==|!=|<|>|is\s+not|is|not\s+in|in|[+-]")
+
+# the mutants that behave as the original, so no test can kill them: each is
+# keyed as ``keys`` keys its site, and says why
+EQUIVALENT = {
+    ("maxplus_tc.algebra", "curve_to_lambda_nu",
+     "if num > 0 and (a == 0 or d * a < top * num):", "> -> >="):
+        "a zero num is taken only while a == 0, which the first positive num replaces",
+    ("maxplus_tc.algebra", "curve_to_lambda_nu",
+     "if num > 0 and (a == 0 or d * a < top * num):", "< -> <="):
+        "a tie keeps the ratio top/a, and lam and nu depend on that ratio alone",
+    ("maxplus_tc.conformance", "_first_over", "if start < low:", "< -> <="):
+        "on a tie it stores a value equal to low, so low keeps its value",
+}
 
 
 def sites(source: bytes) -> list[tuple[int, int, bytes]]:
@@ -69,13 +83,32 @@ def sites(source: bytes) -> list[tuple[int, int, bytes]]:
     return sorted(found)
 
 
+def keys(module: str, source: bytes) -> list[tuple[str, str, str, str]]:
+    """The key of each site of ``sites(source)``, in the same order: the
+    module, the innermost function holding the site, the code of its line and
+    its flip.  The function tells apart equal lines in two functions."""
+    functions = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    lines = source.decode().splitlines()
+    found = []
+    for low, high, flipped in sites(source):
+        line = source.count(b"\n", 0, low) + 1
+        holders = [f for f in functions if f.lineno <= line <= f.end_lineno]
+        function = max(holders, key=lambda f: f.lineno).name if holders else "<module>"
+        flip = f"{source[low:high].decode()} -> {flipped.decode()}"
+        found.append((module, function, lines[line - 1].strip(), flip))
+    return found
+
+
 def run_tier1(copy: Path, timeout: float | None) -> str:
     """``killed``, ``survived`` or ``timed out``: tier-1 on ``copy``, stopped
     at its first failure."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    # test_mutation.py checks EQUIVALENT against the source, so it would fail
+    # every listed mutant for its changed line, not for its behaviour
     child = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors"],
+         "--continue-on-collection-errors", "--ignore=tests/test_mutation.py"],
         cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True,
     )
@@ -112,16 +145,19 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         timeout = 2 * (time.perf_counter() - start) + 10
         outcomes = Counter()
-        for low, high, flipped in sites(source):
+        for (low, high, flipped), key in zip(sites(source), keys(module, source)):
             (copy / relative).write_bytes(source[:low] + flipped + source[high:])
             outcome = run_tier1(copy, timeout)
             outcomes[outcome] += 1
+            if outcome == "survived" and key in EQUIVALENT:
+                outcomes["equivalent"] += 1
+                outcome = f"survived, equivalent: {EQUIVALENT[key]}"
             line = source.count(b"\n", 0, low) + 1
             print(f"{relative}:{line} {source[low:high].decode()!r} -> {flipped.decode()!r}: {outcome}",
                   flush=True)
-    print(f"killed {outcomes['killed']}, survived {outcomes['survived']}, "
-          f"timed out {outcomes['timed out']}")
-    return 0
+    print(f"killed {outcomes['killed']}, survived {outcomes['survived']} "
+          f"({outcomes['equivalent']} equivalent), timed out {outcomes['timed out']}")
+    return 1 if outcomes["survived"] > outcomes["equivalent"] else 0
 
 
 if __name__ == "__main__":

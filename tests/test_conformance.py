@@ -320,6 +320,17 @@ class TestFitSigmaRho:
         with pytest.raises(MissingLengthsError):
             fit_sigma_rho(Trace((1,)), rho=1)
 
+    @pytest.mark.parametrize("trace", [Trace((1,)), Trace((0, 0, 7))])
+    def test_check_and_fit_refuse_a_lengthless_trace_alike(self, trace):
+        with pytest.raises(MissingLengthsError) as checked:
+            check_sigma_rho(trace, SigmaRhoModel(F(1), F(1)))
+        with pytest.raises(MissingLengthsError) as fitted:
+            fit_sigma_rho(trace, rho=1)
+        assert str(fitted.value) == str(checked.value) == "bit-domain models need per-packet lengths"
+        # the empty lengthless trace is no refusal: it fits sigma = 0, with no binding window
+        fit = fit_sigma_rho(Trace(()), rho=F(3, 2))
+        assert fit.model == SigmaRhoModel(F(0), F(3, 2)) and fit.binding_pair is None
+
     @pytest.mark.parametrize("rho", [0, F(-1, 3)])
     def test_rate_must_be_positive(self, rho):
         with pytest.raises(ValueError, match="rate must be positive"):

@@ -4,6 +4,7 @@ import pytest
 
 from maxplus_tc import (
     LambdaNuModel,
+    Table1Row,
     render_table1_text,
     reproduce_table1,
     superpose_indirect,
@@ -66,6 +67,16 @@ class TestTable:
             "coeff": {"num": 2, "den": 3},
             "offset": 1,
         }
+
+    @pytest.mark.parametrize("column", ["direct", "indirect"])
+    def test_json_refuses_an_offset_that_is_not_an_integer(self, column):
+        # nu = 5/2 would be written as offset 2, a curve the text view does not show
+        models = {"direct": LN(F(1), F(0)), "indirect": None, column: LN(F(1), F(5, 2))}
+        row = Table1Row(5, models["direct"], models["indirect"])
+        assert "(tau)*(n-5/2)+" in render_table1_text([row])
+        with pytest.raises(ValueError) as exc:
+            table1_to_json([row])
+        assert str(exc.value) == "case 5: offset nu = 5/2 is not an integer"
 
     def test_text_rendering(self):
         text = render_table1_text(reproduce_table1())
