@@ -25,7 +25,7 @@ from math import lcm
 
 from .errors import DegenerateCurveError, InconsistentInputError
 from .models import LambdaNuModel, MaxPlusCurve, SigmaRhoModel, TSpecModel, WindowMode
-from .rational import RationalLike, as_fraction
+from .rational import RationalLike, as_fraction, as_integer
 
 
 def map_lambda_nu_to_tspec(
@@ -39,8 +39,7 @@ def map_lambda_nu_to_tspec(
     most ceil(nu) + j + 1 packets.  Shrinking the window just below j/lam
     (open mode) saves one more packet.
     """
-    if j < 1:
-        raise ValueError(f"window multiple j must be >= 1, got {j}")
+    as_integer(j, 1, "window multiple j")
     tau = Fraction(j * model.lam.denominator, model.lam.numerator)
     ceil_nu = -(-model.nu.numerator // model.nu.denominator)
     k_max = ceil_nu + j + (window_mode is WindowMode.CLOSED)
@@ -153,7 +152,7 @@ def curve_to_lambda_nu(curve: MaxPlusCurve) -> LambdaNuModel:
     nums = [v.numerator * (common // v.denominator) for v in curve.values]
     top, a = 0, 0
     for d, num in enumerate(nums):
-        if num > 0 and (a == 0 or d * a < top * num):
+        if a == 0 or d * a < top * num:
             top, a = d, num
     if a == 0:
         raise DegenerateCurveError(

@@ -14,6 +14,7 @@ from itertools import chain, islice, repeat
 from operator import add
 
 from .models import LambdaNuModel, TSpecModel
+from .rational import as_integer
 from .trace import Trace
 
 _LCG_A = 6364136223846793005
@@ -59,12 +60,9 @@ def gen_periodic(period: int, phase: int, count: int) -> Trace:
     Conforms to rate 1/period with zero burst allowance, and with phase 0
     the zero-burst fit recovers that rate exactly.
     """
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-    if phase < 0:
-        raise ValueError(f"phase must be >= 0, got {phase}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    as_integer(period, 1, "period")
+    as_integer(phase, 0, "phase")
+    as_integer(count, 0, "count")
     return Trace._of(tuple(range(phase, phase + count * period, period)), None)
 
 
@@ -82,8 +80,7 @@ def gen_extremal_lambda_nu(model: LambdaNuModel, count: int) -> Trace:
     trace opens with a burst of floor(nu) + 1 simultaneous packets, and for
     integer nu the fitted burst allowance at the model's rate is exactly nu.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    as_integer(count, 0, "count")
     sq, sp, rq, lag = model.integer_bound()  # closer than lag, only the order binds
     arrivals = [0] * count
     keys = [0] * count
@@ -107,8 +104,7 @@ def gen_tspec_extremal(tspec: TSpecModel, count: int) -> Trace:
     integer tau in closed mode, tau in open mode, and floor(tau) + 1 in
     either mode for any other tau.
     """
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    as_integer(count, 0, "count")
     spacing = tspec.max_gap_in_window() + 1
     bursts = map(repeat, range(0, count * spacing, spacing), repeat(min(tspec.k_max, count)))
     return Trace._of(tuple(islice(chain.from_iterable(bursts), count)), None)
@@ -123,12 +119,10 @@ def gen_jittered(period: int, jitter: int, seed: int, count: int) -> tuple[Trace
     at rate 1/period (:func:`~maxplus_tc.fit_lambda_nu`), so the trace
     conforms to it by that fit's definition, unchecked here.
     """
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-    if not 0 <= jitter <= period - 1:
-        raise ValueError(f"jitter must be in [0, period-1], got {jitter}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    as_integer(period, 1, "period")
+    if isinstance(jitter, bool) or not isinstance(jitter, int) or not 0 <= jitter <= period - 1:
+        raise ValueError(f"jitter must be in [0, period-1], got {jitter!r}")
+    as_integer(count, 0, "count")
     from .conformance import fit_lambda_nu
     offsets = Lcg64(seed).randints(0, jitter, count)
     trace = Trace._of(tuple(map(add, range(0, count * period, period), offsets)), None)

@@ -27,7 +27,7 @@ from operator import attrgetter
 
 from ._record import Record
 from .errors import FormatError
-from .rational import RationalLike, as_fraction, rational_from_json, rational_to_json
+from .rational import RationalLike, as_fraction, as_integer, rational_from_json, rational_to_json
 
 
 class WindowMode(enum.Enum):
@@ -44,13 +44,8 @@ class LambdaNuModel(Record):
     __slots__ = ("lam", "nu")
 
     def __init__(self, lam: RationalLike, nu: RationalLike):
-        lam, nu = as_fraction(lam, "rate"), as_fraction(nu, "burst allowance")
-        if lam.numerator <= 0:
-            raise ValueError(f"rate must be positive, got {lam}")
-        if nu.numerator < 0:
-            raise ValueError(f"burst allowance must be nonnegative, got {nu}")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "lam", as_fraction(lam, "rate", "positive"))
+        object.__setattr__(self, "nu", as_fraction(nu, "burst allowance", "nonnegative"))
 
     def integer_bound(self) -> tuple[int, int, int, int]:
         """The bound in integers ``(s*q, s*p, r*q, lag)`` for lam = p/q and
@@ -73,11 +68,8 @@ class TSpecModel(Record):
 
     def __init__(self, tau: RationalLike, k_max: int,
                  window_mode: WindowMode = WindowMode.CLOSED):
-        tau = as_fraction(tau, "interval")
-        if tau.numerator <= 0:
-            raise ValueError(f"interval must be positive, got {tau}")
-        if not isinstance(k_max, int) or isinstance(k_max, bool) or k_max < 1:
-            raise ValueError(f"k_max must be an integer >= 1, got {k_max!r}")
+        tau = as_fraction(tau, "interval", "positive")
+        as_integer(k_max, 1, "k_max")
         if not isinstance(window_mode, WindowMode):
             raise ValueError(f"window_mode must be a WindowMode, got {window_mode!r}")
         object.__setattr__(self, "tau", tau)
@@ -99,13 +91,8 @@ class SigmaRhoModel(Record):
     __slots__ = ("sigma", "rho")
 
     def __init__(self, sigma: RationalLike, rho: RationalLike):
-        sigma, rho = as_fraction(sigma, "burst"), as_fraction(rho, "rate")
-        if sigma.numerator < 0:
-            raise ValueError(f"burst must be nonnegative, got {sigma}")
-        if rho.numerator <= 0:
-            raise ValueError(f"rate must be positive, got {rho}")
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "sigma", as_fraction(sigma, "burst", "nonnegative"))
+        object.__setattr__(self, "rho", as_fraction(rho, "rate", "positive"))
 
 
 class MaxPlusCurve(Record):
@@ -184,19 +171,17 @@ def model_from_json(obj: object) -> Model:
     if not isinstance(tag, str) or tag not in _WIRE:
         raise FormatError(f"unknown model type {tag!r}")
     family, *keys = _WIRE[tag]
+    read = {"type", *[key for key, *_ in keys]}
     try:
         model = family(**{field: load(obj[key] if key in obj or not left_out else left_out[0])
                           for key, field, _, load, *left_out in keys})
+        if family is LambdaNuModel:  # `map` writes a reduced curve's horizon beside its model
+            read.add("horizon")
+            as_integer(obj.get("horizon", 1), 1, "horizon")
     except KeyError as exc:
         raise FormatError(f"model JSON missing key {exc}") from None
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    read = {"type", *[key for key, *_ in keys]}
-    if family is LambdaNuModel:  # `map` writes a reduced curve's horizon beside its model
-        read.add("horizon")
-        horizon = obj.get("horizon", 1)
-        if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-            raise FormatError(f"horizon must be an integer >= 1, got {horizon!r}")
     unread = obj.keys() - read
     if unread:
         raise FormatError(f"model JSON key {min(unread)!r} is not read by a {tag} model")

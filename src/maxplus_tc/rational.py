@@ -4,7 +4,9 @@ All model parameters in this package are exact rationals, backed by the
 standard library ``fractions.Fraction`` (always stored in lowest terms with
 a positive denominator, value equality, exact add/sub/mul/div/compare).
 A parameter is given as a Fraction or an int (:func:`as_fraction`); a float
-or a bool is refused, so verdicts never touch floating point.
+or a bool is refused, so verdicts never touch floating point.  This module
+states each numeric-argument rule once: a rational's type and sign
+(:func:`as_fraction`), an integer's type and floor (:func:`as_integer`).
 """
 
 from __future__ import annotations
@@ -16,16 +18,29 @@ from .errors import FormatError
 RationalLike = Fraction | int
 
 
-def as_fraction(value: RationalLike, what: str) -> Fraction:
+def as_fraction(value: RationalLike, what: str, sign: str | None = None) -> Fraction:
     """``value`` as a Fraction: a Fraction unchanged, an int converted; a bool, a
-    float (whose binary value is rarely the rational meant) or any other type is refused."""
+    float (whose binary value is rarely the rational meant) or any other type is refused.
+    A ``sign`` of ``"positive"`` or ``"nonnegative"`` also refuses a value without it."""
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
+        x = value
+    elif isinstance(value, bool):
         raise ValueError(f"{what} {value!r} is a bool, not a Fraction or an int")
-    if isinstance(value, int):
-        return Fraction(value)
-    raise ValueError(f"{what} {value!r} is not a Fraction or an int")
+    elif isinstance(value, int):
+        x = Fraction(value)
+    else:
+        raise ValueError(f"{what} {value!r} is not a Fraction or an int")
+    if sign == "positive" and x.numerator <= 0 or sign == "nonnegative" and x.numerator < 0:
+        raise ValueError(f"{what} must be {sign}, got {x}")
+    return x
+
+
+def as_integer(value: int, floor: int, what: str) -> int:
+    """``value`` unchanged if it is an int of at least ``floor``; a bool, a
+    float or any other type is refused, as is an int below ``floor``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+        raise ValueError(f"{what} must be an integer >= {floor}, got {value!r}")
+    return value
 
 
 def rational_to_json(x: RationalLike) -> dict:

@@ -72,6 +72,7 @@ from .models import (
     WindowMode,
     model_to_json,
 )
+from .rational import as_integer
 from .reference import (
     aggregate_eq1,
     check_lambda_nu_via_convolution,
@@ -90,16 +91,10 @@ class SuiteConfig(Record):
 
     def __init__(self, seed: int = 1729, trials: int = 200, max_flows: int = 5,
                  max_packets: int = 500):
-        if trials < 0:
-            raise ValueError(f"trials must be >= 0, got {trials}")
-        if max_flows < 2:
-            raise ValueError(f"max_flows must be >= 2, got {max_flows}")
-        if max_packets < 1:
-            raise ValueError(f"max_packets must be >= 1, got {max_packets}")
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "max_flows", max_flows)
-        object.__setattr__(self, "max_packets", max_packets)
+        object.__setattr__(self, "trials", as_integer(trials, 0, "trials"))
+        object.__setattr__(self, "max_flows", as_integer(max_flows, 2, "max_flows"))
+        object.__setattr__(self, "max_packets", as_integer(max_packets, 1, "max_packets"))
 
 
 class PropertyReport(Record):

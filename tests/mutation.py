@@ -43,11 +43,7 @@ OPERATOR = re.compile(rb"<=|>=|==|!=|<|>|is\s+not|is|not\s+in|in|[+-]")
 # the mutants that behave as the original, so no test can kill them: each is
 # keyed as ``keys`` keys its site, and says why
 EQUIVALENT = {
-    ("maxplus_tc.algebra", "curve_to_lambda_nu",
-     "if num > 0 and (a == 0 or d * a < top * num):", "> -> >="):
-        "a zero num is taken only while a == 0, which the first positive num replaces",
-    ("maxplus_tc.algebra", "curve_to_lambda_nu",
-     "if num > 0 and (a == 0 or d * a < top * num):", "< -> <="):
+    ("maxplus_tc.algebra", "curve_to_lambda_nu", "if a == 0 or d * a < top * num:", "< -> <="):
         "a tie keeps the ratio top/a, and lam and nu depend on that ratio alone",
     ("maxplus_tc.conformance", "_first_over", "if start < low:", "< -> <="):
         "on a tie it stores a value equal to low, so low keeps its value",
